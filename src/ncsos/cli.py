@@ -71,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 class JobReport:
     """Machine-readable account of one command invocation.
 
-    Identical inputs and seed reproduce every field except ``timings``
+    Identical inputs reproduce every field except ``timings``
     byte for byte; whenever ``verdict`` states feasibility the
     ``artifact`` path holds a file that the verify command accepts.
     """
@@ -82,7 +82,6 @@ class JobReport:
     artifact: str | None = None
     diagnostics: dict = field(default_factory=dict)
     disclosures: dict = field(default_factory=dict)
-    seed: int | None = None
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -93,7 +92,6 @@ class JobReport:
             "artifact": self.artifact,
             "diagnostics": self.diagnostics,
             "disclosures": self.disclosures,
-            "seed": self.seed,
             "timings": self.timings,
         }
         return json.dumps(body, indent=1, sort_keys=True)
@@ -156,6 +154,13 @@ def _write(path: str, text: str) -> str:
     return path
 
 
+def _write_certificate(path: str, cert) -> None:
+    """Write cert only once the exact verifier accepts it."""
+    if not verify_certificate(cert):
+        raise RuntimeError("certificate fails exact verification")
+    _write(path, certificate_to_json(cert))
+
+
 def _emit(report: JobReport, stream=None) -> None:
     print(report.to_json(), file=stream or sys.stdout)
 
@@ -177,7 +182,7 @@ def _cmd_separate(args) -> int:
         raise _BadInput(f"point has {len(point)} coordinates, cone lives "
                         f"in dimension {cone.dim}")
     report = JobReport(command="separate", inputs=_digest(args.cone),
-                       verdict="", seed=args.seed,
+                       verdict="",
                        disclosures={"dim": cone.dim,
                                     "generators": len(cone.generators),
                                     "truncation_order": rcf.default_order()})
@@ -190,23 +195,25 @@ def _cmd_separate(args) -> int:
         report.timings["seconds"] = time.perf_counter() - t0
         _emit(report)
         return EXIT_INSIDE
-    path = _artifact_path(args.cone, args.out, "functional")
-    _write(path, functional.to_json())
     val_x = evaluate_lex(functional, point)
     gens_ok = all(evaluate_lex(functional, g).sign() >= 0
                   for g in cone.generators)
+    if not (gens_ok and val_x.sign() < 0):
+        raise RuntimeError(
+            "separating functional fails its sign contract: value at the "
+            f"point {val_x.render()}, generators nonnegative: {gens_ok}")
+    path = _write(_artifact_path(args.cone, args.out, "functional"),
+                  functional.to_json())
     report.verdict = "separated"
     report.artifact = path
     report.diagnostics.update({
         "stages": len(functional.stages),
         "value_at_point": val_x.render(),
-        "point_value_negative": val_x.sign() < 0,
-        "generators_nonnegative": gens_ok,
+        "point_value_negative": True,
+        "generators_nonnegative": True,
     })
     report.timings["seconds"] = time.perf_counter() - t0
     _emit(report)
-    if not (gens_ok and val_x.sign() < 0):
-        return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -214,8 +221,8 @@ def _cmd_separate(args) -> int:
 # sos
 # ---------------------------------------------------------------------------
 
-def _sos_single(path: str, mode: str, radius, shift, out, multi: bool,
-                seed) -> tuple[JobReport, int]:
+def _sos_single(path: str, mode: str, radius, shift, out,
+                multi: bool) -> tuple[JobReport, int]:
     t0 = time.perf_counter()
     try:
         b = element_from_json(_read_text(path))
@@ -224,7 +231,6 @@ def _sos_single(path: str, mode: str, radius, shift, out, multi: bool,
     if not b.is_hermitian():
         raise _BadInput("target element must be hermitian")
     report = JobReport(command="sos", inputs=_digest(path), verdict="",
-                       seed=seed,
                        disclosures={"mode": mode, "radius": radius,
                                     "shift": str(shift) if shift else None,
                                     "tolerance": 1e-7,
@@ -243,8 +249,7 @@ def _sos_single(path: str, mode: str, radius, shift, out, multi: bool,
             report.timings["seconds"] = time.perf_counter() - t0
             return report, EXIT_UNDECIDED
         apath = _artifact_path(path, out, "cert", multi)
-        assert verify_certificate(cert)
-        _write(apath, certificate_to_json(cert))
+        _write_certificate(apath, cert)
         report.verdict = "certified"
         report.artifact = apath
         report.diagnostics["squares"] = len(cert.squares)
@@ -258,8 +263,7 @@ def _sos_single(path: str, mode: str, radius, shift, out, multi: bool,
         report.diagnostics["sdp_margin"] = outcome.margin
     if outcome.verdict == "certified":
         apath = _artifact_path(path, out, "cert", multi)
-        assert verify_certificate(outcome.certificate)
-        _write(apath, certificate_to_json(outcome.certificate))
+        _write_certificate(apath, outcome.certificate)
         report.verdict = "certified"
         report.artifact = apath
         report.diagnostics["squares"] = len(outcome.certificate.squares)
@@ -289,7 +293,8 @@ def _sos_single(path: str, mode: str, radius, shift, out, multi: bool,
             except (CoverageError, RuntimeError, ValueError) as exc:
                 report.diagnostics["dilation_fallback"] = str(exc)
         if kind == "dual_functional":
-            assert verify_witness(wit)
+            if not verify_witness(wit):
+                raise RuntimeError("dual witness fails exact verification")
             _write(apath, witness_to_json(wit))
             report.diagnostics["witness_value"] = \
                 float(wit.value_at_target)
@@ -308,10 +313,9 @@ def _sos_single(path: str, mode: str, radius, shift, out, multi: bool,
 
 
 def _sos_worker(job):
-    path, mode, radius, shift, out, multi, seed = job
+    path, mode, radius, shift, out, multi = job
     try:
-        report, code = _sos_single(path, mode, radius, shift, out, multi,
-                                   seed)
+        report, code = _sos_single(path, mode, radius, shift, out, multi)
         return report.to_json(), code
     except _BadInput as exc:
         return json.dumps({"command": "sos", "error": str(exc),
@@ -323,7 +327,7 @@ def _cmd_sos(args) -> int:
     shift = _parse_fraction(args.shift, "--shift") \
         if args.shift is not None else None
     multi = len(args.element) > 1
-    jobs = [(path, args.mode, args.radius, shift, args.out, multi, args.seed)
+    jobs = [(path, args.mode, args.radius, shift, args.out, multi)
             for path in args.element]
     if multi and args.jobs > 1:
         import multiprocessing
@@ -400,7 +404,7 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     data = _load_json(args.artifact)
     report = JobReport(command="verify", inputs=_digest(args.artifact),
-                       verdict="", seed=args.seed)
+                       verdict="")
     if not isinstance(data, dict):
         raise _BadInput("artifact must be a JSON object")
     if data.get("kind") == "sos_certificate":
@@ -445,7 +449,7 @@ def _cmd_lap_bound(args) -> int:
         raise _BadInput(f"bad element: {exc}") from exc
     S = _parse_words(b.spec, args.gens)
     report = JobReport(command="lap-bound", inputs=_digest(args.element),
-                       verdict="", seed=args.seed,
+                       verdict="",
                        disclosures={"generators": [b.spec.word_to_str(s)
                                                    for s in S]})
     try:
@@ -474,7 +478,7 @@ def _cmd_kazhdan(args) -> int:
         raise _BadInput("kazhdan expects a finite group backend")
     S = _parse_words(spec, args.gens)
     report = JobReport(command="kazhdan", inputs=_digest(args.group),
-                       verdict="", seed=args.seed,
+                       verdict="",
                        disclosures={"order": spec.order,
                                     "generators": [spec.word_to_str(s)
                                                    for s in S]})
@@ -518,7 +522,6 @@ def build_parser() -> _Parser:
     p.add_argument("--point", required=True,
                    help="comma-separated rational coordinates, e.g. -1,0")
     p.add_argument("--out", default=None, help="functional output path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("sos", help="decide cone membership for a hermitian "
@@ -531,7 +534,6 @@ def build_parser() -> _Parser:
                    help="certify target + shift*identity (rational)")
     p.add_argument("--out", default=None,
                    help="artifact path (directory for several inputs)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for several inputs")
     p.set_defaults(func=_cmd_sos)
@@ -539,7 +541,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-check a certificate or witness "
                                       "file independently")
     p.add_argument("artifact", help="certificate or witness JSON file")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lap-bound", help="Laplacian domination constant "
@@ -548,14 +549,12 @@ def build_parser() -> _Parser:
     p.add_argument("--gens", required=True,
                    help="comma-separated generators, e.g. a,A or 1,2")
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_lap_bound)
 
     p = sub.add_parser("kazhdan", help="spectral gap of a finite-group "
                                        "Laplacian")
     p.add_argument("group", help="group (algebra spec) JSON file")
     p.add_argument("--gens", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_kazhdan)
     return parser
 

@@ -108,17 +108,6 @@ def nullspace(A):
     return basis
 
 
-def mat_vec(A, x):
-    out = []
-    for row in A:
-        acc = None
-        for a, b in zip(row, x):
-            t = a * b
-            acc = t if acc is None else acc + t
-        out.append(acc)
-    return out
-
-
 def char_poly(M, one):
     """Coefficients of ``det(lambda*I - M)`` by Faddeev-LeVerrier.
 
@@ -224,23 +213,3 @@ def unit_lower_inverse(L):
             Y[i][j] = -s
     return Y
 
-
-def psd_by_charpoly_qc(M: Sequence[Sequence[QC]]) -> bool:
-    """Independent PSD test: sign pattern of the characteristic polynomial.
-
-    ``M`` PSD iff ``(-1)^k * coeff(lambda^{n-k}) >= 0`` for every k, i.e.
-    all elementary symmetric functions of the eigenvalues are nonnegative.
-    """
-    if not M:
-        return True
-    if not is_hermitian_qc(M):
-        raise ValueError("psd_by_charpoly_qc: matrix is not hermitian")
-    n = len(M)
-    coeffs = char_poly(M, QC(1))
-    for k in range(1, n + 1):
-        c = coeffs[n - k]
-        if c.im != 0:
-            raise AssertionError("hermitian charpoly must be real")
-        if (-1) ** k * c.re < 0:
-            return False
-    return True

@@ -126,10 +126,6 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-QC_ZERO = QC(0)
-QC_ONE = QC(1)
-
-
 def sqrt_upper(x: Fraction | int, rounds: int = 20,
                max_denominator: int = 10 ** 12) -> Fraction:
     """A rational y with ``y >= sqrt(x)`` and ``y*y >= x`` exactly.
@@ -180,10 +176,3 @@ def abs_upper(z: QC, max_denominator: int = 10 ** 12) -> Fraction:
         return abs(z.im)
     return sqrt_upper(z.modulus_sq(), max_denominator=max_denominator)
 
-
-def frac_to_str(x: Fraction) -> str:
-    return str(x)
-
-
-def str_to_frac(s: str) -> Fraction:
-    return Fraction(s)

@@ -249,9 +249,6 @@ class RcfScalar:
         """True when the jet lies in the maximal ideal (zero standard part)."""
         return not self.terms.get(0, Fraction(0))
 
-    def to_float(self, eps: float = 1e-6) -> float:
-        return sum(float(c) * eps ** e for e, c in self.terms.items())
-
     # -- text ------------------------------------------------------------------
 
     def render(self) -> str:

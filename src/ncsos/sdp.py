@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for hermitian margin SDPs.
+"""Primal-dual interior-point solver for hermitian margin SDPs.
 
 Solves        maximize   lam
               subject to <A_k, X> + lam * <A_k, I> = b_k     (k = 1..m)
@@ -16,7 +16,9 @@ system <A_k, X0> = b_k and some y gives a positive definite Z -- the
 shapes produced by the Gram pipeline guarantee both -- the two problems
 are strictly feasible, the central path exists, and a Mehrotra-style
 predictor-corrector converges.  Everything is deterministic: fixed
-starting point, no randomization, dense linear algebra only.
+starting point, no randomization.  The constraint matrices are sparse
+entry lists (:class:`SparseConstraints`); the iterates X, Z and the m x m
+Schur complement are dense.
 
 This solver produces floating-point hints; all certification happens
 downstream in exact rational arithmetic.
@@ -87,35 +89,78 @@ def _max_step(M: np.ndarray, D: np.ndarray, tau: float = 0.98) -> float:
     return min(1.0, -tau / lo)
 
 
-def solve_margin_sdp(mats, b, tol: float = 1e-10, max_iter: int = 100) -> SdpResult:
+class SparseConstraints:
+    """Hermitian n x n matrices A_0..A_{m-1} held as entry arrays.
+
+    ``entries`` lists ``(k, i, j, value)`` with A_k[i, j] = value; absent
+    entries are zero and each (k, i, j) appears at most once.
+    """
+
+    def __init__(self, entries, n: int, m: int):
+        k, i, j, v = (np.asarray(a) for a in zip(*entries))
+        o = np.lexsort((j, i, k))
+        self.k, self.i, self.j, self.v = k[o], i[o], j[o], v[o] + 0j
+        self.n, self.m = n, m
+        # the entries of A_k occupy the slice start[k]:start[k + 1]
+        self.start = np.searchsorted(self.k, np.arange(m + 1))
+        t = np.lexsort((self.i, self.j, self.k))    # the transposed order
+        if not (np.array_equal(self.i[t], self.j) and np.array_equal(
+                self.j[t], self.i) and np.allclose(self.v[t].conj(), self.v,
+                                                   rtol=0, atol=1e-12)):
+            raise ValueError("constraint matrices must be hermitian")
+        diag = self.i == self.j
+        self.trace = np.bincount(self.k[diag], self.v[diag].real,
+                                 minlength=m)
+        self.sq_norms = np.bincount(self.k, abs(self.v) ** 2, minlength=m)
+
+    def apply(self, W: np.ndarray) -> np.ndarray:
+        """A(W)_k = Re tr(A_k W), which is <A_k, W> for hermitian W."""
+        return np.bincount(self.k, (self.v * W[self.j, self.i]).real,
+                           minlength=self.m)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A*(y) = sum_k y_k A_k."""
+        w = y[self.k] * self.v
+        flat = self.i * self.n + self.j
+        size = self.n * self.n
+        out = np.bincount(flat, w.real, minlength=size) \
+            + 1j * np.bincount(flat, w.imag, minlength=size)
+        return out.reshape(self.n, self.n)
+
+    def schur(self, X: np.ndarray, Zi: np.ndarray) -> np.ndarray:
+        """S_kl = Re tr(X A_k Zi A_l); column l is A(Zi A_l X).
+
+        Zi A_l X sums v * Zi[:, i] X[j, :] over the entries (i, j, v) of
+        A_l: one small product of gathered columns and rows per l.
+        """
+        left = Zi[:, self.i] * self.v
+        right = X[self.j, :]
+        S = np.empty((self.m, self.m))
+        for l in range(self.m):
+            f = slice(self.start[l], self.start[l + 1])
+            S[:, l] = self.apply(left[:, f] @ right[f, :])
+        return (S + S.T) / 2
+
+
+def solve_margin_sdp(entries, n: int, b, tol: float = 1e-10,
+                     max_iter: int = 100) -> SdpResult:
     """Run the predictor-corrector iteration on the margin problem.
 
-    mats : sequence of m hermitian complex ndarrays, all n x n
-    b    : length-m real vector of constraint values
+    entries : ``(k, i, j, value)`` entries of m hermitian n x n matrices
+    b       : length-m real vector of constraint values
     """
-    A = np.asarray(mats, dtype=complex)
     b = np.asarray(b, dtype=float)
-    m, n, n2 = A.shape
-    if n != n2 or b.shape != (m,):
-        raise ValueError("constraint shapes do not match")
+    m = len(b)
     if m == 0:
         raise ValueError("no constraints; decide trivially upstream")
-    herm_err = float(np.max(np.abs(A - np.conj(np.transpose(A, (0, 2, 1))))))
-    if herm_err > 1e-12:
-        raise ValueError("constraint matrices must be hermitian")
-    t = np.einsum("kii->k", A).real
+    A = SparseConstraints(entries, n, m)
+    t = A.trace
     if not np.any(np.abs(t) > 1e-14):
         raise ValueError("all constraints are traceless; margin undefined")
-
-    def a_of(W):
-        return np.einsum("kij,ji->k", A, W).real
-
-    def a_adj(y):
-        return np.einsum("k,kij->ij", y, A)
+    a_of, a_adj = A.apply, A.adjoint
 
     scale = max(1.0, float(np.max(np.abs(b))))
-    anorm = max(1.0, float(np.sqrt(np.max(np.einsum(
-        "kij,kij->k", A, A.conj()).real))))
+    anorm = max(1.0, float(np.sqrt(np.max(A.sq_norms))))
 
     X = scale * np.eye(n, dtype=complex)
     Z = anorm * np.eye(n, dtype=complex)
@@ -156,9 +201,7 @@ def solve_margin_sdp(mats, b, tol: float = 1e-10, max_iter: int = 100) -> SdpRes
         Zi = _herm(Zi)
 
         # Schur complement M_kl = <A_k, H(Zi A_l X)> = Re tr(X A_k Zi A_l)
-        B = X @ A @ Zi                       # stack of X A_k Zi
-        S = np.einsum("kij,lji->kl", B, A).real
-        S = (S + S.T) / 2
+        S = A.schur(X, Zi)
         K = np.zeros((m + 1, m + 1))
         K[:m, :m] = S
         K[:m, m] = -t

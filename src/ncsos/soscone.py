@@ -8,13 +8,14 @@ Two cones are handled over every algebra backend:
   augmentation-ideal columns c(g) = g - 1, so every combination lands in
   the ideal-squared cone automatically.
 
-The pipeline is hybrid: a dense interior-point SDP produces floating
-hints (a Gram matrix or a separating functional), and everything the
-caller can trust is then rebuilt in exact rational arithmetic --
-rounding plus exact affine projection plus exact LDL* on the primal
-side, functional rationalization mixed with a strictly positive
-reference moment matrix on the dual side.  No verdict other than
-``undecided`` ever rests on floating point.
+The pipeline is hybrid: an interior-point SDP over sparse constraint
+entries produces floating hints (a Gram matrix or a separating
+functional), and everything the caller can trust is then rebuilt in
+exact rational arithmetic from the same entries -- rounding plus exact
+affine projection plus exact LDL* on the primal side, functional
+rationalization mixed with a strictly positive reference moment matrix
+on the dual side.  No verdict other than ``undecided`` ever rests on
+floating point.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ class GramAssembly:
     H = (E + E*)/2 and K = (E - E*)/(2i) where E[i,j] is the coefficient
     of the class representative in column_i* column_j.  In augmentation
     mode the identity class is omitted: it is implied by the others
-    because both sides have augmentation zero.
+    because both sides have augmentation zero.  ``entries[k]`` lists the
+    nonzero ``(i, j, coeff)`` of condition k, for both number types.
     """
 
     def __init__(self, spec: AlgebraSpec, basis, mode: str):
@@ -235,30 +237,41 @@ class GramAssembly:
         self.rep_index = {w: k for k, w in enumerate(reps)}
         self.covered_words = words
 
-        # exact constraint matrices, one or two per class
-        self.A_exact = []          # list of n x n lists of QC
+        # E[p][q] = c at the representative of class k puts c/2 at (p, q)
+        # and conj(c)/2 at (q, p) into H, -ic/2 and i conj(c)/2 into K
+        half, half_i = QC(Fraction(1, 2)), QC(0, Fraction(1, 2))
+        HK = [({}, {}) for _ in reps]
+        for p in range(self.n):
+            for q in range(self.n):
+                for w, c in self.products[p][q].items():
+                    if w in self.rep_index:
+                        H, K = HK[self.rep_index[w]]
+                        cc = c.conjugate()
+                        for acc, pos, val in ((H, (p, q), c * half),
+                                              (H, (q, p), cc * half),
+                                              (K, (p, q), -c * half_i),
+                                              (K, (q, p), cc * half_i)):
+                            acc[pos] = acc.get(pos, 0) + val
+        self.entries = []           # per condition: sorted (i, j, coeff)
         self.constraint_class = []  # (class index, 'H' | 'K')
-        half = QC(Fraction(1, 2))
-        minus_half_i = QC(0, Fraction(-1, 2))
         for k, w in enumerate(reps):
             selfconj = spec.word_star(w) == w
-            E = [[self.products[i][j].get(w, QC(0)) for j in range(self.n)]
-                 for i in range(self.n)]
-            H = [[(E[i][j] + E[j][i].conjugate()) * half
-                  for j in range(self.n)] for i in range(self.n)]
-            self.A_exact.append(H)
-            self.constraint_class.append((k, "H"))
-            if not selfconj:
-                K = [[(E[i][j] - E[j][i].conjugate()) * minus_half_i
-                      for j in range(self.n)] for i in range(self.n)]
-                self.A_exact.append(K)
-                self.constraint_class.append((k, "K"))
-        self.m = len(self.A_exact)
-
-        self.A_float = np.array(
-            [[[complex(self.A_exact[k][i][j]) for j in range(self.n)]
-              for i in range(self.n)] for k in range(self.m)])
+            for part, acc in zip("HK", HK[k][:1] if selfconj else HK[k]):
+                self.entries.append([(i, j, c) for (i, j), c
+                                     in sorted(acc.items()) if c])
+                self.constraint_class.append((k, part))
+        self.m = len(self.entries)
         self._gram_inner = None
+
+    @property
+    def A_exact(self):
+        """Dense QC matrices, built on demand for the benchmark's traced
+        pass (it counts nonzeros); nothing in the package reads them."""
+        dense = [[[QC(0)] * self.n for _ in range(self.n)] for _ in self.entries]
+        for A, ents in zip(dense, self.entries):
+            for i, j, c in ents:
+                A[i][j] = c
+        return dense
 
     # -- target handling -----------------------------------------------------
 
@@ -292,30 +305,29 @@ class GramAssembly:
     def apply(self, Q):
         """<A_k, Q> for all k, exactly (Q hermitian QC matrix)."""
         vals = []
-        for k in range(self.m):
-            A = self.A_exact[k]
+        for ents in self.entries:
             acc = QC(0)
-            for i in range(self.n):
-                for j in range(self.n):
-                    acc = acc + A[i][j].conjugate() * Q[i][j]
+            for i, j, c in ents:
+                acc = acc + c.conjugate() * Q[i][j]
             if acc.im != 0:
                 raise AssertionError("constraint value must be real")
             vals.append(acc.re)
         return vals
 
     def gram_inner(self):
-        """Gram matrix <A_k, A_l> of the constraints (rational, PD)."""
+        """Gram matrix <A_k, A_l> of the constraints (rational, PD), as
+        a sum over the matrix positions the conditions share."""
         if self._gram_inner is None:
+            at = {}
+            for k, ents in enumerate(self.entries):
+                for i, j, c in ents:
+                    at.setdefault((i, j), []).append((k, c))
             G = [[Fraction(0)] * self.m for _ in range(self.m)]
-            for k in range(self.m):
-                for l in range(k, self.m):
-                    acc = QC(0)
-                    Ak, Al = self.A_exact[k], self.A_exact[l]
-                    for i in range(self.n):
-                        for j in range(self.n):
-                            acc = acc + Ak[i][j].conjugate() * Al[i][j]
-                    G[k][l] = acc.re
-                    G[l][k] = acc.re
+            for here in at.values():
+                for k, c in here:
+                    cc = c.conjugate()
+                    for l, d in here:
+                        G[k][l] += (cc * d).re
             self._gram_inner = G
         return self._gram_inner
 
@@ -351,14 +363,8 @@ class GramAssembly:
 
     def ref_moment(self):
         """Exact reference moment matrix (identity, or identity + ones)."""
-        M = [[QC(0)] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = QC(0)
-                for w, cw in self.products[i][j].items():
-                    acc = acc + cw * self.ref_value(w)
-                M[i][j] = acc
-        return M
+        return self.moment_from_values(
+            {w: QC(self.ref_value(w)) for w in self.covered_words})
 
     def ref_value_of(self, b: AlgebraElement) -> Fraction:
         acc = QC(0)
@@ -414,8 +420,10 @@ def sos_feasibility(b: AlgebraElement, basis=None, mode: str = "full",
         basis = gram_basis(b, mode)
     asm = GramAssembly(b.spec, basis, mode)
     beta = asm.beta(b)
-    res = sdp.solve_margin_sdp(
-        asm.A_float, [float(x) for x in beta], tol=sdp_tol)
+    entries = [(k, i, j, complex(c)) for k, ents in enumerate(asm.entries)
+               for i, j, c in ents]
+    res = sdp.solve_margin_sdp(entries, asm.n, [float(x) for x in beta],
+                               tol=sdp_tol)
     status = "feasible" if res.lam >= -tol else "infeasible"
     return Feasibility(status=status, margin=res.lam, gram=res.gram,
                        y=res.y, assembly=asm, beta=beta,
@@ -461,9 +469,9 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
 
     Rationalize entries at increasing denominators, move exactly back
     onto the affine constraint slice (minimum-norm correction through
-    the constraint Gram matrix), then decide PSD exactly by LDL* with a
-    characteristic-polynomial sign test as a second opinion.  Raises
-    ProjectionError with a margin report when every attempt fails.
+    the constraint Gram matrix), then decide PSD exactly by LDL* with the
+    zero-pivot rule.  Raises ProjectionError with a margin report when
+    every attempt fails.
     """
     if assembly is None:
         assembly = GramAssembly(b.spec, basis if basis is not None
@@ -481,27 +489,18 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
             if z is None:
                 raise ProjectionError(
                     "constraint system is inconsistent", {"denominator": den})
-            for k, zk in enumerate(z):
-                if not zk:
-                    continue
-                A = asm.A_exact[k]
-                for i in range(asm.n):
-                    for j in range(asm.n):
-                        if A[i][j]:
-                            Q[i][j] = Q[i][j] + zk * A[i][j]
-            resid2 = [bk - qk for bk, qk in zip(beta, asm.apply(Q))]
-            assert not any(resid2), "exact projection must hit the slice"
+            for zk, ents in zip(z, asm.entries):
+                if zk:
+                    for i, j, c in ents:
+                        Q[i][j] = Q[i][j] + zk * c
+            if any(bk != qk for bk, qk in zip(beta, asm.apply(Q))):
+                raise RuntimeError("exact projection missed the slice")
         ok, d, L, fail = exactla.ldlt_psd_qc(Q)
-        if not ok and exactla.psd_by_charpoly_qc(Q):
-            # semidefinite but pivot order unlucky; tiny exact shift retry
-            raise ProjectionError(
-                "PSD by charpoly but LDL* failed; matrix on cone boundary",
-                {"denominator": den, "fail": fail})
         if ok:
             squares = _squares_from_ldlt(asm, d, L)
             cert = SosCertificate(target=b, squares=squares, mode=mode)
-            defect = certificate_defect(cert)
-            assert not defect.terms, "projected certificate must be exact"
+            if certificate_defect(cert).terms:
+                raise RuntimeError("projected certificate is not exact")
             return cert
         report[den] = {"fail_at": fail}
     raise ProjectionError("projected matrix not positive semidefinite",
@@ -742,6 +741,13 @@ def verify_certificate(cert: SosCertificate) -> bool:
     return not certificate_defect(cert).terms
 
 
+def _checked(cert: SosCertificate) -> SosCertificate:
+    """cert itself, once the exact verifier has accepted it."""
+    if not verify_certificate(cert):
+        raise RuntimeError("constructed certificate fails exact verification")
+    return cert
+
+
 def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
     """Re-derive the witness moment matrix and value from word values."""
     try:
@@ -754,7 +760,7 @@ def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
     if not exactla.is_hermitian_qc(M):
         return False
     ok, _, _, _ = exactla.ldlt_psd_qc(M)
-    if not ok and not exactla.psd_by_charpoly_qc(M):
+    if not ok:
         return False
     e = wit.spec.identity_word
     acc = QC(0)
@@ -817,9 +823,8 @@ def l1_absorption_certificate(h: AlgebraElement, lam) -> SosCertificate:
     leftover = lam - spend
     if leftover > 0:
         squares.append((leftover, one))
-    cert = SosCertificate(target=one * lam - h, squares=squares, mode="full")
-    assert verify_certificate(cert)
-    return cert
+    return _checked(SosCertificate(target=one * lam - h, squares=squares,
+                                   mode="full"))
 
 
 def lemma_bounded_certificate(a: AlgebraElement, lam=None) -> SosCertificate:
@@ -873,9 +878,7 @@ def interior_shift_certificate(b: AlgebraElement, eta, basis=None,
             f"(margin {feas.margin:.3e} < {-float(room):.3e})")
     G_full = feas.gram + float(room) * np.eye(asm.n)
     try:
-        cert = round_and_project(G_full, target, assembly=asm)
-        assert verify_certificate(cert)
-        return cert
+        return _checked(round_and_project(G_full, target, assembly=asm))
     except ProjectionError:
         pass
     # plain rounding at a safely interior shift; absorb the exact residual
@@ -895,11 +898,9 @@ def interior_shift_certificate(b: AlgebraElement, eta, basis=None,
         except ValueError as err:
             last = f"residual exceeds the absorption headroom: {err}"
             continue
-        out = SosCertificate(
+        return _checked(SosCertificate(
             target=target, squares=squares + absorb, mode="full",
-            residual_policy={"kind": "absorbed", "by": resid, "amount": half})
-        assert verify_certificate(out)
-        return out
+            residual_policy={"kind": "absorbed", "by": resid, "amount": half}))
     raise ValueError(last)
 
 
@@ -911,9 +912,8 @@ def laplacian_sos_certificate(spec: AlgebraSpec, S) -> SosCertificate:
     """Delta(S) = 1/2 sum_s c(s)* c(s), as an exact certificate."""
     delta = laplacian(spec, S)
     squares = [(Fraction(1, 2), c_of(spec, spec.validate_word(s))) for s in S]
-    cert = SosCertificate(target=delta, squares=squares, mode="augmentation")
-    assert verify_certificate(cert)
-    return cert
+    return _checked(SosCertificate(target=delta, squares=squares,
+                                   mode="augmentation"))
 
 
 def nu_table(spec: AlgebraSpec, S, words):

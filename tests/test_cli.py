@@ -135,6 +135,26 @@ def test_separate_report_is_deterministic(tmp_path, capsys):
     assert r1 == r2
 
 
+def test_separate_sign_failure_writes_no_functional(tmp_path, capsys,
+                                                   monkeypatch):
+    class Positive:
+        def sign(self):
+            return 1
+
+        def render(self):
+            return "1"
+
+    monkeypatch.setattr("ncsos.cli.evaluate_lex", lambda f, x: Positive())
+    cone = write_quadrant(tmp_path)
+    out_file = tmp_path / "functional.json"
+    code, out, err = run(capsys, "separate", cone, "--point=-1,0",
+                         "--out", str(out_file))
+    assert code == 70
+    assert "sign contract" in err
+    assert not out_file.exists()
+    assert not list(tmp_path.glob("*.functional.json"))
+
+
 # ---------------------------------------------------------------------------
 # sos
 # ---------------------------------------------------------------------------
@@ -226,6 +246,31 @@ def test_sos_infeasible_shift_is_undecided(tmp_path, capsys):
     assert report["verdict"] == "undecided"
     assert "advice" in report["diagnostics"]
     assert report["artifact"] is None
+
+
+@pytest.mark.parametrize("argv, patched, suffix", [
+    (["b.json"], "verify_certificate", "cert"),
+    (["b.json", "--shift", "1"], "verify_certificate", "cert"),
+    (["c3.json", "--mode", "augmentation"], "verify_witness", "witness"),
+])
+def test_failed_artifact_check_exits_70_without_writing_under_O(
+        tmp_path, argv, patched, suffix):
+    g = gen(F1, 1)
+    write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    write_element(tmp_path, "c3.json", -laplacian(C3, [1, 2]))
+    script = ("import sys\n"
+              "import ncsos.cli as cli\n"
+              f"cli.{patched} = lambda artifact: False\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "sos"] + argv,
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 70, proc.stderr
+    assert not list(tmp_path.glob(f"*.{suffix}.json"))
 
 
 def test_sos_rejects_nonpositive_shift(tmp_path, capsys):

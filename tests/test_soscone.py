@@ -27,10 +27,11 @@ from ncsos.groupalg import (
     laplacian,
 )
 from ncsos.qc import QC
-from ncsos import soscone
+from ncsos import sdp, soscone
 from ncsos.soscone import (
     KAPPA,
     CoverageError,
+    GramAssembly,
     ProjectionError,
     SosCertificate,
     certificate_defect,
@@ -271,6 +272,124 @@ def test_dual_witness_from_feasibility_run():
     wit = exact_dual_witness(b, feas)
     assert wit.value_at_target < 0
     assert verify_witness(wit)
+
+
+# ---------------------------------------------------------------------------
+# sparse constraint entries against the dense definitions
+# ---------------------------------------------------------------------------
+
+SPARSE_CASES = {
+    "free2-r2-full": (FREE2, ball(FREE2, 2), "full"),
+    "z6-augmentation": (AlgebraSpec.cyclic(6), [1, 2, 3, 4, 5],
+                        "augmentation"),
+    "free-star1-r2-full": (AlgebraSpec.free_star(1),
+                           ball(AlgebraSpec.free_star(1), 2), "full"),
+}
+
+
+def dense_constraints(asm):
+    """H = (E + E*)/2 and K = (E - E*)/(2i) per class, from the products."""
+    n, spec = asm.n, asm.spec
+    half, minus_half_i = QC(F(1, 2)), QC(0, F(-1, 2))
+    order, mats = [], []
+    for k, w in enumerate(asm.class_reps):
+        E = [[asm.products[i][j].get(w, QC(0)) for j in range(n)]
+             for i in range(n)]
+        order.append((k, "H"))
+        mats.append([[(E[i][j] + E[j][i].conjugate()) * half
+                      for j in range(n)] for i in range(n)])
+        if spec.word_star(w) != w:
+            order.append((k, "K"))
+            mats.append([[(E[i][j] - E[j][i].conjugate()) * minus_half_i
+                          for j in range(n)] for i in range(n)])
+    assert order == asm.constraint_class
+    return mats
+
+
+def random_hermitian_qc(n, rng):
+    Q = [[QC(0)] * n for _ in range(n)]
+    for i in range(n):
+        Q[i][i] = QC(F(rng.randint(-9, 9), rng.randint(1, 5)))
+        for j in range(i + 1, n):
+            Q[i][j] = QC(F(rng.randint(-9, 9), rng.randint(1, 5)),
+                         F(rng.randint(-9, 9), rng.randint(1, 5)))
+            Q[j][i] = Q[i][j].conjugate()
+    return Q
+
+
+def random_hermitian(n, rng):
+    W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (W + W.conj().T) / 2
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sparse_entries_match_dense_definitions_exactly(case):
+    spec, basis, mode = SPARSE_CASES[case]
+    asm = GramAssembly(spec, basis, mode)
+    dense = dense_constraints(asm)
+    n = asm.n
+    assert asm.A_exact == dense
+    Q = random_hermitian_qc(n, random.Random(3))
+    expect = []
+    for A in dense:
+        acc = QC(0)
+        for i in range(n):
+            for j in range(n):
+                acc = acc + A[i][j].conjugate() * Q[i][j]
+        assert acc.im == 0
+        expect.append(acc.re)
+    assert asm.apply(Q) == expect
+    # entries are halves of Gaussian integers, so twice the matrices are
+    # exact in floating point and so is their float Gram matrix
+    twice = np.array([[[complex(2 * z) for z in row] for row in A]
+                      for A in dense])
+    assert all((2 * z).re.denominator == 1 and (2 * z).im.denominator == 1
+               for A in dense for row in A for z in row)
+    gram4 = np.einsum("kij,lij->kl", twice.conj(), twice).real
+    assert [[4 * g for g in row] for row in asm.gram_inner()] == \
+        [[F(int(x)) for x in row] for row in gram4]
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sdp_operators_match_dense_einsum(case):
+    spec, basis, mode = SPARSE_CASES[case]
+    asm = GramAssembly(spec, basis, mode)
+    A = np.array([[[complex(z) for z in row] for row in M]
+                  for M in dense_constraints(asm)])
+    entries = [(k, i, j, complex(c)) for k, ents in enumerate(asm.entries)
+               for i, j, c in ents]
+    ops = sdp.SparseConstraints(entries, asm.n, asm.m)
+    rng = np.random.default_rng(5)
+    X, Zi = random_hermitian(asm.n, rng), random_hermitian(asm.n, rng)
+    y = rng.standard_normal(asm.m)
+    np.testing.assert_allclose(ops.apply(X),
+                               np.einsum("kij,ji->k", A, X).real,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ops.adjoint(y),
+                               np.einsum("k,kij->ij", y, A),
+                               rtol=0, atol=1e-12)
+    S = np.einsum("kij,lji->kl", X @ A @ Zi, A).real
+    np.testing.assert_allclose(ops.schur(X, Zi), (S + S.T) / 2,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ops.trace, np.einsum("kii->k", A).real,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ops.sq_norms,
+                               np.einsum("kij,kij->k", A, A.conj()).real,
+                               rtol=0, atol=1e-12)
+
+
+def test_radius_three_assembly_is_fast_and_full_mode_gram_is_diagonal():
+    import time
+
+    start = time.perf_counter()
+    asm = GramAssembly(FREE2, ball(FREE2, 3), "full")
+    elapsed = time.perf_counter() - start
+    assert (asm.n, asm.m) == (53, 1457)
+    assert elapsed < 2.0
+    G = asm.gram_inner()
+    assert all(not G[k][l] for k in range(asm.m) for l in range(asm.m)
+               if k != l)
+    assert all(G[k][k] > 0 for k in range(asm.m))
 
 
 # ---------------------------------------------------------------------------
