@@ -496,10 +496,8 @@ def _cmd_kazhdan(args) -> int:
         raise _BadInput(str(exc)) from exc
     report.verdict = "gap"
     report.diagnostics["exact"] = exact
-    if exact:
-        report.diagnostics["gap"] = str(lo)
-    else:
-        report.diagnostics["gap"] = str(lo)
+    report.diagnostics["gap"] = str(lo)
+    if not exact:
         report.diagnostics["enclosure"] = [str(lo), str(hi)]
     report.timings["seconds"] = time.perf_counter() - t0
     _emit(report)

@@ -90,10 +90,12 @@ def membership(C: ConeV, x) -> MembershipResult:
     res = linprog.solve_lp(A, list(x), [Fraction(0)] * k)
     if res.status == linprog.OPTIMAL:
         return MembershipResult(True, coefficients=res.x)
-    assert res.status == linprog.INFEASIBLE
+    if res.status != linprog.INFEASIBLE:
+        raise RuntimeError(f"membership LP ended {res.status}")
     y = tuple(res.y)
     # Farkas: y.g <= 0 for every generator, y.x > 0
-    assert all(_dot(y, g) <= 0 for g in C.generators) and _dot(y, x) > 0
+    if not (all(_dot(y, g) <= 0 for g in C.generators) and _dot(y, x) > 0):
+        raise RuntimeError("membership LP returned a bad Farkas certificate")
     return MembershipResult(False, certificate=y)
 
 
@@ -115,23 +117,16 @@ def _in_span(basis, v) -> bool:
 
 
 class LexFunctional:
-    """A stack of covectors evaluated with infinitesimal level weights.
+    """A stack of covectors evaluated with infinitesimal level weights."""
 
-    ``active_sets[i]`` records which generator indices were still undecided
-    when stage i was produced (bookkeeping for the flag construction, also
-    used by the tests).
-    """
+    __slots__ = ("dim", "stages")
 
-    __slots__ = ("dim", "stages", "active_sets")
-
-    def __init__(self, dim, stages, active_sets=None):
+    def __init__(self, dim, stages):
         self.dim = dim
         self.stages = tuple(_vec(s) for s in stages)
         for s in self.stages:
             if len(s) != dim:
                 raise ValueError("stage dimension mismatch")
-        self.active_sets = tuple(tuple(a) for a in active_sets) \
-            if active_sets is not None else tuple(() for _ in self.stages)
 
     def __repr__(self):
         return f"LexFunctional(dim={self.dim}, {len(self.stages)} stages)"
@@ -230,7 +225,8 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
     if x is not None:
         slack_signs.append(1)       # phi(x) + w = 0
     slack_signs.extend([1, 1] * n)
-    assert len(slack_signs) == m, (len(slack_signs), m)
+    if len(slack_signs) != m:
+        raise RuntimeError(f"{len(slack_signs)} slack signs for {m} rows")
     for i in range(m):
         rows[i] = rows[i] + [Fraction(slack_signs[i]) if j == i else Fraction(0)
                              for j in range(m)]
@@ -240,7 +236,8 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
     else:
         cost = phi_row(x) + [Fraction(0)] * m  # minimize phi(x)
     res = linprog.solve_lp(rows, rhs, cost)
-    assert res.status == linprog.OPTIMAL, res.status
+    if res.status != linprog.OPTIMAL:
+        raise RuntimeError(f"stage LP ended {res.status}")
     lam = [res.x[j] - res.x[k + j] for j in range(k)]
     phi = tuple(sum((lam[j] * h_basis[j][i] for j in range(k)), Fraction(0))
                 for i in range(n))
@@ -266,14 +263,13 @@ def separate_point(C: ConeV, x) -> LexFunctional:
                for c in range(n)]
     active = list(range(len(C.generators)))
     x_active = True
-    stages, active_sets = [], []
+    stages = []
     while active and len(stages) < n:
         gens = [C.generators[j] for j in active]
         phi, opt = _stage_lp(h_basis, gens, x if x_active else None, "cover")
         if opt == 0:
             break  # active generators span a subspace: the lineality
         stages.append(phi)
-        active_sets.append(tuple(active))
         if x_active and _dot(phi, x) < 0:
             x_active = False
         active = [j for j in active if _dot(phi, C.generators[j]) == 0]
@@ -283,10 +279,11 @@ def separate_point(C: ConeV, x) -> LexFunctional:
     if x_active:
         gens = [C.generators[j] for j in active]
         phi, opt = _stage_lp(h_basis, gens, x, "repel")
-        assert opt > 0, "point outside the cone must admit a repelling stage"
+        if not opt > 0:
+            raise RuntimeError(
+                "point outside the cone must admit a repelling stage")
         stages.append(phi)
-        active_sets.append(tuple(active))
-    return LexFunctional(n, stages, active_sets)
+    return LexFunctional(n, stages)
 
 
 def _restrict(h_basis, phi):
@@ -371,7 +368,8 @@ def _min_norm_extension(h_basis, phi_h, n):
     k = len(h_basis)
     gram = [[_dot(h_basis[i], h_basis[j]) for j in range(k)] for i in range(k)]
     mu = exactla.solve_linear(gram, list(phi_h))
-    assert mu is not None, "H basis must be linearly independent"
+    if mu is None:
+        raise RuntimeError("H basis must be linearly independent")
     return tuple(sum((mu[j] * h_basis[j][i] for j in range(k)), Fraction(0))
                  for i in range(n))
 

@@ -60,13 +60,28 @@ class AlgebraSpec:
                         inv[i] = j
             if any(v is None for v in inv):
                 raise ValueError("some element has no inverse")
-            # associativity: full check for small tables, sampled otherwise
-            triples = ((a, b, c) for a in range(m) for b in range(m)
-                       for c in range(m)) if m <= 16 else \
-                _assoc_sample(m)
-            for a, b, c in triples:
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise ValueError("multiplication table is not associative")
+            # Light's associativity test: the elements g with
+            # (x g) y == x (g y) for all x, y are closed under products, so
+            # checking a generating set checks the whole table
+            gens, reached = [], [True] + [False] * (m - 1)
+            for a in range(1, m):
+                if not reached[a]:
+                    gens.append(a)
+                    stack = [x for x in range(m) if reached[x]]
+                    while stack:
+                        x = stack.pop()
+                        for g in gens:
+                            y = table[x][g]
+                            if not reached[y]:
+                                reached[y] = True
+                                stack.append(y)
+            for g in gens:
+                for x in range(m):
+                    xg, row = table[x][g], table[x]
+                    if any(table[xg][y] != row[gy]
+                           for y, gy in enumerate(table[g])):
+                        raise ValueError(
+                            "multiplication table is not associative")
             self.mult_table = table
             self.inv_table = tuple(inv)
             self.order = m
@@ -265,17 +280,6 @@ class AlgebraSpec:
             return AlgebraSpec.finite(d["mult_table"])
         return AlgebraSpec(kind, int(d["rank"]),
                            hermitian=bool(d.get("hermitian", False)))
-
-
-def _assoc_sample(m):
-    state = 123456789
-    for _ in range(2000):
-        state = (1103515245 * state + 12345) % (2 ** 31)
-        a = state % m
-        state = (1103515245 * state + 12345) % (2 ** 31)
-        b = state % m
-        state = (1103515245 * state + 12345) % (2 ** 31)
-        yield a, b, state % m
 
 
 class AlgebraElement:
@@ -524,15 +528,6 @@ def ball(spec: AlgebraSpec, d: int):
     return sorted(out, key=spec.word_key)
 
 
-def l1_norm_sq_bound(a: AlgebraElement,
-                     max_denominator: int = 10 ** 12) -> Fraction:
-    """Certified rational q >= (sum_g |a_g|)^2, exact for real coefficients."""
-    total = Fraction(0)
-    for c in a.terms.values():
-        total += abs_upper(c, max_denominator=max_denominator)
-    return _limit_up(total * total, max_denominator)
-
-
 def l1_norm_bound(a: AlgebraElement,
                   max_denominator: int = 10 ** 12) -> Fraction:
     """Certified rational >= sum_g |a_g| (exact for real coefficients)."""
@@ -540,6 +535,13 @@ def l1_norm_bound(a: AlgebraElement,
     for c in a.terms.values():
         total += abs_upper(c, max_denominator=max_denominator)
     return total
+
+
+def l1_norm_sq_bound(a: AlgebraElement,
+                     max_denominator: int = 10 ** 12) -> Fraction:
+    """Certified rational q >= (sum_g |a_g|)^2, exact for real coefficients."""
+    total = l1_norm_bound(a, max_denominator)
+    return _limit_up(total * total, max_denominator)
 
 
 def is_in_augmentation_ideal(a: AlgebraElement) -> bool:

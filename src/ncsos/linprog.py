@@ -109,7 +109,8 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     # phase 1
     cost1 = [Fraction(0)] * n + [Fraction(1)] * m
     status = _run_simplex(T, rhs, basis, cost1, range(n + m))
-    assert status == OPTIMAL  # phase 1 is always bounded below by 0
+    if status != OPTIMAL:     # phase 1 is always bounded below by 0
+        raise RuntimeError(f"phase 1 ended {status}")
     p1 = sum(cost1[basis[i]] * rhs[i] for i in range(len(T)))
     if p1 > 0:
         y = _duals(T, basis, cost1, n, m, sign)

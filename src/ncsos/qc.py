@@ -149,10 +149,11 @@ def sqrt_upper(x: Fraction | int, rounds: int = 20,
         if y.denominator > 10 ** 40:
             y = _limit_up(y, 10 ** 20)
     y = _limit_up(y, max_denominator)
-    # final certification (cannot fail, but cheap to assert)
+    # final certification (cannot fail, but cheap to check)
     if y * y < x:
         y += Fraction(1, max_denominator)
-    assert y * y >= x
+    if y * y < x:
+        raise RuntimeError("sqrt_upper bound below the root")
     return y
 
 

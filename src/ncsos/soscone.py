@@ -671,7 +671,9 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
                                  diagnostics={"solver": err.info})
     diag = {"iterations": feas.iterations, "gap": feas.gap,
             "basis_size": feas.assembly.n, "constraints": feas.assembly.m}
-    if feas.margin > tol:
+    # the boundary band [-tol, tol] tries both: a clean rational Gram may
+    # still round, and a slightly negative margin may still refute
+    if feas.margin >= -tol:
         try:
             cert = round_and_project(feas.gram, b, assembly=feas.assembly,
                                      mode=mode)
@@ -680,29 +682,6 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
                                      certificate=cert, diagnostics=diag)
         except ProjectionError as err:
             diag["projection"] = err.report
-            return MembershipOutcome(verdict="undecided", mode=mode,
-                                     radius=radius, margin=feas.margin,
-                                     diagnostics=diag)
-    if feas.margin < -tol:
-        try:
-            wit = exact_dual_witness(b, feas)
-            return MembershipOutcome(verdict="refuted", mode=mode,
-                                     radius=radius, margin=feas.margin,
-                                     witness=wit, diagnostics=diag)
-        except ProjectionError as err:
-            diag["dual"] = err.report
-            return MembershipOutcome(verdict="undecided", mode=mode,
-                                     radius=radius, margin=feas.margin,
-                                     diagnostics=diag)
-    # boundary band: exact rounding may still succeed (clean rational Gram)
-    try:
-        cert = round_and_project(feas.gram, b, assembly=feas.assembly,
-                                 mode=mode)
-        return MembershipOutcome(verdict="certified", mode=mode,
-                                 radius=radius, margin=feas.margin,
-                                 certificate=cert, diagnostics=diag)
-    except ProjectionError as err:
-        diag["projection"] = err.report
     if feas.margin < 0:
         try:
             wit = exact_dual_witness(b, feas)
@@ -1097,14 +1076,6 @@ def _poly_div(num, den):
     return q, num
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_div(a, b)
-        a, b = b, r
-    return a
-
-
 def _sturm_chain(p):
     d = [i * c for i, c in enumerate(p)][1:]
     chain = [list(p), d]
@@ -1130,11 +1101,20 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
                             return_interval: bool = False):
     """Spectral gap of Delta(S) on the complement of invariant vectors.
 
-    Exact rational value when the smallest positive eigenvalue is
-    rational (detected through the integer characteristic polynomial);
-    otherwise a certified enclosure of width < precision is computed by
-    a Sturm-sequence bisection and its lower endpoint returned (or the
-    whole interval with return_interval=True).
+    The gap is the smallest positive root of the minimal polynomial of
+    Delta on the regular representation.  delta_e is cyclic and
+    separating there, so the Krylov vectors Delta^k delta_e first become
+    linearly dependent at k = deg(minpoly), and that dependence is the
+    minimal polynomial.  Delta is symmetric, so the Gram matrix of the
+    Krylov vectors is the Hankel matrix of the integer moments
+    t_j = (Delta^j)_e, and the dependence is found by exact Hankel solves;
+    the minimal polynomial is square-free and 0 is a simple root once S
+    generates (checked by closure).  Eigenvalues of an integer matrix are
+    algebraic integers and by Gershgorin lie in [0, 2|S|], so the gap is
+    rational only if it is one of the integers 1..2|S|, each tested
+    exactly.  Otherwise a Sturm-sequence bisection on minpoly/lambda gives
+    a certified enclosure of width < precision and its lower endpoint is
+    returned (or the whole interval with return_interval=True).
     """
     if spec.kind != "finite":
         raise ValueError("Kazhdan constants are computed for finite backends")
@@ -1143,42 +1123,52 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
     order = spec.order
     if order == 1:
         raise ValueError("trivial group has no nonzero modes")
-    M = [[Fraction(0)] * order for _ in range(order)]
-    for w, coef in delta.terms.items():
-        if coef.im != 0:
-            raise AssertionError("Laplacian must be real")
-        for v in range(order):
-            M[spec.word_mul(w, v)][v] += coef.re
-    coeffs = exactla.char_poly(M, Fraction(1))
-    mult0 = 0
-    while mult0 <= order and not coeffs[mult0]:
-        mult0 += 1
-    if mult0 != 1:
-        raise ValueError(
-            f"S does not generate: invariant subspace has dimension {mult0}")
-    reduced = coeffs[mult0:]
-    square_free, _ = _poly_div(reduced, _poly_gcd(
-        reduced, [i * c for i, c in enumerate(reduced)][1:]))
-    chain = _sturm_chain(square_free)
-    hi_all = Fraction(2 * len(S))
+    subgroup, stack = {spec.identity_word}, [spec.identity_word]
+    while stack:
+        x = stack.pop()
+        for s in S:
+            y = spec.word_mul(x, s)
+            if y not in subgroup:
+                subgroup.add(y)
+                stack.append(y)
+    if len(subgroup) != order:
+        raise ValueError("S does not generate: invariant subspace has "
+                         f"dimension {order // len(subgroup)}")
+    terms = [(w, int(c.re)) for w, c in delta.terms.items()]
+    vec = [1] + [0] * (order - 1)           # Delta^d delta_e
+    t = [1]                                 # moments t_0 .. t_2d
+    d = 0
+    while True:
+        nxt = [0] * order
+        for v, x in enumerate(vec):
+            if x:
+                for w, c in terms:
+                    nxt[spec.word_mul(w, v)] += c * x
+        t += [sum(a * b for a, b in zip(nxt, vec)),
+              sum(a * a for a in nxt)]
+        vec = nxt
+        d += 1
+        hankel = [[Fraction(t[i + j]) for j in range(d)] for i in range(d)]
+        coef = exactla.solve_linear(hankel, t[d:2 * d])
+        # Delta^d delta_e depends on its predecessors iff its squared
+        # distance t_2d - coef . t[d:2d] from their span is 0
+        if t[2 * d] == sum(c * tc for c, tc in zip(coef, t[d:2 * d])):
+            break
+    reduced = [-c for c in coef[1:]] + [Fraction(1)]    # minpoly / lambda
+    chain = _sturm_chain(reduced)
+    hi = Fraction(sum(abs(c) for _, c in terms))        # Gershgorin
 
     def roots_upto(x):
         return _sign_changes(chain, Fraction(0)) - _sign_changes(chain, x)
 
-    # rational roots of a monic integer polynomial are integer divisors
-    const = abs(reduced[0])
-    if const.denominator == 1 and const <= 10 ** 7:
-        for d in sorted(k for k in range(1, int(const) + 1)
-                        if int(const) % k == 0):
-            if _poly_eval(reduced, Fraction(d)) == 0 \
-                    and roots_upto(Fraction(d)) == 1:
-                gap = Fraction(d)
-                return (gap, gap, True) if return_interval else gap
-    lo, hi = Fraction(0), hi_all
-    while roots_upto(hi) == 0:
-        hi *= 2                          # safety; cannot loop forever
-        if hi > 8 * hi_all:
-            raise AssertionError("lost the spectral gap enclosure")
+    if roots_upto(hi) == 0:
+        raise RuntimeError("no eigenvalue of Delta below its Gershgorin bound")
+    # the least integer root is the gap iff no other root lies below it
+    k = next((Fraction(j) for j in range(1, int(hi) + 1)
+              if _poly_eval(reduced, Fraction(j)) == 0), None)
+    if k is not None and roots_upto(k) == 1:
+        return (k, k, True) if return_interval else k
+    lo = Fraction(0)
     while hi - lo > precision:
         mid = (lo + hi) / 2
         if roots_upto(mid) >= 1:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,29 @@ def test_membership_outside_certificate():
     y = res.certificate
     assert all(sum(a * b for a, b in zip(y, g)) <= 0 for g in C.generators)
     assert y[0] * -1 + y[1] * 5 > 0
+
+
+def test_membership_rejects_a_bad_farkas_certificate_under_O(tmp_path):
+    # the LP claims infeasibility for a point inside the cone, with a y
+    # that is negative at the point; the Farkas check must still run
+    script = (
+        "from fractions import Fraction\n"
+        "from ncsos import cones, linprog\n"
+        "linprog.solve_lp = lambda A, b, c: linprog.LpResult(\n"
+        "    linprog.INFEASIBLE, y=[Fraction(-1), Fraction(0)])\n"
+        "try:\n"
+        "    cones.membership(cones.ConeV(2, [(1, 0), (0, 1)]), (1, 1))\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lineality_halfplane():

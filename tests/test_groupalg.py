@@ -92,6 +92,15 @@ def test_finite_table_validation():
         AlgebraSpec.finite(bad)
 
 
+def test_finite_table_associativity_is_checked_exactly():
+    # Z/24 with two entries of one row swapped: identity and inverses
+    # survive, and 178 of the 13824 triples are not associative
+    table = [[(i + j) % 24 for j in range(24)] for i in range(24)]
+    table[5][7], table[5][11] = table[5][11], table[5][7]
+    with pytest.raises(ValueError, match="not associative"):
+        AlgebraSpec.finite(table)
+
+
 def test_finite_arithmetic():
     spec = AlgebraSpec.cyclic(3)
     g = AlgebraElement.from_word(spec, 1)

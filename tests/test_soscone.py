@@ -734,6 +734,137 @@ def test_kazhdan_identity_in_s_rejected():
         kazhdan_constant_finite(AlgebraSpec.cyclic(3), [0, 1, 2])
 
 
+def _rotation(n):
+    return tuple((i + 1) % n for i in range(n))
+
+
+def _reflection(n):
+    return tuple(-i % n for i in range(n))
+
+
+def _perm_case(group_gens, perms):
+    """Group generated by permutation tuples (identity at index 0) and the
+    symmetric set of the indices of perms and their inverses."""
+    e = tuple(range(len(group_gens[0])))
+    elems, index = [e], {e: 0}
+    for p in elems:                    # elems grows while it is scanned
+        for g in group_gens:
+            h = tuple(p[x] for x in g)
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+    table = [[index[tuple(a[x] for x in b)] for b in elems] for a in elems]
+    inverses = [tuple(sorted(range(len(p)), key=p.__getitem__))
+                for p in perms]
+    return (AlgebraSpec.finite(table),
+            sorted({index[p] for p in list(perms) + inverses}))
+
+
+def _cyclic(n, *steps):
+    return AlgebraSpec.cyclic(n), sorted({k % n for s in steps
+                                         for k in (s, -s)})
+
+
+_S4 = [(1, 0, 2, 3), _rotation(4)]
+_D6 = [_rotation(3), _reflection(3)]
+_D24 = [_rotation(12), _reflection(12)]
+
+
+def _approx(lo, hi):
+    return F(*lo), F(*hi), False
+
+
+# (lo, hi, exact) or the error message, as computed by the earlier
+# implementation (dense characteristic polynomial and divisor search)
+@pytest.mark.parametrize("case, expected", [
+    pytest.param(_cyclic(6, 1), (F(1), F(1), True), id="Z6"),
+    pytest.param(_cyclic(7, 1), _approx((808549493, 2 ** 30),
+                                        (404274747, 2 ** 29)), id="Z7"),
+    pytest.param(_cyclic(8, 1), _approx((314491699, 2 ** 29),
+                                        (628983399, 2 ** 30)), id="Z8"),
+    pytest.param(_cyclic(9, 1), _approx((125603933, 2 ** 28),
+                                        (502415733, 2 ** 30)), id="Z9"),
+    pytest.param(_cyclic(10, 1), _approx((410132881, 2 ** 30),
+                                         (205066441, 2 ** 29)), id="Z10"),
+    pytest.param(_cyclic(11, 1), _approx((170452721, 2 ** 29),
+                                         (340905443, 2 ** 30)), id="Z11"),
+    pytest.param(_cyclic(12, 1), _approx((143854127, 2 ** 29),
+                                         (287708255, 2 ** 30)), id="Z12"),
+    pytest.param(_cyclic(13, 1), _approx((245981311, 2 ** 30),
+                                         (1921729, 2 ** 23)), id="Z13"),
+    pytest.param(_cyclic(14, 1), _approx((26583467, 2 ** 27),
+                                         (212667737, 2 ** 30)), id="Z14"),
+    pytest.param(_cyclic(15, 1), _approx((46414929, 2 ** 28),
+                                         (185659717, 2 ** 30)), id="Z15"),
+    pytest.param(_cyclic(16, 1), _approx((163467459, 2 ** 30),
+                                         (40866865, 2 ** 28)), id="Z16"),
+    pytest.param(_cyclic(17, 1), _approx((145014783, 2 ** 30),
+                                         (8851, 2 ** 16)), id="Z17"),
+    pytest.param(_cyclic(18, 1), _approx((64754555, 2 ** 29),
+                                         (129509111, 2 ** 30)), id="Z18"),
+    pytest.param(_cyclic(19, 1), _approx((116356587, 2 ** 30),
+                                         (29089147, 2 ** 28)), id="Z19"),
+    pytest.param(_cyclic(20, 1), _approx((52552665, 2 ** 29),
+                                         (105105331, 2 ** 30)), id="Z20"),
+    pytest.param(_cyclic(21, 1), _approx((95406673, 2 ** 30),
+                                         (47703337, 2 ** 29)), id="Z21"),
+    pytest.param(_cyclic(22, 1), _approx((5436761, 2 ** 26),
+                                         (86988177, 2 ** 30)), id="Z22"),
+    pytest.param(_cyclic(23, 1), _approx((79634519, 2 ** 30),
+                                         (9954315, 2 ** 27)), id="Z23"),
+    pytest.param(_cyclic(24, 1), _approx((36586865, 2 ** 29),
+                                         (73173731, 2 ** 30)), id="Z24"),
+    pytest.param(_cyclic(10, 1, 2), _approx((1894007587, 2 ** 30),
+                                            (473501897, 2 ** 28)),
+                 id="Z10-pm1pm2"),
+    pytest.param(_cyclic(12, 1, 2), _approx((680725039, 2 ** 29),
+                                            (1361450079, 2 ** 30)),
+                 id="Z12-pm1pm2"),
+    pytest.param(_perm_case(_D6, _D6), (F(2), F(2), True), id="D6"),
+    pytest.param(_perm_case(_D24, _D24),
+                 _approx((575416509, 2 ** 31), (1150833021, 2 ** 32)),
+                 id="D24"),
+    pytest.param(_perm_case(_S4, _S4),
+                 _approx((1257966795, 2 ** 31), (2515933593, 2 ** 32)),
+                 id="S4-transposition-4cycle"),
+    pytest.param(_perm_case(_S4, [(1, 0, 2, 3), (0, 2, 1, 3),
+                                  (0, 1, 3, 2)]),
+                 _approx((1257966795, 2 ** 31), (2515933593, 2 ** 32)),
+                 id="S4-adjacent-transpositions"),
+    pytest.param(_perm_case(_S4, [(1, 0, 2, 3), (0, 1, 3, 2)]),
+                 "S does not generate: invariant subspace has dimension 6",
+                 id="S4-klein"),
+    pytest.param(_perm_case(_S4, [(1, 2, 0, 3), (0, 2, 3, 1)]),
+                 "S does not generate: invariant subspace has dimension 2",
+                 id="S4-3cycles"),
+])
+def test_kazhdan_matches_recorded_values(case, expected):
+    spec, S = case
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            kazhdan_constant_finite(spec, S, return_interval=True)
+    else:
+        assert kazhdan_constant_finite(spec, S,
+                                       return_interval=True) == expected
+
+
+@pytest.mark.parametrize("perms", [[(1, 2, 0, 3, 4), _rotation(5)],
+                                   [(1, 0, 2, 3, 4), _rotation(5)]],
+                         ids=["A5", "S5"])
+def test_kazhdan_enclosure_contains_eigvalsh_gap(perms):
+    spec, S = _perm_case(perms, perms)
+    lo, hi, _ = kazhdan_constant_finite(spec, S, return_interval=True)
+    M = np.zeros((spec.order, spec.order))
+    for v in range(spec.order):
+        M[v, v] = len(S)
+        for s in S:
+            M[spec.word_mul(s, v), v] -= 1
+    eig = np.linalg.eigvalsh(M)
+    gap = eig[eig > 1e-9].min()
+    assert hi - lo <= F(1, 2 ** 30)
+    assert float(lo) - 1e-12 <= gap <= float(hi) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # margin cross-validation
 # ---------------------------------------------------------------------------
