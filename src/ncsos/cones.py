@@ -215,7 +215,6 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
     # except the phi(g) >= s rows which need slack sign -1 handled already
     m = len(rows)
     slack_signs = []
-    ptr = 0
     for idx in range(ng):
         if cover:
             slack_signs.append(-1)  # phi(g) - s - u = 0
@@ -353,7 +352,7 @@ def extend_functional(C: ConeV, h_basis: Sequence[Sequence],
     for g in C.generators:
         val = evaluate_lex(f, g)
         if val < 0 or (not _in_span(h_basis, g) and not val > 0):
-            raise AssertionError("extension failed its contract on a generator")
+            raise RuntimeError("extension failed its contract on a generator")
     return f
 
 

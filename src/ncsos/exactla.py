@@ -24,7 +24,8 @@ def rref(A, augment=None):
 
     Returns ``(rows, pivots)`` where ``pivots`` lists the pivot column of
     each nonzero row.  Gauss-Jordan with leftmost-pivot selection, which is
-    deterministic and exact over a field.
+    deterministic and exact over a field.  Only the nonzero entries of the
+    pivot row are divided and eliminated, in place on the copied rows.
     """
     rows = mat_copy(A)
     if augment is not None:
@@ -41,12 +42,16 @@ def rref(A, augment=None):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pr = rows[r]
+        pv = pr[c]
+        support = [j for j, x in enumerate(pr) if x]
+        for j in support:
+            pr[j] = pr[j] / pv
+        for row in rows:
+            f = row[c]
+            if f and row is not pr:
+                for j in support:
+                    row[j] = row[j] - f * pr[j]
         pivots.append(c)
         r += 1
         if r == m:

@@ -1,18 +1,31 @@
-"""Exact two-phase simplex over the rationals.
-
-Small, deterministic, and entirely ``Fraction``-based: Bland's rule for both
-entering and leaving choices guarantees termination without perturbation,
-and the final tableau exposes exact dual multipliers (used as Farkas
-certificates when a system is infeasible).
+"""Exact two-phase simplex over the rationals, in integer arithmetic.
 
 Standard form only: ``min c.x  s.t.  A x = b, x >= 0``.  Callers encode
-boxes, frees and inequalities with splits and slacks; problems here are desk
-scale (tens of variables), so the dense tableau is the right tool.
+boxes, frees and inequalities with splits and slacks.
+
+The tableau ``[A | I | b]`` (one artificial column per row) is kept as
+``T = M / D``: ``M`` is a list of integer rows with the right-hand side last,
+and ``D > 0`` is one common integer denominator.  Each row of ``[A | b]`` is
+first scaled to integers by the lcm ``s_i`` of its denominators; ``D``
+starts as the product of the ``s_i`` and is, after every pivot, the absolute
+determinant of the current basis in that integer system.  By Cramer's rule
+``M`` then stays integral, so a pivot on ``p = M[r][e]`` is the exact
+integer division ``(p*M[i][j] - M[i][e]*M[r][j]) // D`` of Bareiss and
+Edmonds (fraction-free elimination), and the new denominator is ``|p|``.
+No ``Fraction`` is formed until the answer is read off.
+
+Bland's rule picks the entering column (least index with a negative reduced
+cost) and the leaving row (least ratio, ties to the least basic index), which
+guarantees termination without perturbation.  The final tableau exposes
+exact dual multipliers, used as Farkas certificates when a system is
+infeasible.  Every answer is checked against the original data before it is
+returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -33,51 +46,55 @@ class LpResult:
         return f"LpResult({self.status}, obj={self.obj})"
 
 
-def _pivot(T, rhs, basis, r, e):
-    pr = T[r]
-    pv = pr[e]
-    inv = Fraction(1) / pv
-    T[r] = [a * inv for a in pr]
-    rhs[r] *= inv
-    for i in range(len(T)):
+def _pivot(M, D, basis, r, e):
+    """Pivot the tableau ``M / D`` on (r, e) in place; returns the new D."""
+    pr = M[r]
+    p = pr[e]
+    if p < 0:    # only when an artificial leaves the basis at level zero
+        pr = M[r] = [-a for a in pr]
+        p = -p
+    support = [(j, a) for j, a in enumerate(pr) if a]
+    for i, row in enumerate(M):
         if i == r:
             continue
-        f = T[i][e]
+        f = row[e]
         if f:
-            T[i] = [a - f * b for a, b in zip(T[i], T[r])]
-            rhs[i] -= f * rhs[r]
+            new = [a * p // D for a in row] if p != D else row[:]
+            for j, a in support:
+                new[j] = (p * row[j] - f * a) // D
+            M[i] = new
+        elif p != D:
+            M[i] = [a * p // D for a in row]
     basis[r] = e
+    return p
 
 
-def _run_simplex(T, rhs, basis, cost, allowed):
-    """Bland simplex on tableau T (in place). Returns OPTIMAL or UNBOUNDED."""
-    m = len(T)
+def _run_simplex(M, D, basis, cost, allowed):
+    """Bland simplex on ``M / D`` (in place) for the integer ``cost``.
+
+    Returns ``(OPTIMAL or UNBOUNDED, D)``.
+    """
     while True:
-        # reduced costs from scratch: r_j = c_j - sum_i c_{basis_i} T[i][j]
-        cb = [cost[basis[i]] for i in range(m)]
-        entering = -1
-        for j in allowed:
-            r = cost[j]
-            for i in range(m):
-                if cb[i] and T[i][j]:
-                    r -= cb[i] * T[i][j]
-            if r < 0:
-                entering = j
-                break
+        # reduced cost c_j - sum_i c_{basis_i} T[i][j], scaled by D
+        costed = [(cost[bi], row) for bi, row in zip(basis, M) if cost[bi]]
+        entering = next(
+            (j for j in allowed
+             if cost[j] * D < sum(cb * row[j] for cb, row in costed)), -1)
         if entering < 0:
-            return OPTIMAL
-        # ratio test, Bland tie-break on basic variable index
-        best = None
-        for i in range(m):
-            t = T[i][entering]
+            return OPTIMAL, D
+        # ratio test M[i][-1] / M[i][e], Bland tie-break on basic index
+        best = -1
+        for i, row in enumerate(M):
+            t = row[entering]
             if t > 0:
-                ratio = rhs[i] / t
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            return UNBOUNDED
-        _pivot(T, rhs, basis, best[1], entering)
+                if best >= 0:
+                    lhs, rhs = row[-1] * den, num * t
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[best]):
+                        continue
+                best, num, den = i, row[-1], t
+        if best < 0:
+            return UNBOUNDED, D
+        D = _pivot(M, D, basis, best, entering)
 
 
 def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
@@ -87,70 +104,93 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     On INFEASIBLE the returned ``y`` is a Farkas certificate:
     ``y.A <= 0`` componentwise and ``y.b > 0``.
     On OPTIMAL ``y`` solves the dual (``y = c_B B^-1``) and the objective
-    equals ``y.b``.
+    equals ``y.b``.  A result that fails its exact check against ``A`` and
+    ``b`` raises ``RuntimeError`` instead of being returned.
     """
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    T = [[Fraction(v) for v in row] for row in A]
-    rhs = [Fraction(v) for v in b]
-    sign = [1] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            T[i] = [-v for v in T[i]]
-            rhs[i] = -rhs[i]
-            sign[i] = -1
-    # artificial columns n..n+m-1
-    for i in range(m):
-        T[i].extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    sign = [-1 if v < 0 else 1 for v in b]
+    D = prod(lcm(bi.denominator, *(v.denominator for v in row))
+             for row, bi in zip(A, b))
+    # M = D * [sign*A | I | sign*b]; artificial columns n..n+m-1
+    M = []
+    for i, (row, bi) in enumerate(zip(A, b)):
+        w = sign[i] * D
+        M.append([w * v.numerator // v.denominator for v in row]
+                 + [D if k == i else 0 for k in range(m)]
+                 + [w * bi.numerator // bi.denominator])
     basis = list(range(n, n + m))
 
     # phase 1
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    status = _run_simplex(T, rhs, basis, cost1, range(n + m))
+    cost1 = [0] * n + [1] * m
+    status, D = _run_simplex(M, D, basis, cost1, range(n + m))
     if status != OPTIMAL:     # phase 1 is always bounded below by 0
         raise RuntimeError(f"phase 1 ended {status}")
-    p1 = sum(cost1[basis[i]] * rhs[i] for i in range(len(T)))
-    if p1 > 0:
-        y = _duals(T, basis, cost1, n, m, sign)
-        # duals of "max y.b s.t. y.A <= 0, y <= 1"; flip to Farkas direction
-        return LpResult(INFEASIBLE, y=y)
+    if sum(row[-1] for bi, row in zip(basis, M) if bi >= n) > 0:
+        # duals of "max y.b s.t. y.A <= 0, y <= 1" are a Farkas certificate
+        y = _duals(M, D, basis, cost1, 1, n, sign)
+        return _checked(A, b, LpResult(INFEASIBLE, y=y))
 
     # remove artificials from the basis (redundant rows get dropped)
     i = 0
-    while i < len(T):
+    while i < len(M):
         if basis[i] >= n:
-            piv = next((j for j in range(n) if T[i][j]), None)
+            piv = next((j for j in range(n) if M[i][j]), None)
             if piv is None:
-                del T[i], rhs[i], basis[i]
+                del M[i], basis[i]
                 continue
-            _pivot(T, rhs, basis, i, piv)
+            D = _pivot(M, D, basis, i, piv)
         i += 1
 
-    # phase 2 (artificials barred from entering)
-    cost2 = list(c) + [Fraction(0)] * m
-    status = _run_simplex(T, rhs, basis, cost2, range(n))
+    # phase 2 (artificials barred from entering), on the cost scaled to
+    # integers by the lcm of its denominators
+    c2 = [Fraction(v) for v in c]
+    scale = lcm(*(v.denominator for v in c2))
+    cost2 = [scale * v.numerator // v.denominator for v in c2] + [0] * m
+    status, D = _run_simplex(M, D, basis, cost2, range(n))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
+    for bi, row in zip(basis, M):
         if bi < n:
-            x[bi] = rhs[i]
+            x[bi] = Fraction(row[-1], D)
     obj = sum(ci * xi for ci, xi in zip(c, x))
-    y = _duals(T, basis, cost2, n, m, sign)
-    return LpResult(OPTIMAL, x=x, obj=obj, y=y)
+    y = _duals(M, D, basis, cost2, scale, n, sign)
+    return _checked(A, b, LpResult(OPTIMAL, x=x, obj=obj, y=y))
 
 
-def _duals(T, basis, cost, n, m, sign):
-    """y_i = c_B . (B^-1 e_i), read from the artificial columns."""
-    y = []
-    for i in range(m):
-        col = n + i
-        acc = Fraction(0)
-        for k in range(len(T)):
-            cb = cost[basis[k]]
-            if cb and T[k][col]:
-                acc += cb * T[k][col]
-        y.append(sign[i] * acc)
-    return y
+def _duals(M, D, basis, cost, scale, n, sign):
+    """y_i = c_B . (B^-1 e_i), read from the artificial columns.
+
+    ``cost`` is the objective times ``scale``, so y is the sum over D*scale.
+    """
+    costed = [(cost[bi], row) for bi, row in zip(basis, M) if cost[bi]]
+    return [Fraction(s * sum(cb * row[n + i] for cb, row in costed),
+                     D * scale)
+            for i, s in enumerate(sign)]
+
+
+def _checked(A, b, res):
+    """``res`` after an exact check against the original ``A`` and ``b``.
+
+    OPTIMAL: ``A x = b`` and ``x >= 0``.  INFEASIBLE: ``y.A <= 0`` and
+    ``y.b > 0``.  A failure means the tableau arithmetic is broken, so it
+    raises rather than letting a wrong verdict through.
+    """
+    if res.status == OPTIMAL:
+        support = [(j, v) for j, v in enumerate(res.x) if v]
+        ok = all(v > 0 for _, v in support) and all(
+            sum((row[j] * v for j, v in support if row[j]), Fraction(0)) == bi
+            for row, bi in zip(A, b))
+    else:
+        rows = [(yi, row, bi) for yi, row, bi in zip(res.y, A, b) if yi]
+        ok = sum((yi * bi for yi, _, bi in rows), Fraction(0)) > 0 and all(
+            sum((yi * row[j] for yi, row, _ in rows if row[j]), Fraction(0))
+            <= 0 for j in range(len(A[0])))
+    if not ok:
+        raise RuntimeError(f"LP result fails its exact {res.status} check")
+    return res

@@ -155,6 +155,34 @@ def test_separate_sign_failure_writes_no_functional(tmp_path, capsys,
     assert not list(tmp_path.glob("*.functional.json"))
 
 
+def test_separate_broken_pivot_exits_70_without_writing_under_O(tmp_path):
+    # every pivot leaves one wrong rhs entry behind; the LP's own exact
+    # check must refuse the result before a functional is written
+    cone = write_quadrant(tmp_path)
+    script = ("import sys\n"
+              "from ncsos import cli, linprog\n"
+              "pivot = linprog._pivot\n"
+              "def broken(M, D, basis, r, e):\n"
+              "    D = pivot(M, D, basis, r, e)\n"
+              "    M[r][-1] += 1\n"
+              "    return D\n"
+              "linprog._pivot = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out_file = tmp_path / "functional.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "separate", cone,
+         "--point=-1,0", "--out", str(out_file)],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 70, proc.stderr
+    assert "exact optimal check" in proc.stderr
+    assert not out_file.exists()
+    assert not list(tmp_path.glob("*.functional.json"))
+
+
 # ---------------------------------------------------------------------------
 # sos
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -61,19 +62,78 @@ def test_lp_unbounded():
     assert res.status == linprog.UNBOUNDED
 
 
+def _rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 7))
+
+
 def test_lp_random_vs_feasibility():
     rng = random.Random(424242)
-    for _ in range(60):
-        m, n = rng.randint(1, 3), rng.randint(2, 5)
-        A = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-        xfeas = [F(rng.randint(0, 3)) for _ in range(n)]
-        b = [sum(A[i][j] * xfeas[j] for j in range(n)) for i in range(m)]
-        res = linprog.solve_lp(A, b, [F(rng.randint(-2, 2)) for _ in range(n)])
-        assert res.status in (linprog.OPTIMAL, linprog.UNBOUNDED)
+    seen = set()
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(2, 6)
+        A = [[_rational(rng) for _ in range(n)] for _ in range(m)]
+        feasible = rng.random() < 0.5
+        if feasible:
+            xfeas = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n)]
+            b = [sum(A[i][j] * xfeas[j] for j in range(n)) for i in range(m)]
+        else:
+            b = [_rational(rng) for _ in range(m)]
+        c = [_rational(rng) for _ in range(n)]
+        res = linprog.solve_lp(A, b, c)
+        seen.add(res.status)
+        if res.status == linprog.UNBOUNDED:
+            continue
+        yA = [sum(res.y[i] * A[i][j] for i in range(m)) for j in range(n)]
+        yb = sum(res.y[i] * b[i] for i in range(m))
         if res.status == linprog.OPTIMAL:
             for i in range(m):
                 assert sum(A[i][j] * res.x[j] for j in range(n)) == b[i]
             assert all(v >= 0 for v in res.x)
+            assert res.obj == sum(cj * xj for cj, xj in zip(c, res.x))
+            assert res.obj == yb                      # strong duality
+            assert all(cj - v >= 0 for cj, v in zip(c, yA))
+        else:
+            assert res.status == linprog.INFEASIBLE and not feasible
+            assert all(v <= 0 for v in yA) and yb > 0     # Farkas
+    assert seen == {linprog.OPTIMAL, linprog.INFEASIBLE, linprog.UNBOUNDED}
+
+
+def _random_lp(rng):
+    """Rational LP with denominators up to 7, negative rhs entries and, in
+    about 30% of the rows, a combination of the rows above it (a redundant
+    equation); half of them are feasible through a point x >= 0."""
+    m, n = rng.randint(1, 6), rng.randint(1, 8)
+    rows = []
+    for i in range(m):
+        if i and rng.random() < 0.3:
+            u, v = rng.choice(rows), rng.choice(rows)
+            lu, lv = _rational(rng), _rational(rng)
+            rows.append([lu * a + lv * b for a, b in zip(u, v)])
+        else:
+            rows.append([_rational(rng) if rng.random() < 0.7 else F(0)
+                         for _ in range(n + 1)])
+    if rng.random() < 0.5:
+        x0 = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+        for row in rows:
+            row[n] = sum(a * xj for a, xj in zip(row, x0))
+    return ([row[:n] for row in rows], [row[n] for row in rows],
+            [_rational(rng) for _ in range(n)])
+
+
+def test_lp_results_match_recorded_digest():
+    # (status, x, obj, y) of 500 seeded LPs, recorded from the Fraction
+    # tableau; any change of a pivot choice changes x or y on some of them
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    counts = {}
+    for _ in range(500):
+        res = linprog.solve_lp(*_random_lp(rng))
+        counts[res.status] = counts.get(res.status, 0) + 1
+        h.update(repr((res.status, res.x, res.obj, res.y)).encode())
+    assert counts == {linprog.OPTIMAL: 205, linprog.INFEASIBLE: 110,
+                      linprog.UNBOUNDED: 185}
+    assert h.hexdigest() == ("a7c8d47b0a287df2d79680e3cf81a0b1"
+                             "e747df3f85fe332b7f2949fdd991dd39")
 
 
 # ---------------------------------------------------------------------------
