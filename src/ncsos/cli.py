@@ -12,6 +12,7 @@ radius or shift, 64 malformed input, 70 internal error.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -287,6 +288,8 @@ def _sos_single(path: str, mode: str, radius, shift, out,
                     if wider.verdict != "refuted":
                         raise
                     uw = refutation_witness(b, wider.witness)
+                if not verify_unitary_witness(uw):
+                    raise RuntimeError("unitary witness fails verification")
                 _write(apath, unitary_witness_to_json(uw))
                 kind = "unitary_representation"
                 report.diagnostics["witness_value"] = uw.value
@@ -324,15 +327,18 @@ def _sos_worker(job):
 
 
 def _cmd_sos(args) -> int:
+    if args.jobs < 1:
+        raise _BadInput("--jobs must be at least 1")
     shift = _parse_fraction(args.shift, "--shift") \
         if args.shift is not None else None
     multi = len(args.element) > 1
     jobs = [(path, args.mode, args.radius, shift, args.out, multi)
             for path in args.element]
-    if multi and args.jobs > 1:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_sos_worker, jobs)
     else:
         results = [_sos_worker(job) for job in jobs]
@@ -557,10 +563,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

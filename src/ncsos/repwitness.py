@@ -1,24 +1,15 @@
 """Finite-dimensional representation witnesses from positive functionals.
 
-Two pipelines live here.
-
-The refutation pipeline turns a negative-value dual functional into a
-concrete finite-dimensional representation: build the inner-product space
-generated by short words (dropping null vectors), compress the generator
-actions onto it, dilate each compression to a unitary of doubled size,
-and evaluate the target there.  The evaluation reproduces the
-functional's value, so a negative number falls out of explicit matrices
-that anyone can replay with matrix products alone.
-
-The cocycle pipeline works in the augmentation ideal: the same
-inner-product construction on the c(g) basis yields generator matrices
-and a map delta with delta(gh) = pi(g) delta(h) + delta(g).  Solving
-delta(g) = pi(g) x - x decides innerness, and pairing delta vectors
-turns a cocycle back into a positive functional on ideal products.
+A negative-value dual functional becomes a concrete finite-dimensional
+representation: build the inner-product space generated by short words
+(dropping null vectors), compress the generator actions onto it, dilate
+each compression to a unitary of doubled size, and evaluate the target
+there.  The evaluation reproduces the functional's value, so a negative
+number falls out of explicit matrices that anyone can replay with matrix
+products alone.
 """
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,12 +28,11 @@ from .groupalg import (
 )
 from .exactla import ldlt_psd_qc, unit_lower_inverse
 from .qc import QC
-from .soscone import CoverageError, DualWitness, GramAssembly
+from .soscone import CoverageError, DualWitness
 
 NULL_TOL = 1e-9          # relative eigenvalue threshold for null modes
 CONTRACTION_TOL = 1e-9   # singular values may exceed 1 by at most this
 UNITARITY_TOL = 1e-8
-COCYCLE_TOL = 1e-8
 REPLAY_TOL = 1e-10
 
 
@@ -211,17 +201,14 @@ def gns_from_moment(phi: DualWitness, d: int) -> GnsSpace:
     return space
 
 
-def compressions(space: GnsSpace, spec: AlgebraSpec | None = None):
+def compressions(space: GnsSpace):
     """Compressed generator actions on the truncated space.
 
     Entries come from functional values at u* g v, so the data must
     extend one step past the space's radius.  Each compression is a
     contraction; singular values within tolerance of 1 are clipped.
     """
-    if spec is None:
-        spec = space.spec
-    elif spec != space.spec:
-        raise ValueError("algebra mismatch between space and spec")
+    spec = space.spec
     F = space.frame
     out = []
     for g in _generator_words(spec):
@@ -404,219 +391,3 @@ def unitary_witness_from_json(text: str) -> UnitaryRepWitness:
         value=float(data["value"]),
         target=element_from_dict(data["target"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# cocycles from augmentation-ideal functionals
-# ---------------------------------------------------------------------------
-
-def _ideal_product_value(spec: AlgebraSpec, values: dict, x, y) -> QC:
-    """Functional value at c(x)* c(y) from group-word values (identity -> 0)."""
-    e = spec.identity_word
-
-    def v(w):
-        if w == e:
-            return QC(0)
-        z = values.get(w)
-        if z is None:
-            raise CoverageError(f"missing functional value at {w!r}")
-        return z
-
-    xs = spec.word_star(x)
-    return v(spec.word_mul(xs, y)) - v(xs) - v(y)
-
-
-def augmentation_gns(phi: DualWitness):
-    """Generator matrices and cocycle vectors from an ideal functional.
-
-    Builds the inner-product space on c(w) classes over the largest
-    sub-basis closed under left multiplication by generators, represents
-    pi(g)[c(h)] = [c(gh)] - [c(g)] there, and returns
-    (pi, delta) where delta maps each basis word to its class vector.
-    The cocycle identity is asserted on every in-ball pair.
-    """
-    if phi.mode != "augmentation":
-        raise ValueError("cocycle data needs an augmentation-mode functional")
-    spec = phi.spec
-    if not spec.is_group():
-        raise ValueError("cocycle data needs a group backend")
-    e = spec.identity_word
-    gens = _generator_words(spec)
-    gset = []
-    for g in gens:
-        gset.append(g)
-        gi = spec.word_star(g)
-        if gi != g and gi not in gset:
-            gset.append(gi)
-
-    bset = set(phi.basis)
-    B = [w for w in phi.basis
-         if all(spec.word_mul(s, w) == e or spec.word_mul(s, w) in bset
-                for s in gset)]
-    if not B or any(s not in set(B) for s in gset):
-        raise ValueError("functional ball too small: generators must have "
-                         "all their left translates covered")
-
-    asm = GramAssembly(spec, B, "augmentation")
-    Kq = asm.moment_from_values(phi.word_values)
-    n = len(B)
-    K = np.array([[_c(Kq[i][j]) for j in range(n)] for i in range(n)])
-    frame, X, _, _ = _orthonormal_frame(Kq, K)
-    if frame.shape[1] == 0:
-        raise ValueError("trivial space: functional vanishes on the ideal")
-    idx = {w: i for i, w in enumerate(B)}
-    delta = {w: X[:, i].copy() for w, i in idx.items()}
-
-    pi = {}
-    for s in gset:
-        T = np.zeros((n, n), dtype=complex)
-        for i, u in enumerate(B):
-            base = _ideal_product_value(spec, phi.word_values, u, s)
-            for j, w in enumerate(B):
-                z = _ideal_product_value(spec, phi.word_values, u,
-                                         spec.word_mul(s, w))
-                T[i, j] = _c(z - base)
-        pi[s] = frame.conj().T @ T @ frame
-
-    scale = max(1.0, float(np.abs(X).max()))
-    for s in gset:
-        P = pi[s]
-        good = []
-        for w in B:
-            sw = spec.word_mul(s, w)
-            moved = P @ delta[w] + delta[s]
-            if sw == e:
-                err = np.abs(moved).max()
-            elif sw in idx:
-                err = np.abs(moved - delta[sw]).max()
-            else:
-                continue
-            good.append(w)
-            if err > COCYCLE_TOL * scale:
-                raise ValueError("cocycle identity failed: functional data "
-                                 f"inconsistent at ({s!r}, {w!r})")
-        if good:
-            A = np.stack([delta[w] for w in good], axis=1)
-            img = P @ A
-            if np.abs(img.conj().T @ img - A.conj().T @ A).max() \
-                    > COCYCLE_TOL * scale * scale:
-                raise ValueError("generator action is not isometric on the "
-                                 "covered span")
-    return pi, delta
-
-
-def solve_inner_cocycle(pi: dict, delta: dict):
-    """Vector x with delta(g) = pi(g) x - x for all generators, or None."""
-    keys = [s for s in pi if s in delta]
-    if not keys:
-        return None
-    dim = pi[keys[0]].shape[0]
-    A = np.vstack([pi[s] - np.eye(dim) for s in keys])
-    rhs = np.concatenate([delta[s] for s in keys])
-    x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = max(np.abs((pi[s] - np.eye(dim)) @ x - delta[s]).max()
-                for s in keys)
-    return x if resid <= COCYCLE_TOL else None
-
-
-def _extend_cocycle(spec: AlgebraSpec, pi: dict, delta: dict, w):
-    e = spec.identity_word
-    known = dict(delta)
-    if known:
-        dim = next(iter(known.values())).shape[0]
-    elif pi:
-        dim = next(iter(pi.values())).shape[0]
-    else:
-        dim = 0
-
-    def get(u):
-        if u == e:
-            return np.zeros(dim, dtype=complex)
-        if u in known:
-            return known[u]
-        if spec.kind == FINITE or not isinstance(u, tuple) or not u:
-            raise ValueError(f"cocycle extension failed for {u!r}")
-        if spec.kind == FREE_ABELIAN:
-            i = next((k for k, exp in enumerate(u) if exp != 0), None)
-            if i is None:
-                raise ValueError(f"cocycle extension failed for {u!r}")
-            step = tuple((1 if u[i] > 0 else -1) if k == i else 0
-                         for k in range(spec.rank))
-        else:
-            step = (u[0],)
-        if step not in pi or step not in known:
-            raise ValueError(f"cocycle extension failed for {u!r}: no data "
-                             f"for the generator {step!r}")
-        rest = spec.word_mul(spec.word_star(step), u)
-        known[u] = pi[step] @ get(rest) + known[step]
-        return known[u]
-
-    if spec.kind == FINITE:
-        # breadth-first closure over the generator matrices
-        frontier = [e]
-        seen = {e}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for s in pi:
-                    if s not in known:
-                        continue
-                    su = spec.word_mul(s, u)
-                    if su in seen:
-                        continue
-                    seen.add(su)
-                    if su != e and su not in known:
-                        known[su] = pi[s] @ get(u) + known[s]
-                    nxt.append(su)
-            frontier = nxt
-    return get(w), known
-
-
-def functional_from_cocycle(spec: AlgebraSpec, pi: dict, delta: dict,
-                            pairs) -> dict:
-    """Values at c(h)* c(g) from a cocycle: the pairing of delta vectors.
-
-    Extends delta along the cocycle rule where needed, spot-checks the
-    exchange identity on random triples, and checks that the assembled
-    value matrix is positive semidefinite.
-    """
-    vecs = {}
-    for h, g in pairs:
-        for w in (h, g):
-            if w not in vecs:
-                vecs[w], _ = _extend_cocycle(spec, pi, delta, w)
-
-    scale = max(1.0, max((np.abs(v).max() for v in vecs.values()),
-                         default=0.0)) ** 2
-    rng = random.Random(0)
-    words = [w for w in set(delta) | set(vecs) if w != spec.identity_word]
-    checked = 0
-    for _ in range(40):
-        if checked >= 12 or not words:
-            break
-        g, h, k = (words[rng.randrange(len(words))] for _ in range(3))
-        try:
-            dg, _ = _extend_cocycle(spec, pi, delta, g)
-            dh, _ = _extend_cocycle(spec, pi, delta, h)
-            dk, _ = _extend_cocycle(spec, pi, delta, k)
-            dkg, _ = _extend_cocycle(spec, pi, delta, spec.word_mul(k, g))
-            ki = spec.word_star(k)
-            dki, _ = _extend_cocycle(spec, pi, delta, ki)
-            dkh, _ = _extend_cocycle(spec, pi, delta, spec.word_mul(ki, h))
-        except ValueError:
-            continue
-        lhs = np.vdot(dh, dkg - dk)
-        rhs = np.vdot(dkh - dki, dg)
-        if abs(lhs - rhs) > COCYCLE_TOL * scale:
-            raise ValueError("cocycle data fails the exchange identity at "
-                             f"({g!r}, {h!r}, {k!r})")
-        checked += 1
-
-    order = list(vecs)
-    G = np.array([[np.vdot(vecs[u], vecs[v]) for v in order] for u in order])
-    if order:
-        lam = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
-        if lam.min(initial=0.0) < -NULL_TOL * max(1.0, float(lam.max(initial=0.0))):
-            raise ValueError("cocycle pairing matrix is not positive "
-                             "semidefinite")
-    return {(h, g): complex(np.vdot(vecs[h], vecs[g])) for h, g in pairs}

@@ -175,23 +175,32 @@ class DualWitness:
 # Gram assembly: basis columns, product classes, constraint matrices
 # ---------------------------------------------------------------------------
 
-def gram_basis(b: AlgebraElement, mode: str = "full"):
+def _default_radius(b: AlgebraElement, mode: str) -> int:
+    """ceil(deg/2), and at least 1 in augmentation mode."""
+    d = -(-b.degree() // 2)
+    return max(1, d) if mode == "augmentation" else d
+
+
+def gram_basis(b: AlgebraElement, mode: str = "full",
+               radius: int | None = None):
     """Word ball carrying the Gram matrix for target b.
 
-    full: ball of radius ceil(deg/2); augmentation: the same ball minus
-    the identity, columns read as c(g).
+    full: ball of radius ceil(deg/2); augmentation: the ball of radius
+    max(1, ceil(deg/2)) minus the identity, columns read as c(g).  An
+    explicit ``radius`` replaces the default one.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
     spec = b.spec
-    d = -(-b.degree() // 2)
+    if radius is None:
+        radius = _default_radius(b, mode)
     if mode == "augmentation":
         if not spec.is_group():
             raise ValueError("augmentation mode needs a group backend")
-        return [w for w in ball(spec, max(1, d)) if w != spec.identity_word]
-    return ball(spec, d)
+        return [w for w in ball(spec, radius) if w != spec.identity_word]
+    return ball(spec, radius)
 
 
 class GramAssembly:
@@ -651,18 +660,15 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
     """
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
-    spec = b.spec
     if mode == "augmentation" and b.augmentation():
         raise ValueError("augmentation-mode target must lie in the ideal")
     if radius is None:
-        d = -(-b.degree() // 2)
-        radius = max(1, d) if mode == "augmentation" else d
+        radius = _default_radius(b, mode)
     if not b:
         return MembershipOutcome(
             verdict="certified", mode=mode, radius=radius, margin=None,
             certificate=SosCertificate(target=b, squares=[], mode=mode))
-    basis = ([w for w in ball(spec, radius) if w != spec.identity_word]
-             if mode == "augmentation" else ball(spec, radius))
+    basis = gram_basis(b, mode, radius)
     try:
         feas = sos_feasibility(b, basis, mode=mode, tol=tol)
     except sdp.SolverError as err:
@@ -1005,18 +1011,12 @@ def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None,
     cap = laplacian_bound(b, S, radius=radius)
     delta = laplacian(spec, S)
 
-    def basis_for(target):
-        if basis_radius is not None:
-            return [w for w in ball(spec, basis_radius)
-                    if w != spec.identity_word]
-        return gram_basis(target if target else delta, "augmentation")
-
     def attempt(c):
         target = delta * Fraction(c) + b
         if not target:
             return SosCertificate(target=target, squares=[],
                                   mode="augmentation")
-        basis = basis_for(target)
+        basis = gram_basis(target, "augmentation", basis_radius)
         try:
             feas = sos_feasibility(target, basis, mode="augmentation",
                                    tol=tol)

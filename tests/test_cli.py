@@ -332,6 +332,85 @@ def test_sos_batch_processes_every_input(tmp_path, capsys):
         assert vcode == 0
 
 
+def test_sos_pool_is_capped_at_the_input_count(tmp_path, capsys,
+                                              monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs the jobs in-process and records the requested size."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    g = gen(F1, 1)
+    p1 = write_element(tmp_path, "one.json", 2 * unit(F1) - g - g.star())
+    p2 = write_element(tmp_path, "two.json", 3 * unit(F1) - g - g.star())
+    out_dir = str(tmp_path / "artifacts")
+    code, out, _ = run(capsys, "sos", p1, p2, "--jobs", "512", "--out",
+                       out_dir)
+    assert code == 0
+    assert sizes == [2]
+    assert [r["verdict"] for r in reports(out)] == ["certified", "certified"]
+    code, _, _ = run(capsys, "sos", p1, "--jobs", "512")
+    assert code == 0
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sos_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    code, _, err = run(capsys, "sos", path, "--jobs", jobs)
+    assert code == 64
+    assert "--jobs" in err
+    assert not list(tmp_path.glob("*.cert.json"))
+
+
+def test_sos_unverified_unitary_witness_falls_back_to_dual_functional(
+        tmp_path, capsys, monkeypatch):
+    import ncsos.cli as cli
+
+    monkeypatch.setattr(cli, "verify_unitary_witness", lambda wit: False)
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F1, [(1,), (-1,)]))
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 3
+    report = reports(out)[0]
+    assert report["verdict"] == "refuted"
+    assert report["diagnostics"]["witness_kind"] == "dual_functional"
+    assert "fails verification" in report["diagnostics"]["dilation_fallback"]
+    vcode, vout, _ = run(capsys, "verify", report["artifact"])
+    assert vcode == 0
+    assert reports(vout)[0]["diagnostics"]["artifact_kind"] == \
+        "dual_functional"
+
+
+def test_in_process_runs_share_no_option_state(tmp_path, capsys):
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    code, out, _ = run(capsys, "sos", path, "--mode", "augmentation",
+                       "--radius", "2")
+    assert code == 0
+    first = reports(out)[0]["disclosures"]
+    assert (first["mode"], first["radius"]) == ("augmentation", 2)
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 0
+    second = reports(out)[0]["disclosures"]
+    assert (second["mode"], second["radius"]) == ("full", 1)
+
+
 def test_sos_report_is_deterministic(tmp_path, capsys):
     g = gen(F1, 1)
     path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
