@@ -8,7 +8,9 @@ travel as "p/q" strings end to end.
 
 Exit codes: 0 success/certificate/separation, 1 failed verification,
 2 point inside the cone, 3 refutation witness, 4 undecided at the given
-radius or shift, 64 malformed input, 70 internal error.
+radius or shift (also: a Gram system refused as too large, or an
+artifact whose numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed input,
+70 internal error (with NCSOS_DEBUG=1 its traceback goes to stderr).
 """
 
 import argparse
@@ -29,6 +31,7 @@ from .cones import (
     separate_point,
 )
 from .groupalg import FREE, FREE_STAR, AlgebraSpec, element_from_json
+from .qc import max_digits
 from .repwitness import (
     refutation_witness,
     unitary_witness_from_json,
@@ -57,6 +60,11 @@ EXIT_WITNESS = 3
 EXIT_UNDECIDED = 4
 EXIT_BAD_INPUT = 64
 EXIT_INTERNAL = 70
+
+# Largest numerator or denominator, in decimal digits, that an artifact
+# may carry: below CPython's 4300-digit limit on int <-> str conversion,
+# so writing the artifact and reading it back in ``verify`` cannot fail.
+MAX_ARTIFACT_DIGITS = 4000
 
 
 class _BadInput(Exception):
@@ -162,6 +170,20 @@ def _write_certificate(path: str, cert) -> None:
     _write(path, certificate_to_json(cert))
 
 
+def _oversize(report: JobReport, rationals) -> bool:
+    """Record the artifact's max_digits; True (and the verdict turned
+    undecided) when it is too large to write."""
+    digits = max_digits(rationals)
+    report.diagnostics["max_digits"] = digits
+    if digits <= MAX_ARTIFACT_DIGITS:
+        return False
+    report.verdict = "undecided"
+    report.diagnostics["reason"] = (
+        f"exact artifact found but not written: a number in it has "
+        f"{digits} digits, above the limit of {MAX_ARTIFACT_DIGITS}")
+    return True
+
+
 def _emit(report: JobReport, stream=None) -> None:
     print(report.to_json(), file=stream or sys.stdout)
 
@@ -249,6 +271,9 @@ def _sos_single(path: str, mode: str, radius, shift, out,
                                             "and retry")
             report.timings["seconds"] = time.perf_counter() - t0
             return report, EXIT_UNDECIDED
+        if _oversize(report, cert.rationals()):
+            report.timings["seconds"] = time.perf_counter() - t0
+            return report, EXIT_UNDECIDED
         apath = _artifact_path(path, out, "cert", multi)
         _write_certificate(apath, cert)
         report.verdict = "certified"
@@ -263,6 +288,9 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     if outcome.margin is not None:
         report.diagnostics["sdp_margin"] = outcome.margin
     if outcome.verdict == "certified":
+        if _oversize(report, outcome.certificate.rationals()):
+            report.timings["seconds"] = time.perf_counter() - t0
+            return report, EXIT_UNDECIDED
         apath = _artifact_path(path, out, "cert", multi)
         _write_certificate(apath, outcome.certificate)
         report.verdict = "certified"
@@ -279,6 +307,7 @@ def _sos_single(path: str, mode: str, radius, shift, out,
             # space; re-refute on a wider ball when the first pass is
             # too short (a representation witness refutes membership at
             # every radius, so this never weakens the verdict)
+            resolved = None
             try:
                 try:
                     uw = refutation_witness(b, wit)
@@ -288,16 +317,25 @@ def _sos_single(path: str, mode: str, radius, shift, out,
                     if wider.verdict != "refuted":
                         raise
                     uw = refutation_witness(b, wider.witness)
+                    resolved = wider.radius
                 if not verify_unitary_witness(uw):
                     raise RuntimeError("unitary witness fails verification")
+                report.diagnostics["max_digits"] = \
+                    max_digits(uw.target.terms.values())
                 _write(apath, unitary_witness_to_json(uw))
                 kind = "unitary_representation"
                 report.diagnostics["witness_value"] = uw.value
+                if resolved is not None:
+                    # the witness comes from the wider re-solve
+                    report.diagnostics["witness_radius"] = resolved
             except (CoverageError, RuntimeError, ValueError) as exc:
                 report.diagnostics["dilation_fallback"] = str(exc)
         if kind == "dual_functional":
             if not verify_witness(wit):
                 raise RuntimeError("dual witness fails exact verification")
+            if _oversize(report, wit.rationals()):
+                report.timings["seconds"] = time.perf_counter() - t0
+                return report, EXIT_UNDECIDED
             _write(apath, witness_to_json(wit))
             report.diagnostics["witness_value"] = \
                 float(wit.value_at_target)
@@ -308,9 +346,15 @@ def _sos_single(path: str, mode: str, radius, shift, out,
         return report, EXIT_WITNESS
     report.verdict = "undecided"
     report.diagnostics.update(outcome.diagnostics)
-    report.diagnostics["advice"] = \
-        f"no exact artifact at radius {outcome.radius}; retry with " \
-        f"--radius {outcome.radius + 1}"
+    if "refused" in outcome.diagnostics:
+        fits = outcome.diagnostics["largest_radius_that_fits"]
+        report.diagnostics["advice"] = \
+            f"retry with --radius {fits} or less" if fits else \
+            "no radius fits this backend"
+    else:
+        report.diagnostics["advice"] = \
+            f"no exact artifact at radius {outcome.radius}; retry with " \
+            f"--radius {outcome.radius + 1}"
     report.timings["seconds"] = time.perf_counter() - t0
     return report, EXIT_UNDECIDED
 
@@ -577,6 +621,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive
+        if os.environ.get("NCSOS_DEBUG") == "1":
+            import traceback        # only here: it would cost every start
+
+            traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL

@@ -5,10 +5,17 @@ unary ``-`` and truthiness (``bool(x)`` false exactly when ``x == 0``).
 ``fractions.Fraction`` and :class:`ncsos.qc.QC` both qualify, as do the
 truncated infinitesimal scalars from :mod:`ncsos.rcf`.  Nothing here ever
 touches floating point.
+
+The LDL* routines that decide positive semidefiniteness are the
+exception to duck typing: they scale a rational hermitian matrix by the
+lcm of its denominators and eliminate fraction-free on (Gaussian)
+integers with Bareiss's exact division by the previous pivot, turning
+the result into Fractions only at the output.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -160,6 +167,109 @@ def is_hermitian_qc(M: Sequence[Sequence[QC]]) -> bool:
     return True
 
 
+def _bareiss_ldlt(R, I):
+    """Fraction-free LDL* of an integer hermitian matrix, in place.
+
+    ``R`` and ``I`` hold the real and imaginary parts of the lower
+    triangle (row i has entries 0..i); ``I`` is None for a real matrix.
+    Bareiss's rule (Math. Comp. 1968) keeps every entry an integer: step
+    k maps x_ij to (p_k x_ij - a_ik conj(a_jk)) / p_prev, an exact division
+    by the previous nonzero pivot, so every live entry is a minor of the
+    input (Sylvester's identity) and no gcd is ever taken.  A row whose
+    column-k entry is zero is not touched at step k; it remembers the
+    pivot its live entries are scaled by and catches up, again by an
+    exact division, the next time it is touched, so sparse matrices
+    cost what their fill costs.  A zero pivot whose column below is zero
+    is skipped (the classical zero-pivot rule of a semidefinite matrix).
+
+    Returns ``(pivots, fail)``: ``pivots[k]`` is p_k, or 0 for a skipped
+    column, and column k of R (and I) below the diagonal holds the
+    integer column a_ik with L[i][k] = a_ik / p_k; ``fail`` is
+    ``(row, col_or_None)`` of the first violation, with pivots None.
+    """
+    n = len(R)
+    level = [1] * n            # pivot that row i's live entries carry
+    pivots = [0] * n
+    prev = 1
+    for k in range(n):
+        p = R[k][k] * prev // level[k]
+        if p < 0:
+            return None, (k, None)
+        if p == 0:
+            for j in range(k + 1, n):
+                if R[j][k] or (I is not None and I[j][k]):
+                    return None, (j, k)
+            continue
+        R[k][k] = p
+        pivots[k] = p
+        cr = [0] * n               # column k at the current level
+        ci = [0] * n
+        for i in range(k + 1, n):
+            Ri = R[i]
+            Ii = I[i] if I is not None else None
+            if not (Ri[k] or (Ii is not None and Ii[k])):
+                continue
+            lv = level[i]
+            if lv != prev:         # catch up on the steps that skipped it
+                Ri[k:] = [x * prev // lv for x in Ri[k:]]
+                if Ii is not None:
+                    Ii[k:] = [x * prev // lv for x in Ii[k:]]
+            ar = cr[i] = Ri[k]
+            if Ii is None:
+                Ri[k + 1:] = [(p * x - ar * c) // prev
+                              for x, c in zip(Ri[k + 1:], cr[k + 1:i + 1])]
+            else:
+                ai = ci[i] = Ii[k]
+                # a_ik conj(a_jk), with a_jk = c + i d, is
+                # (ar c + ai d) + i (ai c - ar d)
+                Ri[k + 1:] = [(p * x - ar * c - ai * d) // prev for x, c, d
+                              in zip(Ri[k + 1:], cr[k + 1:i + 1],
+                                     ci[k + 1:i + 1])]
+                Ii[k + 1:] = [(p * x - ai * c + ar * d) // prev for x, c, d
+                              in zip(Ii[k + 1:], cr[k + 1:i + 1],
+                                     ci[k + 1:i + 1])]
+            level[i] = p
+        prev = p
+    return pivots, None
+
+
+def _ldlt_psd(re_rows, im_rows, unit):
+    """LDL* with the zero-pivot rule on a rational lower triangle.
+
+    Scales by the lcm of all denominators into integers, runs
+    :func:`_bareiss_ldlt` and converts to Fractions only at the output:
+    d_k = p_k / (p_prev * scale) and L[i][k] = a_ik / p_k.  ``unit(re,
+    im)`` builds an output entry.
+    """
+    n = len(re_rows)
+    scale = math.lcm(*(x.denominator for rows in (re_rows, im_rows or ())
+                       for row in rows for x in row if x))
+
+    def integers(rows):
+        return [[x.numerator * (scale // x.denominator) if x else 0
+                 for x in row] for row in rows]
+
+    R = integers(re_rows)
+    I = integers(im_rows) if im_rows else None
+    pivots, fail = _bareiss_ldlt(R, I)
+    if fail is not None:
+        return False, None, None, fail
+    one, zero = unit(1, 0), unit(0, 0)
+    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    prev = 1
+    for k, p in enumerate(pivots):
+        if not p:
+            continue
+        d[k] = Fraction(p, prev * scale)
+        for i in range(k + 1, n):
+            if R[i][k] or (I is not None and I[i][k]):
+                L[i][k] = unit(Fraction(R[i][k], p),
+                               Fraction(I[i][k], p) if I is not None else 0)
+        prev = p
+    return True, d, L, None
+
+
 def ldlt_psd_qc(M: Sequence[Sequence[QC]]):
     """Exact PSD decision + factorization for a hermitian QC matrix.
 
@@ -168,34 +278,53 @@ def ldlt_psd_qc(M: Sequence[Sequence[QC]]):
     classical zero-pivot rule applies: a PSD matrix with a zero diagonal
     entry must have the whole row zero, so pivot-free LDL* fully decides
     semidefiniteness.  ``fail`` carries ``(row, col_or_None)`` of the first
-    violation for diagnostics.
+    violation for diagnostics.  The elimination runs fraction-free on
+    Gaussian integers over one common denominator (:func:`_bareiss_ldlt`).
     """
-    n = len(M)
     if not is_hermitian_qc(M):
         raise ValueError("ldlt_psd_qc: matrix is not hermitian")
-    A = [[M[i][j] for j in range(n)] for i in range(n)]
-    L = [[QC(1) if i == j else QC(0) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    for k in range(n):
-        piv = A[k][k]
-        if piv.im != 0:
-            raise ValueError("non-real diagonal in hermitian matrix")
-        if piv.re < 0:
-            return False, None, None, (k, None)
-        if piv.re == 0:
-            for j in range(k + 1, n):
-                if A[j][k]:
-                    return False, None, None, (j, k)
-            d[k] = Fraction(0)
-            continue
-        d[k] = piv.re
-        for i in range(k + 1, n):
-            L[i][k] = A[i][k] / piv
-        for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):
-                A[i][j] = A[i][j] - L[i][k] * piv * L[j][k].conjugate()
-                A[j][i] = A[i][j].conjugate()
-    return True, d, L, None
+    re_rows = [[z.re for z in row[:i + 1]] for i, row in enumerate(M)]
+    im_rows = [[z.im for z in row[:i + 1]] for i, row in enumerate(M)]
+    if not any(x for row in im_rows for x in row):
+        im_rows = None
+    return _ldlt_psd(re_rows, im_rows, QC)
+
+
+def ldlt_psd(M):
+    """:func:`ldlt_psd_qc` for a real symmetric matrix of Fractions (or
+    integers); ``d`` and ``L`` are Fractions.  Only the lower triangle
+    is read."""
+    return _ldlt_psd([row[:i + 1] for i, row in enumerate(M)], None,
+                     lambda re, im: Fraction(re))
+
+
+def ldlt_solve(d, rows, b):
+    """A solution z of ``L diag(d) L^T z = b`` (real factors), or None.
+
+    ``rows[i]`` lists the nonzero ``(k, L[i][k])`` with k < i (see
+    :func:`lower_rows`).  Coordinates at zero pivots are fixed to 0; b is
+    consistent exactly when its forward-substituted coordinates vanish
+    there.
+    """
+    u = list(b)
+    for i, row in enumerate(rows):
+        for k, x in row:
+            u[i] -= x * u[k]
+    for k, dk in enumerate(d):
+        if dk:
+            u[k] = u[k] / dk
+        elif u[k]:
+            return None
+    for i in range(len(rows) - 1, -1, -1):     # L^T z = u, by rows of L
+        for k, x in rows[i]:
+            u[k] -= x * u[i]
+    return u
+
+
+def lower_rows(L):
+    """Nonzero strictly-lower entries of L, row by row, as (col, value)."""
+    return [[(k, x) for k, x in enumerate(row[:i]) if x]
+            for i, row in enumerate(L)]
 
 
 def unit_lower_inverse(L):

@@ -19,6 +19,7 @@ coefficients.  Nothing here is numeric: every operation is exact.
 from __future__ import annotations
 
 import json
+import math
 import string
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -526,6 +527,24 @@ def ball(spec: AlgebraSpec, d: int):
             out.extend(new)
             frontier = new
     return sorted(out, key=spec.word_key)
+
+
+def ball_size(spec: AlgebraSpec, d: int) -> int:
+    """``len(ball(spec, d))``, counted without listing the words."""
+    if d < 0:
+        raise ValueError("radius must be nonnegative")
+    if spec.kind == FINITE:
+        return 1 if d == 0 else spec.order
+    k = spec.rank
+    if spec.kind == FREE_ABELIAN:
+        # choose i nonzero coordinates, their signs, and a composition
+        return sum(2 ** i * math.comb(k, i) * math.comb(d, i)
+                   for i in range(min(k, d) + 1))
+    if spec.kind == FREE:
+        # 1 + 2k sum_{j<d} (2k-1)^j reduced words
+        return 1 + 2 * d if k == 1 else 1 + k * ((2 * k - 1) ** d - 1) // (k - 1)
+    letters = k if spec.hermitian else 2 * k
+    return d + 1 if letters == 1 else (letters ** (d + 1) - 1) // (letters - 1)
 
 
 def l1_norm_bound(a: AlgebraElement,

@@ -177,3 +177,18 @@ def abs_upper(z: QC, max_denominator: int = 10 ** 12) -> Fraction:
         return abs(z.im)
     return sqrt_upper(z.modulus_sq(), max_denominator=max_denominator)
 
+
+def max_digits(values) -> int:
+    """Decimal digits of the largest numerator or denominator among
+    rationals and QC values, found without converting any to ``str``
+    (which CPython refuses above 4300 digits)."""
+    big = 0
+    for v in values:
+        for q in ((v.re, v.im) if isinstance(v, QC) else (_frac(v),)):
+            big = max(big, abs(q.numerator), q.denominator)
+    d = max(1, int(big.bit_length() * 0.30102999566398))  # within one
+    while 10 ** d <= big:
+        d += 1
+    while d > 1 and 10 ** (d - 1) > big:
+        d -= 1
+    return d

@@ -16,11 +16,20 @@ affine projection plus exact LDL* on the primal side, functional
 rationalization mixed with a strictly positive reference moment matrix
 on the dual side.  No verdict other than ``undecided`` ever rests on
 floating point.
+
+Rounding puts every entry on the grid (1/den)Z (Peyrl & Parrilo, TCS
+2008), so a rounded matrix has the one denominator den rather than the
+lcm of per-entry approximations.  The projection solves the constraint
+Gram system through an LDL^T computed once per assembly, and the PSD
+decision is the fraction-free (Bareiss) LDL* of :mod:`ncsos.exactla`.
+Gram systems above MAX_CONDITIONS real conditions are refused from the
+ball sizes, before any product table is built.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -32,6 +41,7 @@ from .groupalg import (
     AlgebraElement,
     AlgebraSpec,
     ball,
+    ball_size,
     c_of,
     element_from_dict,
     element_to_dict,
@@ -40,7 +50,7 @@ from .groupalg import (
     laplacian,
     omega_squared_decomposition,
 )
-from .qc import QC, _limit_up, abs_upper
+from .qc import QC, abs_upper
 
 MODES = ("full", "augmentation")
 
@@ -50,9 +60,23 @@ KAPPA = Fraction(884, 1250)
 
 DENOMINATOR_LADDER = (10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12)
 
+# Largest Gram system accepted: real conditions m, estimated from the word
+# ball before anything is built.  The SDP factors a dense (m+1)x(m+1)
+# Schur complement (128 MB of float64 at m = 4000) every iteration, and
+# the exact projection holds the m x m constraint Gram matrix.
+MAX_CONDITIONS = 4000
+
 
 class CoverageError(ValueError):
     """Target support not expressible with the chosen basis products."""
+
+
+class OversizeError(ValueError):
+    """The Gram system at this radius is refused before it is built."""
+
+    def __init__(self, message: str, report: dict):
+        super().__init__(message)
+        self.report = report
 
 
 class ProjectionError(RuntimeError):
@@ -75,6 +99,16 @@ class SosCertificate:
     squares: list                  # list of (Fraction weight > 0, AlgebraElement)
     mode: str = "full"
     residual_policy: dict = field(default_factory=lambda: {"kind": "exact"})
+
+    def rationals(self):
+        """Every rational the certificate carries (weights, coefficients)."""
+        elems = [self.target] + [a for _, a in self.squares]
+        yield from (w for w, _ in self.squares)
+        if self.residual_policy.get("kind") == "absorbed":
+            elems.append(self.residual_policy["by"])
+            yield self.residual_policy["amount"]
+        for a in elems:
+            yield from a.terms.values()
 
     def to_dict(self) -> dict:
         pol = dict(self.residual_policy)
@@ -139,6 +173,14 @@ class DualWitness:
             tot = tot + cw * v
         return tot
 
+    def rationals(self):
+        """Every rational the witness carries (values, moments, target)."""
+        yield self.value_at_target
+        yield from self.word_values.values()
+        for row in self.moment:
+            yield from row
+        yield from self.target.terms.values()
+
     def to_dict(self) -> dict:
         spec = self.spec
         return {
@@ -187,7 +229,8 @@ def gram_basis(b: AlgebraElement, mode: str = "full",
 
     full: ball of radius ceil(deg/2); augmentation: the ball of radius
     max(1, ceil(deg/2)) minus the identity, columns read as c(g).  An
-    explicit ``radius`` replaces the default one.
+    explicit ``radius`` replaces the default one.  Raises OversizeError,
+    before listing a word, when the system would exceed MAX_CONDITIONS.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -196,11 +239,43 @@ def gram_basis(b: AlgebraElement, mode: str = "full",
     spec = b.spec
     if radius is None:
         radius = _default_radius(b, mode)
+    if mode == "augmentation" and not spec.is_group():
+        raise ValueError("augmentation mode needs a group backend")
+    _check_size(spec, radius, mode)
     if mode == "augmentation":
-        if not spec.is_group():
-            raise ValueError("augmentation mode needs a group backend")
         return [w for w in ball(spec, radius) if w != spec.identity_word]
     return ball(spec, radius)
+
+
+def _check_size(spec: AlgebraSpec, radius: int, mode: str) -> None:
+    """Refuse a radius whose Gram system would exceed MAX_CONDITIONS.
+
+    The basis is the radius ball (n words, one fewer in augmentation
+    mode) and every product column_i* column_j lies in the 2*radius
+    ball, whose words bound the real conditions m.  Ball sizes never
+    shrink with the radius and grow by at least one word per step on a
+    backend with a generator, so radii beyond MAX_CONDITIONS are
+    measured at MAX_CONDITIONS and sizes are capped at 10**18; either
+    makes the reported sizes lower bounds.
+    """
+    r = min(radius, MAX_CONDITIONS)
+    m = ball_size(spec, 2 * r)
+    if m <= MAX_CONDITIONS:
+        return
+    cap = 10 ** 18
+    n = min(ball_size(spec, r) - (mode == "augmentation"), cap)
+    at_least = "" if r == radius and m < cap else "at least "
+    m = min(m, cap)
+    fits = 0
+    while fits + 1 < radius and \
+            ball_size(spec, 2 * fits + 2) <= MAX_CONDITIONS:
+        fits += 1
+    raise OversizeError(
+        f"Gram system too large at radius {radius}: estimated from the "
+        f"ball sizes, {at_least}n={n} basis words and {at_least}m={m} "
+        f"conditions, above the limit of {MAX_CONDITIONS}",
+        {"basis_size_estimate": n, "constraints_estimate": m,
+         "largest_radius_that_fits": fits or None})
 
 
 class GramAssembly:
@@ -271,6 +346,7 @@ class GramAssembly:
                 self.constraint_class.append((k, part))
         self.m = len(self.entries)
         self._gram_inner = None
+        self._gram_factor = None
 
     @property
     def A_exact(self):
@@ -334,11 +410,21 @@ class GramAssembly:
             G = [[Fraction(0)] * self.m for _ in range(self.m)]
             for here in at.values():
                 for k, c in here:
-                    cc = c.conjugate()
-                    for l, d in here:
-                        G[k][l] += (cc * d).re
+                    cr, ci, Gk = c.re, c.im, G[k]
+                    for l, d in here:           # Re(conj(c) d)
+                        Gk[l] += cr * d.re + ci * d.im
             self._gram_inner = G
         return self._gram_inner
+
+    def gram_factor(self):
+        """LDL^T of :meth:`gram_inner`, computed once per assembly:
+        ``(d, rows)`` for :func:`exactla.ldlt_solve`."""
+        if self._gram_factor is None:
+            ok, d, L, _ = exactla.ldlt_psd(self.gram_inner())
+            if not ok:
+                raise RuntimeError("constraint Gram matrix is not PSD")
+            self._gram_factor = (d, exactla.lower_rows(L))
+        return self._gram_factor
 
     def element_of(self, Q):
         """The algebra element sum_{ij} Q[i,j] * column_i* column_j."""
@@ -443,31 +529,47 @@ def sos_feasibility(b: AlgebraElement, basis=None, mode: str = "full",
 # exact primal side: rounding and projection
 # ---------------------------------------------------------------------------
 
+def _grid(x: float, den: int) -> Fraction:
+    """x rounded to the grid (1/den)Z.
+
+    Every rounded entry shares the denominator den (Peyrl & Parrilo, TCS
+    2008), so the exact layer works over one small common denominator
+    instead of the lcm of per-entry best approximations.
+    """
+    return Fraction(round(x * den), den)
+
+
 def _rationalize_hermitian(G: np.ndarray, den: int):
     n = G.shape[0]
     Q = [[QC(0)] * n for _ in range(n)]
     for i in range(n):
-        Q[i][i] = QC(Fraction(float(G[i, i].real)).limit_denominator(den))
+        Q[i][i] = QC(_grid(float(G[i, i].real), den))
         for j in range(i + 1, n):
             z = (G[i, j] + np.conj(G[j, i])) / 2
-            q = QC(Fraction(float(z.real)).limit_denominator(den),
-                   Fraction(float(z.imag)).limit_denominator(den))
+            q = QC(_grid(float(z.real), den), _grid(float(z.imag), den))
             Q[i][j] = q
             Q[j][i] = q.conjugate()
     return Q
 
 
 def _squares_from_ldlt(asm: GramAssembly, d, L):
+    """One square per positive pivot, d_k (L_k* c)* (L_k* c), with the
+    column's common denominator and content moved into the weight: each
+    square root has coprime Gaussian-integer coefficients."""
     squares = []
     for k in range(asm.n):
         if d[k] == 0:
             continue
-        vec = [L[i][k].conjugate() for i in range(asm.n)]
+        vec = [L[i][k].conjugate() for i in range(k, asm.n)]
+        parts = [x for z in vec for x in (z.re, z.im)]
+        den = math.lcm(*(x.denominator for x in parts))
+        f = Fraction(den, math.gcd(*(x.numerator * (den // x.denominator)
+                                     for x in parts)))
         a = AlgebraElement(asm.spec, {})
-        for i, coef in enumerate(vec):
+        for i, coef in enumerate(vec, start=k):
             if coef:
-                a = a + asm.columns[i] * coef
-        squares.append((d[k], a))
+                a = a + asm.columns[i] * QC(coef.re * f, coef.im * f)
+        squares.append((d[k] / (f * f), a))
     return squares
 
 
@@ -476,9 +578,10 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
                       denominators=DENOMINATOR_LADDER) -> SosCertificate:
     """Turn a numeric Gram hint into an exact certificate.
 
-    Rationalize entries at increasing denominators, move exactly back
-    onto the affine constraint slice (minimum-norm correction through
-    the constraint Gram matrix), then decide PSD exactly by LDL* with the
+    Round entries to the grid (1/den)Z at increasing denominators, move
+    exactly back onto the affine constraint slice (minimum-norm
+    correction through the constraint Gram matrix, factored once per
+    assembly), then decide PSD exactly by fraction-free LDL* with the
     zero-pivot rule.  Raises ProjectionError with a margin report when
     every attempt fails.
     """
@@ -492,16 +595,14 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
         Q = _rationalize_hermitian(gram, den)
         resid = [bk - qk for bk, qk in zip(beta, asm.apply(Q))]
         if any(resid):
-            z = exactla.solve_linear(
-                [[QC(x) for x in row] for row in asm.gram_inner()],
-                [QC(r) for r in resid])
+            z = exactla.ldlt_solve(*asm.gram_factor(), resid)
             if z is None:
                 raise ProjectionError(
                     "constraint system is inconsistent", {"denominator": den})
             for zk, ents in zip(z, asm.entries):
                 if zk:
                     for i, j, c in ents:
-                        Q[i][j] = Q[i][j] + zk * c
+                        Q[i][j] = Q[i][j] + QC(zk * c.re, zk * c.im)
             if any(bk != qk for bk, qk in zip(beta, asm.apply(Q))):
                 raise RuntimeError("exact projection missed the slice")
         ok, d, L, fail = exactla.ldlt_psd_qc(Q)
@@ -549,9 +650,10 @@ def exact_dual_witness(b: AlgebraElement, feas: Feasibility,
                        denominators=DENOMINATOR_LADDER) -> DualWitness:
     """Rationalize the numeric separating functional and certify it.
 
-    The rationalized moment matrix is mixed with mu times the reference
-    strictly positive one; mu is chosen from a numeric eigenvalue
-    estimate and then both requirements -- exact PSD moment matrix and
+    y is rounded to the grid (1/den)Z, and the rationalized moment
+    matrix is mixed with mu times the reference strictly positive one;
+    mu, on the same grid, is chosen from a numeric eigenvalue estimate
+    and then both requirements -- exact PSD moment matrix and
     exact negative value at the target -- are verified over rationals.
     """
     asm = feas.assembly
@@ -560,14 +662,12 @@ def exact_dual_witness(b: AlgebraElement, feas: Feasibility,
     M_ref = asm.ref_moment()
 
     for den in denominators:
-        y_rat = [Fraction(float(v)).limit_denominator(den) for v in feas.y]
-        values = _word_values_from_y(asm, y_rat)
+        values = _word_values_from_y(asm, [_grid(float(v), den)
+                                           for v in feas.y])
         M = asm.moment_from_values(values)
         Mf = np.array([[complex(z) for z in row] for row in M])
         est = float(np.linalg.eigvalsh((Mf + Mf.conj().T) / 2)[0])
-        mu0 = _limit_up(Fraction(max(0.0, -est)) * 2 + Fraction(1, den),
-                        10 ** 15)
-        mu = mu0
+        mu = Fraction(math.ceil(max(0.0, -est) * 2 * den) + 1, den)
         for _ in range(6):
             M_mix = [[M[i][j] + M_ref[i][j] * mu for j in range(asm.n)]
                      for i in range(asm.n)]
@@ -668,7 +768,13 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
         return MembershipOutcome(
             verdict="certified", mode=mode, radius=radius, margin=None,
             certificate=SosCertificate(target=b, squares=[], mode=mode))
-    basis = gram_basis(b, mode, radius)
+    try:
+        basis = gram_basis(b, mode, radius)
+    except OversizeError as err:
+        return MembershipOutcome(verdict="undecided", mode=mode,
+                                 radius=radius, margin=None,
+                                 diagnostics={"refused": str(err),
+                                              **err.report})
     try:
         feas = sos_feasibility(b, basis, mode=mode, tol=tol)
     except sdp.SolverError as err:

@@ -397,6 +397,111 @@ def test_sos_unverified_unitary_witness_falls_back_to_dual_functional(
         "dual_functional"
 
 
+def test_sos_discloses_the_radius_of_a_re_solved_witness(tmp_path, capsys):
+    # the radius-1 refutation of -Delta over free(2) is too short for the
+    # dilation, so the unitary witness comes from a radius-2 re-solve
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F2, [(1,), (-1,), (2,), (-2,)]))
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 3
+    report = reports(out)[0]
+    assert report["disclosures"]["radius"] == 1
+    assert report["diagnostics"]["witness_kind"] == "unitary_representation"
+    assert report["diagnostics"]["witness_radius"] == 2
+    assert report["diagnostics"]["max_digits"] == 1
+
+
+def test_sos_refuses_an_artifact_too_large_to_write(tmp_path, capsys,
+                                                   monkeypatch):
+    # 1 = (1/2 + t) 1*1 + (1/2 - t) 1*1 with t = 10^-4100 is an exact,
+    # verified certificate whose weights have more digits than CPython
+    # will turn into a string
+    import ncsos.cli as cli
+    from ncsos.soscone import (MembershipOutcome, SosCertificate,
+                               verify_certificate)
+
+    one = unit(F1)
+    t = Fraction(1, 10 ** 4100)
+    cert = SosCertificate(target=one, squares=[(Fraction(1, 2) + t, one),
+                                               (Fraction(1, 2) - t, one)])
+    assert verify_certificate(cert)
+    monkeypatch.setattr(cli, "certify_membership", lambda b, **kw:
+                        MembershipOutcome(verdict="certified", mode="full",
+                                          radius=0, margin=None,
+                                          certificate=cert))
+    path = write_element(tmp_path, "b.json", one)
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 4
+    report = reports(out)[0]
+    assert report["verdict"] == "undecided"
+    assert report["artifact"] is None
+    assert report["diagnostics"]["max_digits"] == 4101
+    assert str(cli.MAX_ARTIFACT_DIGITS) in report["diagnostics"]["reason"]
+    assert not list(tmp_path.glob("*.cert.json"))
+
+
+def test_sos_reports_the_artifact_digits(tmp_path, capsys):
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 0
+    report = reports(out)[0]
+    data = json.loads(Path(report["artifact"]).read_text())
+    numbers = [x for sq in data["squares"]
+               for x in [sq["w"]] + [t[k] for t in sq["a"]["terms"]
+                                     for k in ("re", "im")]]
+    assert report["diagnostics"]["max_digits"] == max(
+        len(part.lstrip("-")) for x in numbers for part in x.split("/"))
+
+
+def test_sos_refuses_an_oversize_gram_system_before_building_it(
+        tmp_path, capsys, monkeypatch):
+    # free(2) at radius 5: n = 485 basis words, about 118k conditions
+    import ncsos.soscone as soscone
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a product table was built")
+
+    monkeypatch.setattr(soscone.GramAssembly, "__init__", no_tables)
+    monkeypatch.setattr(soscone, "ball", no_tables)
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F2, [(1,), (-1,), (2,), (-2,)]))
+    code, out, _ = run(capsys, "sos", path, "--radius", "5")
+    assert code == 4
+    diag = reports(out)[0]["diagnostics"]
+    assert (diag["basis_size_estimate"], diag["constraints_estimate"]) == \
+        (485, 118097)
+    assert "too large" in diag["refused"]
+    assert diag["advice"] == "retry with --radius 3 or less"
+    assert not list(tmp_path.glob("*.witness.json"))
+
+
+@pytest.mark.parametrize("debug", [True, False])
+def test_internal_error_traceback_only_with_ncsos_debug(tmp_path, debug):
+    g = gen(F1, 1)
+    write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    script = ("import sys\n"
+              "import ncsos.cli as cli\n"
+              "def boom(*args, **kwargs):\n"
+              "    raise RuntimeError('boom')\n"
+              "cli.certify_membership = boom\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("NCSOS_DEBUG", None)
+    if debug:
+        env["NCSOS_DEBUG"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script, "sos", "b.json"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 70
+    assert "internal error: RuntimeError: boom" in proc.stderr
+    assert ("Traceback (most recent call last)" in proc.stderr) == debug
+    assert ("in boom" in proc.stderr) == debug
+
+
 def test_in_process_runs_share_no_option_state(tmp_path, capsys):
     g = gen(F1, 1)
     path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())

@@ -64,3 +64,99 @@ def test_rref_matches_dense_elimination(kind):
         b = [[draw(rng)] for _ in range(m)]
         assert exactla.rref(A) == _dense_rref(A)
         assert exactla.rref(A, augment=b) == _dense_rref(A, augment=b)
+
+
+# ---------------------------------------------------------------------------
+# LDL* with the zero-pivot rule
+# ---------------------------------------------------------------------------
+
+def _textbook_ldlt(M):
+    """Reference: right-looking QC LDL* with the zero-pivot rule."""
+    n = len(M)
+    A = [list(row) for row in M]
+    L = [[QC(1) if i == j else QC(0) for j in range(n)] for i in range(n)]
+    d = [F(0)] * n
+    for k in range(n):
+        piv = A[k][k]
+        if piv.re < 0:
+            return False, None, None, (k, None)
+        if piv.re == 0:
+            for j in range(k + 1, n):
+                if A[j][k]:
+                    return False, None, None, (j, k)
+            continue
+        d[k] = piv.re
+        for i in range(k + 1, n):
+            L[i][k] = A[i][k] / piv
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                A[i][j] = A[i][j] - L[i][k] * piv * L[j][k].conjugate()
+                A[j][i] = A[i][j].conjugate()
+    return True, d, L, None
+
+
+def _hermitian(rng, n, rank, complex_entries, kind):
+    """B B* for an n x rank B, then made indefinite or given zero rows."""
+    def entry():
+        re = F(rng.randint(-9, 9), rng.randint(1, 12))
+        im = F(rng.randint(-9, 9), rng.randint(1, 12)) if complex_entries \
+            else F(0)
+        return QC(re, im) if rng.random() < 0.7 else QC(0)
+    B = [[entry() for _ in range(rank)] for _ in range(n)]
+    M = [[sum((B[i][k] * B[j][k].conjugate() for k in range(rank)), QC(0))
+          for j in range(n)] for i in range(n)]
+    if kind == "indefinite":
+        i = rng.randrange(n)
+        M[i][i] = M[i][i] - QC(F(rng.randint(1, 5), 3))
+    elif kind == "zero row":
+        i = rng.randrange(n)
+        for j in range(n):
+            M[i][j] = M[j][i] = QC(0)
+    return M
+
+
+@pytest.mark.parametrize("complex_entries", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["definite", "semidefinite", "zero row",
+                                  "indefinite"])
+def test_ldlt_matches_textbook_elimination(complex_entries, kind):
+    rng = random.Random(f"{kind}-{complex_entries}")
+    outcomes, zero_pivots = set(), 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rank = n if kind == "definite" else rng.randint(0, n - 1)
+        M = _hermitian(rng, n, rank, complex_entries, kind)
+        got = exactla.ldlt_psd_qc(M)
+        assert got == _textbook_ldlt(M)
+        outcomes.add(got[0])
+        if got[0]:          # one positive pivot per unit of rank
+            positive = sum(1 for x in got[1] if x)
+            assert positive == len(exactla.rref(M)[1])
+            zero_pivots += positive < n
+    assert outcomes == ({False, True} if kind == "indefinite" else {True})
+    if kind in ("semidefinite", "zero row"):
+        assert zero_pivots >= 20
+
+
+def test_ldlt_rejects_non_hermitian_input():
+    with pytest.raises(ValueError, match="not hermitian"):
+        exactla.ldlt_psd_qc([[QC(1), QC(2)], [QC(3), QC(1)]])
+
+
+def test_ldlt_solve_matches_gauss_jordan_on_gram_systems():
+    rng = random.Random(7)
+    for _ in range(60):
+        n, rank = rng.randint(1, 7), rng.randint(0, 7)
+        B = [[_fraction(rng) for _ in range(rank)] for _ in range(n)]
+        G = [[sum((B[i][k] * B[j][k] for k in range(rank)), F(0))
+              for j in range(n)] for i in range(n)]
+        ok, d, L, _ = exactla.ldlt_psd(G)
+        assert ok
+        b = [_fraction(rng) for _ in range(n)]
+        if rng.random() < 0.5:          # b in the range of G
+            x = [_fraction(rng) for _ in range(n)]
+            b = [sum(g * v for g, v in zip(row, x)) for row in G]
+        z = exactla.ldlt_solve(d, exactla.lower_rows(L), b)
+        assert (z is None) == (exactla.solve_linear(G, b) is None)
+        if z is not None:
+            assert [sum(g * v for g, v in zip(row, z)) for row in G] == b

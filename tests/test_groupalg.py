@@ -19,6 +19,7 @@ from ncsos.groupalg import (
     AlgebraElement,
     AlgebraSpec,
     ball,
+    ball_size,
     c_of,
     element_from_json,
     element_to_json,
@@ -153,6 +154,18 @@ def test_ball_is_star_closed_and_sorted():
         assert keys == sorted(keys)
         for w in words:
             assert spec.word_star(w) in set(words)
+
+
+def test_ball_size_counts_the_ball_without_listing_it():
+    specs = all_specs() + [AlgebraSpec.free(1), AlgebraSpec.free(3),
+                           AlgebraSpec.free_abelian(3),
+                           AlgebraSpec.free_star(1)]
+    for spec in specs:
+        for d in range(5):
+            assert ball_size(spec, d) == len(ball(spec, d)), (spec, d)
+    assert ball_size(AlgebraSpec.free(2), 10) == 2 * 3 ** 10 - 1
+    with pytest.raises(ValueError):
+        ball_size(AlgebraSpec.free(2), -1)
 
 
 # ---------------------------------------------------------------------------

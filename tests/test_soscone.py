@@ -26,7 +26,7 @@ from ncsos.groupalg import (
     l1_norm_bound,
     laplacian,
 )
-from ncsos.qc import QC
+from ncsos.qc import QC, max_digits
 from ncsos import sdp, soscone
 from ncsos.soscone import (
     KAPPA,
@@ -863,6 +863,57 @@ def test_kazhdan_enclosure_contains_eigvalsh_gap(perms):
     gap = eig[eig > 1e-9].min()
     assert hi - lo <= F(1, 2 ** 30)
     assert float(lo) - 1e-12 <= gap <= float(hi) + 1e-12
+
+
+def test_s4_gap_target_certifies_with_short_numbers():
+    # Delta^2 - (29/100) Delta on S4, about half the spectral gap 2 - sqrt 2:
+    # per-entry best approximations gave a 2.9 MB certificate whose
+    # largest integer had 24,687 digits; on the 1/den grid it stays short
+    spec, S = _perm_case(_S4, _S4)
+    delta = laplacian(spec, S)
+    out = certify_membership(delta * delta - delta * F(29, 100),
+                             mode="augmentation")
+    assert out.verdict == "certified"
+    assert verify_certificate(out.certificate)
+    assert max_digits(out.certificate.rationals()) < 1000
+    text = certificate_to_json(out.certificate)
+    assert verify_certificate(certificate_from_json(text))
+
+
+def test_free2_delta_squared_factors_the_constraint_system_once(
+        monkeypatch):
+    # augmentation mode, r=2: m=160 conditions on a boundary target
+    # whose rungs fail in LDL* today; the constraint Gram system is
+    # factored once and reused, never re-solved per rung
+    import time
+
+    from ncsos import exactla
+
+    factored = []
+    ldlt_psd = exactla.ldlt_psd
+
+    def counting(M):
+        factored.append(len(M))
+        return ldlt_psd(M)
+
+    def no_dense_solve(A, b):
+        raise AssertionError("dense constraint solve")
+
+    monkeypatch.setattr(exactla, "ldlt_psd", counting)
+    monkeypatch.setattr(exactla, "solve_linear", no_dense_solve)
+    delta = laplacian(FREE2, GENS2)
+    start = time.perf_counter()
+    out = certify_membership(delta * delta, mode="augmentation", radius=2)
+    elapsed = time.perf_counter() - start
+    assert out.diagnostics["constraints"] == 160
+    if out.verdict == "certified":
+        assert verify_certificate(out.certificate)
+    else:
+        assert out.verdict == "undecided"
+        assert len(out.diagnostics["projection"]["attempts"]) == \
+            len(soscone.DENOMINATOR_LADDER)
+    assert factored == [160]
+    assert elapsed < 30.0
 
 
 # ---------------------------------------------------------------------------
