@@ -1161,45 +1161,51 @@ def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None,
 # Kazhdan data for finite groups
 # ---------------------------------------------------------------------------
 
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _primitive(p) -> list:
+    """p divided by the gcd of its integer coefficients: a positive
+    rescaling, so every sign, and so every Sturm count, is unchanged."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
-def _poly_div(num, den):
-    """Polynomial division over Fractions; returns (quotient, remainder)."""
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
-        for i, dc in enumerate(den):
-            num[k + i] -= c * dc
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _sturm_chain(p):
-    d = [i * c for i, c in enumerate(p)][1:]
-    chain = [list(p), d]
-    while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0]):
-        _, r = _poly_div(chain[-2], chain[-1])
+def _sturm_chain(p) -> list:
+    """Sturm sequence of the integer polynomial p (coefficients low to
+    high).  Each term is a positive multiple of the classical one, kept
+    primitive: remainders are pseudo-remainders whose every elimination
+    step scales by |lc| > 0, so all signs match the rational chain."""
+    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            c, k = s * r[-1], len(r) - len(b)
+            r = [m * x for x in r]
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+            r.pop()                         # the leading term cancelled
+            while r and not r[-1]:
+                r.pop()
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(_primitive([-x for x in r]))
     return chain
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _hom_eval(p, a: int, q: int) -> int:
+    """q**deg(p) * p(a/q) for an integer polynomial p and q > 0, i.e. the
+    value at a/q up to a positive factor, by homogeneous Horner."""
+    acc, qk = p[-1], 1
+    for c in reversed(p[:-1]):
+        qk *= q
+        acc = acc * a + c * qk
+    return acc
+
+
+def _sign_variations(chain, a: int, q: int) -> int:
+    """Sign changes along an integer Sturm chain at a/q (q > 0), zeros
+    skipped."""
+    signs = [v > 0 for v in (_hom_eval(p, a, q) for p in chain if p) if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def kazhdan_constant_finite(spec: AlgebraSpec, S,
@@ -1211,17 +1217,24 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
     Delta on the regular representation.  delta_e is cyclic and
     separating there, so the Krylov vectors Delta^k delta_e first become
     linearly dependent at k = deg(minpoly), and that dependence is the
-    minimal polynomial.  Delta is symmetric, so the Gram matrix of the
-    Krylov vectors is the Hankel matrix of the integer moments
-    t_j = (Delta^j)_e, and the dependence is found by exact Hankel solves;
-    the minimal polynomial is square-free and 0 is a simple root once S
-    generates (checked by closure).  Eigenvalues of an integer matrix are
-    algebraic integers and by Gershgorin lie in [0, 2|S|], so the gap is
-    rational only if it is one of the integers 1..2|S|, each tested
-    exactly.  Otherwise a Sturm-sequence bisection on minpoly/lambda gives
-    a certified enclosure of width < precision and its lower endpoint is
-    returned (or the whole interval with return_interval=True).
+    minimal polynomial.  Delta is symmetric, so their Gram matrix is the
+    Hankel matrix of the integer moments t_j = (Delta^j)_e.  Its
+    fraction-free LDL^T grows by one column per Krylov step; the new
+    pivot is D_d times the squared distance of Delta^d delta_e from its
+    predecessors, so the first zero pivot is the dependence and one
+    integer back-substitution gives D_d * minpoly.  The minimal
+    polynomial is square-free and 0 is a simple root once S generates
+    (checked by closure).  Eigenvalues of an integer matrix are algebraic
+    integers and by Gershgorin lie in [0, 2|S|], so the gap is rational
+    only if it is one of the integers 1..2|S|, each tested exactly.
+    Otherwise a bisection with (lo, hi] halving, counting roots by a
+    Sturm chain of primitive integer polynomials signed exactly at each
+    dyadic point, gives a certified enclosure of width <= precision and
+    its lower endpoint is returned (or the whole interval with
+    return_interval=True).
     """
+    if not precision > 0:
+        raise ValueError("precision must be positive")
     if spec.kind != "finite":
         raise ValueError("Kazhdan constants are computed for finite backends")
     S = list(S)
@@ -1243,8 +1256,23 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
     terms = [(w, int(c.re)) for w, c in delta.terms.items()]
     vec = [1] + [0] * (order - 1)           # Delta^d delta_e
     t = [1]                                 # moments t_0 .. t_2d
-    d = 0
+    # cols[j][k], k <= j: Bareiss entry in row k, column j of the Hankel
+    # matrix, i.e. the minor on rows 0..k and columns 0..k-1, j;
+    # cols[j][j] is the leading minor D_{j+1} > 0
+    cols = []
     while True:
+        d = len(cols)
+        col = [t[i + d] for i in range(d + 1)]
+        prev = 1
+        for k in range(d):
+            pk, uk = cols[k][k], col[k]
+            for i in range(k + 1, d):
+                col[i] = (pk * col[i] - cols[i][k] * uk) // prev
+            col[d] = (pk * col[d] - uk * uk) // prev
+            prev = pk
+        if col[d] == 0:
+            break
+        cols.append(col)
         nxt = [0] * order
         for v, x in enumerate(vec):
             if x:
@@ -1253,25 +1281,25 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
         t += [sum(a * b for a, b in zip(nxt, vec)),
               sum(a * a for a in nxt)]
         vec = nxt
-        d += 1
-        hankel = [[Fraction(t[i + j]) for j in range(d)] for i in range(d)]
-        coef = exactla.solve_linear(hankel, t[d:2 * d])
-        # Delta^d delta_e depends on its predecessors iff its squared
-        # distance t_2d - coef . t[d:2d] from their span is 0
-        if t[2 * d] == sum(c * tc for c, tc in zip(coef, t[d:2 * d])):
-            break
-    reduced = [-c for c in coef[1:]] + [Fraction(1)]    # minpoly / lambda
-    chain = _sturm_chain(reduced)
+    # Delta^d delta_e = sum coef_j Delta^j delta_e with H_d coef = t[d:2d];
+    # y = D_d * coef is integral (Cramer), so each division is exact
+    det = cols[-1][-1]                      # D_d
+    y = [0] * d
+    for k in reversed(range(d)):
+        y[k] = (det * col[k] - sum(cols[j][k] * y[j]
+                                   for j in range(k + 1, d))) // cols[k][k]
+    chain = _sturm_chain([-c for c in y[1:]] + [det])   # D_d minpoly/lambda
     hi = Fraction(sum(abs(c) for _, c in terms))        # Gershgorin
+    at_zero = _sign_variations(chain, 0, 1)
 
-    def roots_upto(x):
-        return _sign_changes(chain, Fraction(0)) - _sign_changes(chain, x)
+    def roots_upto(z: Fraction) -> int:
+        return at_zero - _sign_variations(chain, z.numerator, z.denominator)
 
     if roots_upto(hi) == 0:
         raise RuntimeError("no eigenvalue of Delta below its Gershgorin bound")
     # the least integer root is the gap iff no other root lies below it
     k = next((Fraction(j) for j in range(1, int(hi) + 1)
-              if _poly_eval(reduced, Fraction(j)) == 0), None)
+              if _hom_eval(chain[0], j, 1) == 0), None)
     if k is not None and roots_upto(k) == 1:
         return (k, k, True) if return_interval else k
     lo = Fraction(0)

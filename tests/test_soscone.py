@@ -734,6 +734,83 @@ def test_kazhdan_identity_in_s_rejected():
         kazhdan_constant_finite(AlgebraSpec.cyclic(3), [0, 1, 2])
 
 
+@pytest.mark.parametrize("precision", [0, -1, F(-1, 2)])
+def test_kazhdan_rejects_nonpositive_precision_before_any_work(
+        monkeypatch, precision):
+    # a bisection to width <= 0 never ends, so the check must come first
+    def no_work(spec, S):
+        raise AssertionError("laplacian built before the precision check")
+
+    monkeypatch.setattr(soscone, "laplacian", no_work)
+    with pytest.raises(ValueError, match="precision must be positive"):
+        kazhdan_constant_finite(AlgebraSpec.cyclic(5), [1, 4],
+                                precision=precision)
+
+
+# Fraction reference for the integer Sturm search: the chain by exact
+# division over the rationals, signs by Horner at x
+def _ref_eval(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_sturm_chain(p):
+    chain = [[F(c) for c in p], [F(i * c) for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        num, den = list(chain[-2]), chain[-1]
+        for k in range(len(num) - len(den), -1, -1):
+            c = num[k + len(den) - 1] / den[-1]
+            for i, dc in enumerate(den):
+                num[k + i] -= c * dc
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            break
+        chain.append([-c for c in num])
+    return chain
+
+
+def _ref_sign_changes(chain, x):
+    signs = [v > 0 for v in (_ref_eval(p, x) for p in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_integer_sign_count_matches_fraction_evaluation():
+    rng = random.Random(20)
+    for _ in range(300):
+        points = [(rng.randint(-40, 40), 2 ** rng.randint(0, 6))
+                  for _ in range(4)]
+        # sparse terms give degree gaps in the chain, where the sign of a
+        # pseudo-remainder depends on the parity of its elimination steps
+        p = [rng.choice([0, 0, rng.randint(-9, 9)])
+             for _ in range(rng.randint(1, 6))] + [rng.choice([-3, -1, 1, 2])]
+        roots = rng.sample(points, rng.randint(0, 3))
+        if roots and rng.random() < 0.3:
+            roots.append(roots[0])             # a double root
+        for a, q in roots:
+            p = _poly_mul(p, [-a, q])          # a root exactly at a/q
+        chain = [[rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
+                 for _ in range(4)]
+        for a, q in points + [(0, 1)]:
+            x = F(a, q)
+            v, ref = soscone._hom_eval(p, a, q), _ref_eval(p, x)
+            assert (v > 0, v < 0) == (ref > 0, ref < 0)
+            assert soscone._sign_variations(chain, a, q) == \
+                _ref_sign_changes(chain, x)
+            assert soscone._sign_variations(soscone._sturm_chain(p), a, q) \
+                == _ref_sign_changes(_ref_sturm_chain(p), x)
+
+
 def _rotation(n):
     return tuple((i + 1) % n for i in range(n))
 
@@ -768,6 +845,8 @@ def _cyclic(n, *steps):
 _S4 = [(1, 0, 2, 3), _rotation(4)]
 _D6 = [_rotation(3), _reflection(3)]
 _D24 = [_rotation(12), _reflection(12)]
+_A5 = [(1, 2, 0, 3, 4), _rotation(5)]
+_S5 = [(1, 0, 2, 3, 4), _rotation(5)]
 
 
 def _approx(lo, hi):
@@ -775,7 +854,8 @@ def _approx(lo, hi):
 
 
 # (lo, hi, exact) or the error message, as computed by the earlier
-# implementation (dense characteristic polynomial and divisor search)
+# implementation (dense characteristic polynomial and divisor search;
+# A5 and S5 by Krylov steps with a full Hankel solve each)
 @pytest.mark.parametrize("case, expected", [
     pytest.param(_cyclic(6, 1), (F(1), F(1), True), id="Z6"),
     pytest.param(_cyclic(7, 1), _approx((808549493, 2 ** 30),
@@ -831,6 +911,12 @@ def _approx(lo, hi):
                                   (0, 1, 3, 2)]),
                  _approx((1257966795, 2 ** 31), (2515933593, 2 ** 32)),
                  id="S4-adjacent-transpositions"),
+    pytest.param(_perm_case(_A5, _A5),
+                 _approx((722422983, 2 ** 30), (90302873, 2 ** 27)),
+                 id="A5"),
+    pytest.param(_perm_case(_S5, _S5),
+                 _approx((1248652821, 2 ** 32), (156081603, 2 ** 29)),
+                 id="S5"),
     pytest.param(_perm_case(_S4, [(1, 0, 2, 3), (0, 1, 3, 2)]),
                  "S does not generate: invariant subspace has dimension 6",
                  id="S4-klein"),
@@ -838,7 +924,14 @@ def _approx(lo, hi):
                  "S does not generate: invariant subspace has dimension 2",
                  id="S4-3cycles"),
 ])
-def test_kazhdan_matches_recorded_values(case, expected):
+def test_kazhdan_matches_recorded_values(monkeypatch, case, expected):
+    from ncsos import exactla
+
+    def no_dense_solve(A, b):
+        raise AssertionError("dense Hankel solve")
+
+    # the Hankel system is factored one column per Krylov step, never solved
+    monkeypatch.setattr(exactla, "solve_linear", no_dense_solve)
     spec, S = case
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=f"^{expected}$"):
@@ -848,9 +941,7 @@ def test_kazhdan_matches_recorded_values(case, expected):
                                        return_interval=True) == expected
 
 
-@pytest.mark.parametrize("perms", [[(1, 2, 0, 3, 4), _rotation(5)],
-                                   [(1, 0, 2, 3, 4), _rotation(5)]],
-                         ids=["A5", "S5"])
+@pytest.mark.parametrize("perms", [_A5, _S5], ids=["A5", "S5"])
 def test_kazhdan_enclosure_contains_eigvalsh_gap(perms):
     spec, S = _perm_case(perms, perms)
     lo, hi, _ = kazhdan_constant_finite(spec, S, return_interval=True)
