@@ -30,7 +30,13 @@ from .cones import (
     evaluate_lex,
     separate_point,
 )
-from .groupalg import FREE, FREE_STAR, AlgebraSpec, element_from_json
+from .groupalg import (
+    FREE,
+    FREE_STAR,
+    AlgebraElement,
+    AlgebraSpec,
+    element_from_json,
+)
 from .qc import max_digits
 from .repwitness import (
     refutation_witness,
@@ -39,11 +45,15 @@ from .repwitness import (
     verify_unitary_witness,
 )
 from .soscone import (
+    TOL,
     CoverageError,
+    OversizeError,
     certificate_defect,
     certificate_from_json,
     certificate_to_json,
     certify_membership,
+    default_radius,
+    gram_basis,
     interior_shift_certificate,
     kazhdan_constant_finite,
     laplacian_bound,
@@ -163,37 +173,57 @@ def _write(path: str, text: str) -> str:
     return path
 
 
-def _write_certificate(path: str, cert) -> None:
-    """Write cert only once the exact verifier accepts it."""
-    if not verify_certificate(cert):
-        raise RuntimeError("certificate fails exact verification")
-    _write(path, certificate_to_json(cert))
+# Each artifact kind: its name in messages, how ``verify`` reads it, the
+# name of its exact check (imported above, and looked up in this module
+# when called) and how ``sos`` writes it.  Both commands go through this
+# one table, so ``sos`` writes only what ``verify`` accepts.
+_ARTIFACTS = {
+    "sos_certificate": ("certificate", certificate_from_json,
+                        "verify_certificate", certificate_to_json),
+    "dual_functional": ("dual witness", witness_from_json,
+                        "verify_witness", witness_to_json),
+    "unitary_representation": ("unitary witness", unitary_witness_from_json,
+                               "verify_unitary_witness",
+                               unitary_witness_to_json),
+}
 
 
-def _oversize(report: JobReport, rationals) -> bool:
-    """Record the artifact's max_digits; True (and the verdict turned
-    undecided) when it is too large to write."""
-    digits = max_digits(rationals)
+def _check(kind: str, obj) -> bool:
+    """The check of this artifact kind, looked up when called."""
+    return globals()[_ARTIFACTS[kind][2]](obj)
+
+
+def _write_artifact(report: JobReport, path: str, kind: str, obj) -> bool:
+    """Check obj as ``ncsos verify`` does, refuse it when a number in it
+    is too long to write, then write it and record it in the report.
+
+    A failed check raises RuntimeError.  A refusal records the artifact's
+    max_digits and why, turns the verdict undecided and returns False.
+    """
+    name, _, _, dump = _ARTIFACTS[kind]
+    if not _check(kind, obj):
+        raise RuntimeError(f"{name} fails verification")
+    digits = max_digits(obj.rationals())
     report.diagnostics["max_digits"] = digits
-    if digits <= MAX_ARTIFACT_DIGITS:
+    if digits > MAX_ARTIFACT_DIGITS:
+        report.verdict = "undecided"
+        report.diagnostics["reason"] = (
+            f"exact artifact found but not written: a number in it has "
+            f"{digits} digits, above the limit of {MAX_ARTIFACT_DIGITS}")
         return False
-    report.verdict = "undecided"
-    report.diagnostics["reason"] = (
-        f"exact artifact found but not written: a number in it has "
-        f"{digits} digits, above the limit of {MAX_ARTIFACT_DIGITS}")
+    report.artifact = _write(path, dump(obj))
     return True
-
-
-def _emit(report: JobReport, stream=None) -> None:
-    print(report.to_json(), file=stream or sys.stdout)
 
 
 # ---------------------------------------------------------------------------
 # separate
 # ---------------------------------------------------------------------------
 
-def _cmd_separate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_separate(args):
+    try:
+        order = rcf.default_order()
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from exc
     cone_text = _read_text(args.cone)
     try:
         cone = cone_from_json(cone_text)
@@ -208,16 +238,14 @@ def _cmd_separate(args) -> int:
                        verdict="",
                        disclosures={"dim": cone.dim,
                                     "generators": len(cone.generators),
-                                    "truncation_order": rcf.default_order()})
+                                    "truncation_order": order})
     report.diagnostics["point"] = [str(p) for p in point]
     try:
         functional = separate_point(cone, point)
     except PointInsideCone as exc:
         report.verdict = "inside"
         report.diagnostics["membership"] = str(exc)
-        report.timings["seconds"] = time.perf_counter() - t0
-        _emit(report)
-        return EXIT_INSIDE
+        return report, EXIT_INSIDE
     val_x = evaluate_lex(functional, point)
     gens_ok = all(evaluate_lex(functional, g).sign() >= 0
                   for g in cone.generators)
@@ -235,142 +263,146 @@ def _cmd_separate(args) -> int:
         "point_value_negative": True,
         "generators_nonnegative": True,
     })
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # sos
 # ---------------------------------------------------------------------------
 
+def _undecided(report: JobReport, diagnostics: dict, advice: str):
+    report.verdict = "undecided"
+    report.diagnostics.update(diagnostics, advice=advice)
+    return report, EXIT_UNDECIDED
+
+
+def _smaller_radius(refusal: dict) -> str:
+    """Advice for a Gram system refused as too large."""
+    fits = refusal["largest_radius_that_fits"]
+    return f"retry with --radius {fits} or less" if fits else \
+        "no radius fits this backend"
+
+
 def _sos_single(path: str, mode: str, radius, shift, out,
                 multi: bool) -> tuple[JobReport, int]:
-    t0 = time.perf_counter()
     try:
         b = element_from_json(_read_text(path))
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad element in {path}: {exc}") from exc
     if not b.is_hermitian():
         raise _BadInput("target element must be hermitian")
-    report = JobReport(command="sos", inputs=_digest(path), verdict="",
-                       disclosures={"mode": mode, "radius": radius,
-                                    "shift": str(shift) if shift else None,
-                                    "tolerance": 1e-7,
-                                    "truncation_order": rcf.default_order()})
-
+    target = b
     if shift is not None:
         if shift <= 0:
             raise _BadInput("--shift must be a positive rational")
-        try:
-            cert = interior_shift_certificate(b, shift)
-        except (ValueError, CoverageError) as exc:
-            report.verdict = "undecided"
-            report.diagnostics["reason"] = str(exc)
-            report.diagnostics["advice"] = ("increase --shift or --radius "
-                                            "and retry")
-            report.timings["seconds"] = time.perf_counter() - t0
-            return report, EXIT_UNDECIDED
-        if _oversize(report, cert.rationals()):
-            report.timings["seconds"] = time.perf_counter() - t0
-            return report, EXIT_UNDECIDED
-        apath = _artifact_path(path, out, "cert", multi)
-        _write_certificate(apath, cert)
-        report.verdict = "certified"
-        report.artifact = apath
-        report.diagnostics["squares"] = len(cert.squares)
-        report.diagnostics["target_includes_shift"] = True
-        report.timings["seconds"] = time.perf_counter() - t0
-        return report, EXIT_OK
+        if mode != "full":
+            raise _BadInput("--shift certifies in full mode only")
+        target = b + AlgebraElement.unit(b.spec) * shift
+    if mode == "augmentation":
+        if not b.spec.is_group():
+            raise _BadInput("augmentation mode needs a group backend")
+        if b.augmentation():
+            raise _BadInput("augmentation mode needs a target in the "
+                            "augmentation ideal (coefficients summing to 0)")
+    least = default_radius(target, mode)
+    if radius is not None and radius < least:
+        raise _BadInput(f"--radius {radius} does not cover the support of "
+                        f"the target; the smallest radius that does is "
+                        f"{least}")
+    report = JobReport(command="sos", inputs=_digest(path), verdict="",
+                       disclosures={"mode": mode,
+                                    "shift": str(shift) if shift else None,
+                                    "tolerance": TOL})
 
-    outcome = certify_membership(b, mode=mode, radius=radius)
-    report.disclosures["radius"] = outcome.radius
-    if outcome.margin is not None:
-        report.diagnostics["sdp_margin"] = outcome.margin
-    if outcome.verdict == "certified":
-        if _oversize(report, outcome.certificate.rationals()):
-            report.timings["seconds"] = time.perf_counter() - t0
-            return report, EXIT_UNDECIDED
-        apath = _artifact_path(path, out, "cert", multi)
-        _write_certificate(apath, outcome.certificate)
-        report.verdict = "certified"
-        report.artifact = apath
-        report.diagnostics["squares"] = len(outcome.certificate.squares)
-        report.timings["seconds"] = time.perf_counter() - t0
-        return report, EXIT_OK
-    if outcome.verdict == "refuted":
-        wit = outcome.witness
-        apath = _artifact_path(path, out, "witness", multi)
-        kind = "dual_functional"
-        if b.spec.kind in (FREE, FREE_STAR):
-            # the dilation needs functional values one step past the
-            # space; re-refute on a wider ball when the first pass is
-            # too short (a representation witness refutes membership at
-            # every radius, so this never weakens the verdict)
-            resolved = None
-            try:
-                try:
-                    uw = refutation_witness(b, wit)
-                except CoverageError:
-                    wider = certify_membership(b, mode=mode,
-                                               radius=outcome.radius + 1)
-                    if wider.verdict != "refuted":
-                        raise
-                    uw = refutation_witness(b, wider.witness)
-                    resolved = wider.radius
-                if not verify_unitary_witness(uw):
-                    raise RuntimeError("unitary witness fails verification")
-                report.diagnostics["max_digits"] = \
-                    max_digits(uw.target.terms.values())
-                _write(apath, unitary_witness_to_json(uw))
-                kind = "unitary_representation"
-                report.diagnostics["witness_value"] = uw.value
-                if resolved is not None:
-                    # the witness comes from the wider re-solve
-                    report.diagnostics["witness_radius"] = resolved
-            except (CoverageError, RuntimeError, ValueError) as exc:
-                report.diagnostics["dilation_fallback"] = str(exc)
-        if kind == "dual_functional":
-            if not verify_witness(wit):
-                raise RuntimeError("dual witness fails exact verification")
-            if _oversize(report, wit.rationals()):
-                report.timings["seconds"] = time.perf_counter() - t0
-                return report, EXIT_UNDECIDED
-            _write(apath, witness_to_json(wit))
-            report.diagnostics["witness_value"] = \
-                float(wit.value_at_target)
-        report.verdict = "refuted"
-        report.artifact = apath
-        report.diagnostics["witness_kind"] = kind
-        report.timings["seconds"] = time.perf_counter() - t0
-        return report, EXIT_WITNESS
-    report.verdict = "undecided"
-    report.diagnostics.update(outcome.diagnostics)
-    if "refused" in outcome.diagnostics:
-        fits = outcome.diagnostics["largest_radius_that_fits"]
-        report.diagnostics["advice"] = \
-            f"retry with --radius {fits} or less" if fits else \
-            "no radius fits this backend"
+    if shift is not None:
+        if radius is None:
+            radius = least
+        report.disclosures["radius"] = radius
+        try:
+            cert = interior_shift_certificate(
+                b, shift, basis=gram_basis(target, "full", radius))
+        except OversizeError as err:
+            refusal = {"refused": str(err), **err.report}
+            return _undecided(report, refusal, _smaller_radius(refusal))
+        except ValueError as exc:
+            return _undecided(report, {"reason": str(exc)},
+                              "increase --shift or --radius and retry")
+        report.diagnostics["target_includes_shift"] = True
     else:
-        report.diagnostics["advice"] = \
-            f"no exact artifact at radius {outcome.radius}; retry with " \
-            f"--radius {outcome.radius + 1}"
-    report.timings["seconds"] = time.perf_counter() - t0
-    return report, EXIT_UNDECIDED
+        outcome = certify_membership(b, mode=mode, radius=radius)
+        report.disclosures["radius"] = outcome.radius
+        if outcome.margin is not None:
+            report.diagnostics["sdp_margin"] = outcome.margin
+        if outcome.verdict == "refuted":
+            return _sos_refuted(report, b, mode, outcome,
+                                _artifact_path(path, out, "witness", multi))
+        if outcome.verdict == "undecided":
+            diag = outcome.diagnostics
+            return _undecided(
+                report, diag, _smaller_radius(diag) if "refused" in diag
+                else f"no exact artifact at radius {outcome.radius}; "
+                     f"retry with --radius {outcome.radius + 1}")
+        cert = outcome.certificate
+    if not _write_artifact(report, _artifact_path(path, out, "cert", multi),
+                           "sos_certificate", cert):
+        return report, EXIT_UNDECIDED
+    report.verdict = "certified"
+    report.diagnostics["squares"] = len(cert.squares)
+    return report, EXIT_OK
+
+
+def _sos_refuted(report: JobReport, b, mode: str, outcome, apath: str):
+    """Write a unitary representation witness where the backend has one
+    and it passes its check, the dual functional otherwise."""
+    report.verdict = "refuted"
+    wit, kind = outcome.witness, "dual_functional"
+    if b.spec.kind in (FREE, FREE_STAR):
+        # the dilation needs functional values one step past the space;
+        # re-refute on a wider ball when the first pass is too short (a
+        # representation witness refutes membership at every radius, so
+        # this never weakens the verdict)
+        resolved = None
+        try:
+            try:
+                uw = refutation_witness(b, wit)
+            except CoverageError:
+                wider = certify_membership(b, mode=mode,
+                                           radius=outcome.radius + 1)
+                if wider.verdict != "refuted":
+                    raise
+                uw = refutation_witness(b, wider.witness)
+                resolved = wider.radius
+            if not _write_artifact(report, apath, "unitary_representation",
+                                   uw):
+                return report, EXIT_UNDECIDED
+            kind = "unitary_representation"
+            report.diagnostics["witness_value"] = uw.value
+            if resolved is not None:
+                # the witness comes from the wider re-solve
+                report.diagnostics["witness_radius"] = resolved
+        except (CoverageError, RuntimeError, ValueError) as exc:
+            report.diagnostics["dilation_fallback"] = str(exc)
+    if kind == "dual_functional":
+        if not _write_artifact(report, apath, kind, wit):
+            return report, EXIT_UNDECIDED
+        report.diagnostics["witness_value"] = float(wit.value_at_target)
+    report.diagnostics["witness_kind"] = kind
+    return report, EXIT_WITNESS
 
 
 def _sos_worker(job):
-    path, mode, radius, shift, out, multi = job
+    t0 = time.perf_counter()
     try:
-        report, code = _sos_single(path, mode, radius, shift, out, multi)
-        return report.to_json(), code
+        report, code = _sos_single(*job)
     except _BadInput as exc:
         return json.dumps({"command": "sos", "error": str(exc),
-                           "inputs": {"path": os.path.basename(path)}},
+                           "inputs": {"path": os.path.basename(job[0])}},
                           indent=1, sort_keys=True), EXIT_BAD_INPUT
+    report.timings["seconds"] = time.perf_counter() - t0
+    return report.to_json(), code
 
 
-def _cmd_sos(args) -> int:
+def _cmd_sos(args):
     if args.jobs < 1:
         raise _BadInput("--jobs must be at least 1")
     shift = _parse_fraction(args.shift, "--shift") \
@@ -390,86 +422,56 @@ def _cmd_sos(args) -> int:
     for text, code in results:
         print(text)
         worst = max(worst, code)
-    return worst
+    return None, worst              # each report is already printed
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_certificate_file(data, report) -> int:
-    try:
-        cert = certificate_from_json(json.dumps(data))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise _BadInput(f"unreadable certificate: {exc}") from exc
-    ok = verify_certificate(cert)
-    report.verdict = "verified" if ok else "failed"
-    report.diagnostics["artifact_kind"] = "sos_certificate"
-    if not ok:
-        bad_weight = next((str(w) for w, _ in cert.squares if w <= 0), None)
-        if bad_weight is not None:
-            report.diagnostics["first_mismatch"] = \
-                f"nonpositive weight {bad_weight}"
-        else:
-            defect = certificate_defect(cert)
-            where = min(defect.support(), key=cert.target.spec.word_key,
-                        default=None)
-            report.diagnostics["first_mismatch"] = (
-                "identity defect at word "
-                f"{cert.target.spec.word_to_str(where)}"
-                if where is not None else "mode constraint violated")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+def _first_mismatch(kind: str, obj) -> str:
+    if kind == "dual_functional":
+        return "moment/value recomputation disagrees with stored data"
+    if kind == "unitary_representation":
+        return "unitarity, state normalization, replay or sign check failed"
+    bad_weight = next((str(w) for w, _ in obj.squares if w <= 0), None)
+    if bad_weight is not None:
+        return f"nonpositive weight {bad_weight}"
+    spec = obj.target.spec
+    where = min(certificate_defect(obj).support(), key=spec.word_key,
+                default=None)
+    return f"identity defect at word {spec.word_to_str(where)}" \
+        if where is not None else "mode constraint violated"
 
 
-def _verify_dual_witness_file(data, report) -> int:
-    try:
-        wit = witness_from_json(json.dumps(data))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise _BadInput(f"unreadable witness: {exc}") from exc
-    ok = verify_witness(wit, require_negative=True)
-    report.verdict = "verified" if ok else "failed"
-    report.diagnostics["artifact_kind"] = "dual_functional"
-    if not ok:
-        report.diagnostics["first_mismatch"] = \
-            "moment/value recomputation disagrees with stored data"
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-def _verify_unitary_file(data, report) -> int:
-    try:
-        wit = unitary_witness_from_json(json.dumps(data))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _BadInput(f"unreadable witness: {exc}") from exc
-    ok = verify_unitary_witness(wit)
-    report.verdict = "verified" if ok else "failed"
-    report.diagnostics["artifact_kind"] = "unitary_representation"
-    report.diagnostics["stored_value"] = wit.value
-    if not ok:
-        report.diagnostics["first_mismatch"] = \
-            "unitarity, state normalization, replay or sign check failed"
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args):
     data = _load_json(args.artifact)
-    report = JobReport(command="verify", inputs=_digest(args.artifact),
-                       verdict="")
     if not isinstance(data, dict):
         raise _BadInput("artifact must be a JSON object")
     if data.get("kind") == "sos_certificate":
-        code = _verify_certificate_file(data, report)
+        kind = "sos_certificate"
     elif data.get("kind") == "dual_witness":
-        code = _verify_dual_witness_file(data, report)
+        kind = "dual_functional"
     elif {"generators", "state", "value", "target"} <= set(data):
-        code = _verify_unitary_file(data, report)
+        kind = "unitary_representation"
     else:
         raise _BadInput("unrecognized artifact layout: expected a "
                         "certificate, a dual functional or a unitary "
                         "witness")
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report)
-    return code
+    name, read = _ARTIFACTS[kind][:2]
+    try:
+        obj = read(json.dumps(data))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise _BadInput(f"unreadable {name}: {exc}") from exc
+    ok = _check(kind, obj)
+    report = JobReport(command="verify", inputs=_digest(args.artifact),
+                       verdict="verified" if ok else "failed",
+                       diagnostics={"artifact_kind": kind})
+    if kind == "unitary_representation":
+        report.diagnostics["stored_value"] = obj.value
+    if not ok:
+        report.diagnostics["first_mismatch"] = _first_mismatch(kind, obj)
+    return report, EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +493,7 @@ def _parse_words(spec: AlgebraSpec, text: str):
     return words
 
 
-def _cmd_lap_bound(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_lap_bound(args):
     try:
         b = element_from_json(_read_text(args.element))
     except (ValueError, KeyError, TypeError) as exc:
@@ -507,18 +508,13 @@ def _cmd_lap_bound(args) -> int:
     except ValueError as exc:
         report.verdict = "failed"
         report.diagnostics["reason"] = str(exc)
-        report.timings["seconds"] = time.perf_counter() - t0
-        _emit(report)
-        return EXIT_VERIFY_FAILED
+        return report, EXIT_VERIFY_FAILED
     report.verdict = "bounded"
     report.diagnostics["bound"] = str(bound)
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_kazhdan(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_kazhdan(args):
     data = _load_json(args.group)
     try:
         spec = AlgebraSpec.from_dict(data)
@@ -540,18 +536,14 @@ def _cmd_kazhdan(args) -> int:
             report.verdict = "not-generating"
             report.diagnostics["gap"] = "0"
             report.diagnostics["reason"] = str(exc)
-            report.timings["seconds"] = time.perf_counter() - t0
-            _emit(report)
-            return EXIT_OK
+            return report, EXIT_OK
         raise _BadInput(str(exc)) from exc
     report.verdict = "gap"
     report.diagnostics["exact"] = exact
     report.diagnostics["gap"] = str(lo)
     if not exact:
         report.diagnostics["enclosure"] = [str(lo), str(hi)]
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +608,12 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        report, code = args.func(args)
+        if report is not None:
+            report.timings["seconds"] = time.perf_counter() - t0
+            print(report.to_json())
+        return code
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

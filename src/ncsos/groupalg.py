@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
-from .qc import QC, _frac, _limit_up, abs_upper, sqrt_upper
+from .qc import BOUND_DENOMINATOR, QC, _frac, _limit_up, abs_upper
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
@@ -547,24 +547,18 @@ def ball_size(spec: AlgebraSpec, d: int) -> int:
     return d + 1 if letters == 1 else (letters ** (d + 1) - 1) // (letters - 1)
 
 
-def l1_norm_bound(a: AlgebraElement,
-                  max_denominator: int = 10 ** 12) -> Fraction:
+def l1_norm_bound(a: AlgebraElement) -> Fraction:
     """Certified rational >= sum_g |a_g| (exact for real coefficients)."""
     total = Fraction(0)
     for c in a.terms.values():
-        total += abs_upper(c, max_denominator=max_denominator)
+        total += abs_upper(c)
     return total
 
 
-def l1_norm_sq_bound(a: AlgebraElement,
-                     max_denominator: int = 10 ** 12) -> Fraction:
+def l1_norm_sq_bound(a: AlgebraElement) -> Fraction:
     """Certified rational q >= (sum_g |a_g|)^2, exact for real coefficients."""
-    total = l1_norm_bound(a, max_denominator)
-    return _limit_up(total * total, max_denominator)
-
-
-def is_in_augmentation_ideal(a: AlgebraElement) -> bool:
-    return not a.augmentation()
+    total = l1_norm_bound(a)
+    return _limit_up(total * total, BOUND_DENOMINATOR)
 
 
 def omega_squared_decomposition(a: AlgebraElement, radius: int | None = None):
@@ -603,10 +597,6 @@ def omega_squared_decomposition(a: AlgebraElement, radius: int | None = None):
     if sol is None:
         return None
     return {pairs[j]: sol[j] for j in range(len(pairs)) if sol[j]}
-
-
-def is_in_omega_squared_span(a: AlgebraElement, radius: int | None = None) -> bool:
-    return omega_squared_decomposition(a, radius) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ from typing import Union
 
 Rat = Union[int, Fraction]
 
+# certified upper bounds are rounded up to the grid (1/BOUND_DENOMINATOR)Z
+BOUND_DENOMINATOR = 10 ** 12
+NEWTON_ROUNDS = 20
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -126,14 +130,13 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-def sqrt_upper(x: Fraction | int, rounds: int = 20,
-               max_denominator: int = 10 ** 12) -> Fraction:
+def sqrt_upper(x: Fraction | int) -> Fraction:
     """A rational y with ``y >= sqrt(x)`` and ``y*y >= x`` exactly.
 
     Newton iteration for sqrt converges from above once started above the
-    root; ``rounds`` iterations from ``max(1, x)`` give far better than
+    root; NEWTON_ROUNDS iterations from ``max(1, x)`` give far better than
     double precision for desk-scale inputs.  The result is then rounded UP
-    so the guarantee survives denominator limiting.
+    to the grid (1/BOUND_DENOMINATOR)Z so the guarantee survives.
     """
     x = _frac(x)
     if x < 0:
@@ -144,14 +147,14 @@ def sqrt_upper(x: Fraction | int, rounds: int = 20,
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     y = x if x >= 1 else Fraction(1)
-    for _ in range(rounds):
+    for _ in range(NEWTON_ROUNDS):
         y = (y + x / y) / 2
         if y.denominator > 10 ** 40:
             y = _limit_up(y, 10 ** 20)
-    y = _limit_up(y, max_denominator)
+    y = _limit_up(y, BOUND_DENOMINATOR)
     # final certification (cannot fail, but cheap to check)
     if y * y < x:
-        y += Fraction(1, max_denominator)
+        y += Fraction(1, BOUND_DENOMINATOR)
     if y * y < x:
         raise RuntimeError("sqrt_upper bound below the root")
     return y
@@ -165,7 +168,7 @@ def _limit_up(y: Fraction, max_denominator: int) -> Fraction:
     return Fraction(num, max_denominator)
 
 
-def abs_upper(z: QC, max_denominator: int = 10 ** 12) -> Fraction:
+def abs_upper(z: QC) -> Fraction:
     """Certified rational upper bound on \\|z\\|.
 
     Exact whenever the modulus is rational (real, imaginary, or
@@ -175,7 +178,7 @@ def abs_upper(z: QC, max_denominator: int = 10 ** 12) -> Fraction:
         return abs(z.re)
     if z.re == 0:
         return abs(z.im)
-    return sqrt_upper(z.modulus_sq(), max_denominator=max_denominator)
+    return sqrt_upper(z.modulus_sq())
 
 
 def max_digits(values) -> int:

@@ -280,6 +280,11 @@ class UnitaryRepWitness:
     value: float
     target: AlgebraElement
 
+    def rationals(self):
+        """Every rational the witness carries: the target's coefficients
+        (generators, state and value are floating point)."""
+        return self.target.terms.values()
+
 
 def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness:
     """Matrix refutation of b from a dual functional with phi(b) < 0.

@@ -30,6 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+TOL = 1e-10        # relative gap and infeasibilities at convergence
+LOOSE = 1e-6       # accepted on a stall: the double precision floor (the
+MAX_ITER = 100     # exact certification downstream absorbs the rest)
+
 
 class SolverError(RuntimeError):
     """Interior-point iteration failed; carries iterate diagnostics."""
@@ -142,8 +146,7 @@ class SparseConstraints:
         return (S + S.T) / 2
 
 
-def solve_margin_sdp(entries, n: int, b, tol: float = 1e-10,
-                     max_iter: int = 100) -> SdpResult:
+def solve_margin_sdp(entries, n: int, b) -> SdpResult:
     """Run the predictor-corrector iteration on the margin problem.
 
     entries : ``(k, i, j, value)`` entries of m hermitian n x n matrices
@@ -169,8 +172,7 @@ def solve_margin_sdp(entries, n: int, b, tol: float = 1e-10,
 
     stalls = 0
     info: dict = {}
-    loose = max(tol, 1e-6)                 # double precision floor; exact
-    for it in range(max_iter):             # certification absorbs the rest
+    for it in range(MAX_ITER):
         gap = float(np.einsum("ij,ji->", X, Z).real)
         mu = gap / n
         r_p = b - a_of(X) - lam * t
@@ -182,12 +184,12 @@ def solve_margin_sdp(entries, n: int, b, tol: float = 1e-10,
                 "dinf": dinf, "r_t": abs(r_t), "lam": lam}
         rel_gap = gap / (1.0 + abs(lam) + abs(float(b @ y)))
         info["rel_gap"] = rel_gap
-        if rel_gap < tol and pinf < tol and dinf < tol and abs(r_t) < tol:
+        if rel_gap < TOL and pinf < TOL and dinf < TOL and abs(r_t) < TOL:
             return SdpResult(lam=lam, X=X, y=y, Z=Z, iterations=it, gap=gap,
                              primal_infeas=pinf, dual_infeas=dinf)
-        if stalls >= 3 or it == max_iter - 1:
-            if rel_gap < loose and pinf < loose and dinf < loose \
-                    and abs(r_t) < loose:
+        if stalls >= 3 or it == MAX_ITER - 1:
+            if rel_gap < LOOSE and pinf < LOOSE and dinf < LOOSE \
+                    and abs(r_t) < LOOSE:
                 return SdpResult(lam=lam, X=X, y=y, Z=Z, iterations=it,
                                  gap=gap, primal_infeas=pinf, dual_infeas=dinf)
             raise SolverError("step lengths collapsed" if stalls >= 3

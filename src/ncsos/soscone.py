@@ -60,6 +60,9 @@ KAPPA = Fraction(884, 1250)
 
 DENOMINATOR_LADDER = (10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12)
 
+# SDP margin at or above -TOL counts as numerically inside the cone
+TOL = 1e-7
+
 # Largest Gram system accepted: real conditions m, estimated from the word
 # ball before anything is built.  The SDP factors a dense (m+1)x(m+1)
 # Schur complement (128 MB of float64 at m = 4000) every iteration, and
@@ -217,8 +220,9 @@ class DualWitness:
 # Gram assembly: basis columns, product classes, constraint matrices
 # ---------------------------------------------------------------------------
 
-def _default_radius(b: AlgebraElement, mode: str) -> int:
-    """ceil(deg/2), and at least 1 in augmentation mode."""
+def default_radius(b: AlgebraElement, mode: str) -> int:
+    """ceil(deg/2), and at least 1 in augmentation mode: the smallest
+    radius whose basis products cover the support of b."""
     d = -(-b.degree() // 2)
     return max(1, d) if mode == "augmentation" else d
 
@@ -238,7 +242,7 @@ def gram_basis(b: AlgebraElement, mode: str = "full",
         raise ValueError("target must be hermitian")
     spec = b.spec
     if radius is None:
-        radius = _default_radius(b, mode)
+        radius = default_radius(b, mode)
     if mode == "augmentation" and not spec.is_group():
         raise ValueError("augmentation mode needs a group backend")
     _check_size(spec, radius, mode)
@@ -503,11 +507,11 @@ class Feasibility:
     gap: float
 
 
-def sos_feasibility(b: AlgebraElement, basis=None, mode: str = "full",
-                    tol: float = 1e-7, sdp_tol: float = 1e-10) -> Feasibility:
+def sos_feasibility(b: AlgebraElement, basis=None,
+                    mode: str = "full") -> Feasibility:
     """Margin SDP for membership of b in the chosen squares cone.
 
-    status 'feasible' means the margin is >= -tol (b inside or on the
+    status 'feasible' means the margin is >= -TOL (b inside or on the
     boundary of the degree-bounded cone, numerically); 'infeasible'
     carries a separating functional hint in y.
     """
@@ -517,9 +521,8 @@ def sos_feasibility(b: AlgebraElement, basis=None, mode: str = "full",
     beta = asm.beta(b)
     entries = [(k, i, j, complex(c)) for k, ents in enumerate(asm.entries)
                for i, j, c in ents]
-    res = sdp.solve_margin_sdp(entries, asm.n, [float(x) for x in beta],
-                               tol=sdp_tol)
-    status = "feasible" if res.lam >= -tol else "infeasible"
+    res = sdp.solve_margin_sdp(entries, asm.n, [float(x) for x in beta])
+    status = "feasible" if res.lam >= -TOL else "infeasible"
     return Feasibility(status=status, margin=res.lam, gram=res.gram,
                        y=res.y, assembly=asm, beta=beta,
                        iterations=res.iterations, gap=res.gap)
@@ -574,16 +577,19 @@ def _squares_from_ldlt(asm: GramAssembly, d, L):
 
 
 def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
-                      mode: str = "full", assembly: GramAssembly | None = None,
-                      denominators=DENOMINATOR_LADDER) -> SosCertificate:
+                      mode: str = "full",
+                      assembly: GramAssembly | None = None) -> SosCertificate:
     """Turn a numeric Gram hint into an exact certificate.
 
-    Round entries to the grid (1/den)Z at increasing denominators, move
-    exactly back onto the affine constraint slice (minimum-norm
+    Round entries to the grid (1/den)Z for den in DENOMINATOR_LADDER,
+    move exactly back onto the affine constraint slice (minimum-norm
     correction through the constraint Gram matrix, factored once per
-    assembly), then decide PSD exactly by fraction-free LDL* with the
-    zero-pivot rule.  Raises ProjectionError with a margin report when
-    every attempt fails.
+    assembly, then checked: A(Q) == beta exactly), and decide PSD
+    exactly by fraction-free LDL* with the zero-pivot rule.  The squares
+    of that LDL* sum to the target by construction; the identity itself
+    is checked once, by :func:`verify_certificate`, where the
+    certificate is used (``ncsos sos`` runs it before writing).  Raises
+    ProjectionError with a margin report when every attempt fails.
     """
     if assembly is None:
         assembly = GramAssembly(b.spec, basis if basis is not None
@@ -591,7 +597,7 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
     asm = assembly
     beta = asm.beta(b)
     report = {}
-    for den in denominators:
+    for den in DENOMINATOR_LADDER:
         Q = _rationalize_hermitian(gram, den)
         resid = [bk - qk for bk, qk in zip(beta, asm.apply(Q))]
         if any(resid):
@@ -607,11 +613,8 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
                 raise RuntimeError("exact projection missed the slice")
         ok, d, L, fail = exactla.ldlt_psd_qc(Q)
         if ok:
-            squares = _squares_from_ldlt(asm, d, L)
-            cert = SosCertificate(target=b, squares=squares, mode=mode)
-            if certificate_defect(cert).terms:
-                raise RuntimeError("projected certificate is not exact")
-            return cert
+            return SosCertificate(target=b, mode=mode,
+                                  squares=_squares_from_ldlt(asm, d, L))
         report[den] = {"fail_at": fail}
     raise ProjectionError("projected matrix not positive semidefinite",
                           {"attempts": report})
@@ -646,22 +649,22 @@ def _word_values_from_y(asm: GramAssembly, y):
     return values
 
 
-def exact_dual_witness(b: AlgebraElement, feas: Feasibility,
-                       denominators=DENOMINATOR_LADDER) -> DualWitness:
+def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
     """Rationalize the numeric separating functional and certify it.
 
-    y is rounded to the grid (1/den)Z, and the rationalized moment
-    matrix is mixed with mu times the reference strictly positive one;
-    mu, on the same grid, is chosen from a numeric eigenvalue estimate
-    and then both requirements -- exact PSD moment matrix and
-    exact negative value at the target -- are verified over rationals.
+    y is rounded to the grid (1/den)Z for den in DENOMINATOR_LADDER, and
+    the rationalized moment matrix is mixed with mu times the reference
+    strictly positive one; mu, on the same grid, is chosen from a
+    numeric eigenvalue estimate and then both requirements -- exact PSD
+    moment matrix and exact negative value at the target -- are verified
+    over rationals.
     """
     asm = feas.assembly
     ref_vals = {w: QC(asm.ref_value(w)) for w in asm.covered_words}
     ref_target = asm.ref_value_of(b)
     M_ref = asm.ref_moment()
 
-    for den in denominators:
+    for den in DENOMINATOR_LADDER:
         values = _word_values_from_y(asm, [_grid(float(v), den)
                                            for v in feas.y])
         M = asm.moment_from_values(values)
@@ -750,20 +753,22 @@ class MembershipOutcome:
 
 
 def certify_membership(b: AlgebraElement, mode: str = "full",
-                       radius: int | None = None,
-                       tol: float = 1e-7) -> MembershipOutcome:
+                       radius: int | None = None) -> MembershipOutcome:
     """Decide degree-bounded cone membership with an exact artifact.
 
-    'certified' carries an exactly verified SosCertificate, 'refuted' an
-    exactly verified DualWitness; anything the exact layer cannot pin
-    down is returned as 'undecided' with diagnostics (never silently).
+    'certified' carries an SosCertificate that is exact by construction
+    (an exact projection onto the constraint slice and an exact LDL*);
+    :func:`verify_certificate` is the check of its identity.  'refuted'
+    carries a DualWitness whose moment matrix passed an exact LDL*.
+    Anything the exact layer cannot pin down is returned as 'undecided'
+    with diagnostics (never silently).
     """
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
     if mode == "augmentation" and b.augmentation():
         raise ValueError("augmentation-mode target must lie in the ideal")
     if radius is None:
-        radius = _default_radius(b, mode)
+        radius = default_radius(b, mode)
     if not b:
         return MembershipOutcome(
             verdict="certified", mode=mode, radius=radius, margin=None,
@@ -776,16 +781,16 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
                                  diagnostics={"refused": str(err),
                                               **err.report})
     try:
-        feas = sos_feasibility(b, basis, mode=mode, tol=tol)
+        feas = sos_feasibility(b, basis, mode=mode)
     except sdp.SolverError as err:
         return MembershipOutcome(verdict="undecided", mode=mode,
                                  radius=radius, margin=None,
                                  diagnostics={"solver": err.info})
     diag = {"iterations": feas.iterations, "gap": feas.gap,
             "basis_size": feas.assembly.n, "constraints": feas.assembly.m}
-    # the boundary band [-tol, tol] tries both: a clean rational Gram may
+    # the boundary band [-TOL, TOL] tries both: a clean rational Gram may
     # still round, and a slightly negative margin may still refute
-    if feas.margin >= -tol:
+    if feas.margin >= -TOL:
         try:
             cert = round_and_project(feas.gram, b, assembly=feas.assembly,
                                      mode=mode)
@@ -832,13 +837,6 @@ def verify_certificate(cert: SosCertificate) -> bool:
     return not certificate_defect(cert).terms
 
 
-def _checked(cert: SosCertificate) -> SosCertificate:
-    """cert itself, once the exact verifier has accepted it."""
-    if not verify_certificate(cert):
-        raise RuntimeError("constructed certificate fails exact verification")
-    return cert
-
-
 def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
     """Re-derive the witness moment matrix and value from word values."""
     try:
@@ -878,7 +876,8 @@ def l1_absorption_certificate(h: AlgebraElement, lam) -> SosCertificate:
     rho >= |z|:   2 rho - z g - conj(z) g^{-1}
                 = rho (1 - (z/rho) g)* (1 - (z/rho) g) + (rho - |z|^2/rho) 1,
     with weight rho/2 and no remainder when g is self-inverse.  Leftover
-    identity mass becomes a weight on the square 1.
+    identity mass becomes a weight on the square 1.  The identity holds
+    by construction; :func:`verify_certificate` is its check.
     """
     spec = h.spec
     if not spec.is_group():
@@ -914,8 +913,7 @@ def l1_absorption_certificate(h: AlgebraElement, lam) -> SosCertificate:
     leftover = lam - spend
     if leftover > 0:
         squares.append((leftover, one))
-    return _checked(SosCertificate(target=one * lam - h, squares=squares,
-                                   mode="full"))
+    return SosCertificate(target=one * lam - h, squares=squares, mode="full")
 
 
 def lemma_bounded_certificate(a: AlgebraElement, lam=None) -> SosCertificate:
@@ -935,8 +933,8 @@ def _element_squares(r: AlgebraElement) -> list:
     return l1_absorption_certificate(one * r_e - r, r_e).squares
 
 
-def interior_shift_certificate(b: AlgebraElement, eta, basis=None,
-                               tol: float = 1e-7) -> SosCertificate:
+def interior_shift_certificate(b: AlgebraElement, eta,
+                               basis=None) -> SosCertificate:
     """Exact certificate for b + eta*1 using half of eta as rounding room.
 
     The margin SDP runs on b + (eta/2)*1; the remaining shift buys
@@ -946,7 +944,8 @@ def interior_shift_certificate(b: AlgebraElement, eta, basis=None,
     full target (residual policy 'exact'); failing that it is rounded
     plainly and the exact hermitian residual, whose l1 norm is small
     against the reserved identity mass, is absorbed through certified
-    coefficient bounds.
+    coefficient bounds.  Either way the certificate is exact by
+    construction, and :func:`verify_certificate` is its check.
     """
     spec = b.spec
     if not b.is_hermitian():
@@ -960,16 +959,16 @@ def interior_shift_certificate(b: AlgebraElement, eta, basis=None,
     target = b + one * eta
     if basis is None:
         basis = gram_basis(target, "full")
-    feas = sos_feasibility(tau_half, basis, mode="full", tol=tol)
+    feas = sos_feasibility(tau_half, basis, mode="full")
     asm = feas.assembly
     room = eta / (2 * asm.n)
-    if feas.margin < -float(room) - tol:
+    if feas.margin < -float(room) - TOL:
         raise ValueError(
             f"target is SDP-infeasible even with the full shift "
             f"(margin {feas.margin:.3e} < {-float(room):.3e})")
     G_full = feas.gram + float(room) * np.eye(asm.n)
     try:
-        return _checked(round_and_project(G_full, target, assembly=asm))
+        return round_and_project(G_full, target, assembly=asm)
     except ProjectionError:
         pass
     # plain rounding at a safely interior shift; absorb the exact residual
@@ -989,9 +988,9 @@ def interior_shift_certificate(b: AlgebraElement, eta, basis=None,
         except ValueError as err:
             last = f"residual exceeds the absorption headroom: {err}"
             continue
-        return _checked(SosCertificate(
+        return SosCertificate(
             target=target, squares=squares + absorb, mode="full",
-            residual_policy={"kind": "absorbed", "by": resid, "amount": half}))
+            residual_policy={"kind": "absorbed", "by": resid, "amount": half})
     raise ValueError(last)
 
 
@@ -1003,8 +1002,7 @@ def laplacian_sos_certificate(spec: AlgebraSpec, S) -> SosCertificate:
     """Delta(S) = 1/2 sum_s c(s)* c(s), as an exact certificate."""
     delta = laplacian(spec, S)
     squares = [(Fraction(1, 2), c_of(spec, spec.validate_word(s))) for s in S]
-    return _checked(SosCertificate(target=delta, squares=squares,
-                                   mode="augmentation"))
+    return SosCertificate(target=delta, squares=squares, mode="augmentation")
 
 
 def nu_table(spec: AlgebraSpec, S, words):
@@ -1103,15 +1101,14 @@ def laplacian_bound(b: AlgebraElement, S, radius: int | None = None) -> Fraction
     return total
 
 
-def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None,
-                         basis_radius: int | None = None, tol: float = 1e-7):
+def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None):
     """Smallest bisected C with C*Delta(S) + b exactly in the ideal cone.
 
     Searches C upward from 0 against augmentation-mode SDP feasibility,
     capped by laplacian_bound(b, S); brackets to relative width 2^-10
     and certifies exactly at the feasible endpoint.  ``radius`` limits
-    the ideal-squared decomposition behind the cap, ``basis_radius``
-    overrides the Gram basis ball.  Returns (C, SosCertificate).
+    the ideal-squared decomposition behind the cap.  Returns
+    (C, SosCertificate).
     """
     spec = b.spec
     cap = laplacian_bound(b, S, radius=radius)
@@ -1122,13 +1119,12 @@ def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None,
         if not target:
             return SosCertificate(target=target, squares=[],
                                   mode="augmentation")
-        basis = gram_basis(target, "augmentation", basis_radius)
         try:
-            feas = sos_feasibility(target, basis, mode="augmentation",
-                                   tol=tol)
+            feas = sos_feasibility(target, gram_basis(target, "augmentation"),
+                                   mode="augmentation")
         except sdp.SolverError:
             return None                    # conservative: push C upward
-        if feas.status != "feasible" or feas.margin <= tol:
+        if feas.status != "feasible" or feas.margin <= TOL:
             return None
         try:
             return round_and_project(feas.gram, target, assembly=feas.assembly,

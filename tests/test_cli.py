@@ -28,6 +28,7 @@ from ncsos.groupalg import (
     laplacian,
 )
 from ncsos.qc import QC
+from ncsos.soscone import certificate_from_json
 
 GOLDEN = Path(__file__).parent / "golden" / "quadrant_functional.json"
 
@@ -301,6 +302,151 @@ def test_failed_artifact_check_exits_70_without_writing_under_O(
     assert not list(tmp_path.glob(f"*.{suffix}.json"))
 
 
+def test_sos_shift_rejects_augmentation_mode(tmp_path, capsys):
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "e.json", 2 * unit(F1) - g - g.star())
+    code, out, _ = run(capsys, "sos", path, "--shift", "1", "--mode",
+                       "augmentation", "--radius", "3")
+    assert code == 64
+    assert "full mode" in out
+    assert not list(tmp_path.glob("*.cert.json"))
+
+
+def test_sos_shift_certifies_from_the_given_radius(tmp_path, capsys):
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "e.json", 2 * unit(F1) - g - g.star())
+    code, out, _ = run(capsys, "sos", path, "--shift", "1", "--radius", "3")
+    assert code == 0
+    report = reports(out)[0]
+    assert (report["disclosures"]["mode"],
+            report["disclosures"]["radius"]) == ("full", 3)
+    cert = certificate_from_json(Path(report["artifact"]).read_text())
+    assert max(F1.word_len(w) for _, a in cert.squares for w in a.terms) == 3
+    vcode, _, _ = run(capsys, "verify", report["artifact"])
+    assert vcode == 0
+
+
+@pytest.mark.parametrize("extra, code, verdict, radius", [
+    ([], 0, "certified", 1),
+    (["--radius", "2"], 4, "undecided", 2),
+])
+def test_sos_shift_boundary_target_is_decided_at_the_given_radius(
+        tmp_path, capsys, extra, code, verdict, radius):
+    # 2 + a + A = (1 + a)*(1 + a) lies on the cone boundary: radius 1
+    # certifies it, radius 2 leaves it undecided
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", g + g.star())
+    got, out, _ = run(capsys, "sos", path, "--shift", "2", *extra)
+    report = reports(out)[0]
+    assert (got, report["verdict"]) == (code, verdict)
+    assert report["disclosures"]["radius"] == radius
+    assert bool(report["artifact"]) == (code == 0)
+
+
+def test_sos_shift_refuses_an_oversize_gram_system(tmp_path, capsys,
+                                                   monkeypatch):
+    import ncsos.soscone as soscone
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a product table was built")
+
+    monkeypatch.setattr(soscone.GramAssembly, "__init__", no_tables)
+    monkeypatch.setattr(soscone, "ball", no_tables)
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F2, [(1,), (-1,), (2,), (-2,)]))
+    code, out, _ = run(capsys, "sos", path, "--shift", "9", "--radius", "5")
+    assert code == 4
+    report = reports(out)[0]
+    assert report["disclosures"]["radius"] == 5
+    assert "too large" in report["diagnostics"]["refused"]
+    assert report["diagnostics"]["advice"] == "retry with --radius 3 or less"
+    assert not list(tmp_path.glob("*.cert.json"))
+
+
+def test_sos_shift_absorbed_certificate_passes_verify(tmp_path, capsys,
+                                                      monkeypatch):
+    import ncsos.soscone as soscone
+
+    def refuse(*args, **kwargs):
+        raise soscone.ProjectionError("refused for the test", {})
+
+    monkeypatch.setattr(soscone, "round_and_project", refuse)
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", g + g.star())
+    code, out, _ = run(capsys, "sos", path, "--shift", "2")
+    assert code == 0
+    artifact = reports(out)[0]["artifact"]
+    data = json.loads(Path(artifact).read_text())
+    assert data["absorption"]["kind"] == "absorbed"
+    vcode, vout, _ = run(capsys, "verify", artifact)
+    assert vcode == 0
+    assert reports(vout)[0]["verdict"] == "verified"
+
+
+@pytest.mark.parametrize("extra", [[], ["--shift", "1"]])
+def test_one_identity_check_per_written_certificate(tmp_path, capsys,
+                                                    monkeypatch, extra):
+    import ncsos.soscone as soscone
+
+    defect, calls = soscone.certificate_defect, []
+
+    def counting(cert):
+        calls.append(1)
+        return defect(cert)
+
+    monkeypatch.setattr(soscone, "certificate_defect", counting)
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "e.json", 2 * unit(F1) - g - g.star())
+    code, out, _ = run(capsys, "sos", path, *extra)
+    assert code == 0
+    assert reports(out)[0]["verdict"] == "certified"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, extra, needle", [
+    ("e", ["--radius", "-1"], "smallest radius that does is 1"),
+    ("e", ["--radius", "0"], "smallest radius that does is 1"),
+    ("e", ["--mode", "augmentation", "--radius", "0"],
+     "smallest radius that does is 1"),
+    ("cube", ["--mode", "augmentation"], "augmentation ideal"),
+    ("star", ["--mode", "augmentation"], "group backend"),
+])
+def test_malformed_sos_requests_exit_64_before_solving(
+        tmp_path, capsys, monkeypatch, name, extra, needle):
+    import ncsos.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "certify_membership", unreachable)
+    g = gen(F1, 1)
+    fs1 = AlgebraSpec.free_star(1, hermitian=True)
+    elements = {"e": 2 * unit(F1) - g - g.star(),
+                "cube": g * g * g + (g * g * g).star(),
+                "star": unit(fs1) + gen(fs1, 1)}
+    path = write_element(tmp_path, f"{name}.json", elements[name])
+    code, out, _ = run(capsys, "sos", path, *extra)
+    assert code == 64
+    assert needle in reports(out)[0]["error"]
+
+
+def test_sos_refuses_a_unitary_witness_too_large_to_write(tmp_path, capsys,
+                                                          monkeypatch):
+    import ncsos.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_ARTIFACT_DIGITS", 0)
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F1, [(1,), (-1,)]))
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 4
+    report = reports(out)[0]
+    assert report["verdict"] == "undecided"
+    assert report["artifact"] is None
+    assert report["diagnostics"]["max_digits"] == 1
+    assert "witness_kind" not in report["diagnostics"]
+    assert not list(tmp_path.glob("*.witness.json"))
+
+
 def test_sos_rejects_nonpositive_shift(tmp_path, capsys):
     g = gen(F1, 1)
     path = write_element(tmp_path, "b.json", g + g.star())
@@ -527,6 +673,26 @@ def test_sos_report_is_deterministic(tmp_path, capsys):
     r1, r2 = reports(out1)[0], reports(out2)[0]
     r1.pop("timings"), r2.pop("timings")
     assert r1 == r2
+
+
+def test_sos_reports_no_truncation_order(tmp_path, capsys, monkeypatch):
+    # sos never uses jets, so it neither reads nor discloses the order
+    monkeypatch.setenv("NCSOS_TRUNCATION", "abc")
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 0
+    assert "truncation_order" not in reports(out)[0]["disclosures"]
+
+
+def test_separate_rejects_a_malformed_truncation_order(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("NCSOS_TRUNCATION", "abc")
+    cone = write_quadrant(tmp_path)
+    code, _, err = run(capsys, "separate", cone, "--point=-1,0")
+    assert code == 64
+    assert "NCSOS_TRUNCATION" in err
+    assert not list(tmp_path.glob("*.functional.json"))
 
 
 def test_truncation_order_is_disclosed_from_environment(tmp_path, capsys,

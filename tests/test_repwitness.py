@@ -104,6 +104,34 @@ def test_gns_coordinates_reproduce_the_moment():
     assert np.abs(gram - space.moment).max() <= 1e-12
 
 
+def test_gns_nearly_degenerate_moment_takes_the_eigh_frame(monkeypatch):
+    # phi(a^k) = r^|k| with r = 1 - 1e-8: the LDL* pivots 1, 1 - r^2,
+    # 1 - r^2 are not well separated, so the frame comes from eigh
+    import ncsos.repwitness as repwitness
+
+    def exact_frame(*args):
+        raise AssertionError("the exact-factor frame was used")
+
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(repwitness, "unit_lower_inverse", exact_frame)
+    monkeypatch.setattr(repwitness.np.linalg, "eigh", counting_eigh)
+    r = 1 - Fraction(1, 10 ** 8)
+    vals = {w: QC(r ** len(w)) for w in ball(F1, 2)}
+    wit = witness_from_word_values(unit(F1), vals, basis=ball(F1, 1),
+                                   require_negative=False)
+    space = gns_from_moment(wit, 1)
+    assert calls == [1]
+    assert space.dim + space.null_dim == 3
+    gram = space.word_coords.conj().T @ space.word_coords
+    assert np.abs(gram - space.moment).max() <= 1e-12
+    assert abs(np.vdot(space.state, space.state) - 1) <= 1e-12
+
+
 def test_gns_state_is_a_unit_vector():
     out = certify_membership(2 * unit(F2) - 2 * (
         AlgebraElement.generator(F2, 1) + AlgebraElement.generator(F2, 1).star()),

@@ -605,6 +605,28 @@ def test_interior_shift_minus_laplacian():
     assert verify_certificate(cert)
 
 
+@pytest.mark.parametrize("case, eta", [("a+A", 2), ("a+A", 3),
+                                       ("-Delta", 9), ("-Delta", 100)])
+def test_interior_shift_absorbs_the_residual_when_projection_fails(
+        monkeypatch, case, eta):
+    # with the exact projection refused, the Gram hint is rounded plainly
+    # and its exact residual absorbed through certified l1 bounds
+    def refuse(*args, **kwargs):
+        raise ProjectionError("refused for the test", {})
+
+    monkeypatch.setattr(soscone, "round_and_project", refuse)
+    g = gen(FREE1, 1)
+    b = g + g.star() if case == "a+A" else -laplacian(FREE2, GENS2)
+    cert = interior_shift_certificate(b, eta)
+    assert cert.target == b + unit(b.spec) * eta
+    assert cert.residual_policy["kind"] == "absorbed"
+    assert cert.residual_policy["amount"] == F(eta, 2)
+    assert verify_certificate(cert)
+    again = certificate_from_json(certificate_to_json(cert))
+    assert again.residual_policy == cert.residual_policy
+    assert verify_certificate(again)
+
+
 def test_interior_shift_rejects_infeasible():
     with pytest.raises(ValueError):
         interior_shift_certificate(unit(FREE1) * F(-10), 2)
