@@ -560,7 +560,8 @@ def build_parser() -> _Parser:
                                         "generated convex cone")
     p.add_argument("cone", help="cone JSON file")
     p.add_argument("--point", required=True,
-                   help="comma-separated rational coordinates, e.g. -1,0")
+                   help="comma-separated rational coordinates, e.g. "
+                        "--point=-1,0 (with '=' when the first is negative)")
     p.add_argument("--out", default=None, help="functional output path")
     p.set_defaults(func=_cmd_separate)
 

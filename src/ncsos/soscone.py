@@ -11,11 +11,13 @@ Two cones are handled over every algebra backend:
 The pipeline is hybrid: an interior-point SDP over sparse constraint
 entries produces floating hints (a Gram matrix or a separating
 functional), and everything the caller can trust is then rebuilt in
-exact rational arithmetic from the same entries -- rounding plus exact
-affine projection plus exact LDL* on the primal side, functional
-rationalization mixed with a strictly positive reference moment matrix
-on the dual side.  No verdict other than ``undecided`` ever rests on
-floating point.
+exact rational arithmetic from the same entries, whose weights are real
+half-integers -- rounding plus exact affine projection on the real and
+imaginary parts of the Gram matrix, then exact LDL*, on the primal
+side; on the dual side a functional is its constraint coordinates y,
+rounded and mixed with a reference functional's, its moment matrix is
+the conjugate of sum_k y_k A_k and its value at the target is beta . y.
+No verdict other than ``undecided`` ever rests on floating point.
 
 Rounding puts every entry on the grid (1/den)Z (Peyrl & Parrilo, TCS
 2008), so a rounded matrix has the one denominator den rather than the
@@ -286,12 +288,17 @@ class GramAssembly:
     """Constraint system tying Gram entries to target coefficients.
 
     One complex linear condition per conjugate word class {w, w*}, split
-    into one or two real conditions via the hermitian matrices
-    H = (E + E*)/2 and K = (E - E*)/(2i) where E[i,j] is the coefficient
-    of the class representative in column_i* column_j.  In augmentation
-    mode the identity class is omitted: it is implied by the others
-    because both sides have augmentation zero.  ``entries[k]`` lists the
-    nonzero ``(i, j, coeff)`` of condition k, for both number types.
+    into one or two real conditions <A_k, Q> = Re tr(A_k* Q) = beta_k.
+    Every product column_i* column_j has integer coefficients (one word,
+    or g^-1 h - g^-1 - h + 1 in augmentation mode), so with E[i,j] the
+    coefficient of the class representative there, H = (E + E^T)/2 is
+    real symmetric and reads only Re Q, and K = i (E^T - E)/2 is
+    imaginary antisymmetric and reads only Im Q.  ``entries[k]`` lists
+    the nonzero ``(i, j, weight)`` of condition k, real half-integers:
+    the matrix itself is the weights (H) or i times them (K), as
+    ``constraint_class[k]`` says.  In augmentation mode the identity
+    class is omitted: it is implied by the others because both sides
+    have augmentation zero.
     """
 
     def __init__(self, spec: AlgebraSpec, basis, mode: str):
@@ -326,21 +333,20 @@ class GramAssembly:
         self.covered_words = words
 
         # E[p][q] = c at the representative of class k puts c/2 at (p, q)
-        # and conj(c)/2 at (q, p) into H, -ic/2 and i conj(c)/2 into K
-        half, half_i = QC(Fraction(1, 2)), QC(0, Fraction(1, 2))
+        # and (q, p) into the weights of H, -c/2 and c/2 into those of K
         HK = [({}, {}) for _ in reps]
         for p in range(self.n):
             for q in range(self.n):
                 for w, c in self.products[p][q].items():
                     if w in self.rep_index:
                         H, K = HK[self.rep_index[w]]
-                        cc = c.conjugate()
-                        for acc, pos, val in ((H, (p, q), c * half),
-                                              (H, (q, p), cc * half),
-                                              (K, (p, q), -c * half_i),
-                                              (K, (q, p), cc * half_i)):
+                        half = c.re / 2
+                        for acc, pos, val in ((H, (p, q), half),
+                                              (H, (q, p), half),
+                                              (K, (p, q), -half),
+                                              (K, (q, p), half)):
                             acc[pos] = acc.get(pos, 0) + val
-        self.entries = []           # per condition: sorted (i, j, coeff)
+        self.entries = []           # per condition: sorted (i, j, weight)
         self.constraint_class = []  # (class index, 'H' | 'K')
         for k, w in enumerate(reps):
             selfconj = spec.word_star(w) == w
@@ -357,10 +363,20 @@ class GramAssembly:
         """Dense QC matrices, built on demand for the benchmark's traced
         pass (it counts nonzeros); nothing in the package reads them."""
         dense = [[[QC(0)] * self.n for _ in range(self.n)] for _ in self.entries]
-        for A, ents in zip(dense, self.entries):
+        for A, ents, (_, part) in zip(dense, self.entries,
+                                      self.constraint_class):
             for i, j, c in ents:
-                A[i][j] = c
+                A[i][j] = QC(c) if part == "H" else QC(0, c)
         return dense
+
+    def sdp_entries(self):
+        """``(k, i, j, value)`` of every A_k, the input of
+        :func:`sdp.solve_margin_sdp`."""
+        return [(k, i, j, complex(float(c), 0.0) if part == "H"
+                 else complex(0.0, float(c)))
+                for k, (ents, (_, part)) in enumerate(
+                    zip(self.entries, self.constraint_class))
+                for i, j, c in ents]
 
     # -- target handling -----------------------------------------------------
 
@@ -391,32 +407,31 @@ class GramAssembly:
 
     # -- exact evaluation ----------------------------------------------------
 
-    def apply(self, Q):
-        """<A_k, Q> for all k, exactly (Q hermitian QC matrix)."""
+    def apply(self, R, I):
+        """<A_k, Q> for all k, exactly, for Q = R + iI given by its real
+        (symmetric) and imaginary (antisymmetric) Fraction parts."""
         vals = []
-        for ents in self.entries:
-            acc = QC(0)
-            for i, j, c in ents:
-                acc = acc + c.conjugate() * Q[i][j]
-            if acc.im != 0:
-                raise AssertionError("constraint value must be real")
-            vals.append(acc.re)
+        for ents, (_, part) in zip(self.entries, self.constraint_class):
+            X = R if part == "H" else I
+            vals.append(sum(c * X[i][j] for i, j, c in ents))
         return vals
 
     def gram_inner(self):
         """Gram matrix <A_k, A_l> of the constraints (rational, PD), as
-        a sum over the matrix positions the conditions share."""
+        a sum over the matrix positions the conditions share.  An H and
+        a K condition are orthogonal: one reads Re Q, the other Im Q."""
         if self._gram_inner is None:
             at = {}
-            for k, ents in enumerate(self.entries):
+            conds = zip(self.entries, self.constraint_class)
+            for k, (ents, (_, part)) in enumerate(conds):
                 for i, j, c in ents:
-                    at.setdefault((i, j), []).append((k, c))
+                    at.setdefault((part, i, j), []).append((k, c))
             G = [[Fraction(0)] * self.m for _ in range(self.m)]
             for here in at.values():
                 for k, c in here:
-                    cr, ci, Gk = c.re, c.im, G[k]
-                    for l, d in here:           # Re(conj(c) d)
-                        Gk[l] += cr * d.re + ci * d.im
+                    Gk = G[k]
+                    for l, d in here:
+                        Gk[l] += c * d
             self._gram_inner = G
         return self._gram_inner
 
@@ -446,9 +461,27 @@ class GramAssembly:
                         terms.pop(w, None)
         return AlgebraElement(self.spec, terms)
 
-    # -- reference strictly positive functional --------------------------------
+    # -- the dual side: functionals by their constraint coordinates y ---------
+
+    def moment(self, y):
+        """Moment matrix of the functional with coordinates y, as its real
+        and imaginary Fraction parts: the conjugate of sum_k y_k A_k,
+        i.e. [phi(column_i* column_j)] for phi = _word_values_from_y(y),
+        and phi(b) = beta(b) . y."""
+        R = [[Fraction(0)] * self.n for _ in range(self.n)]
+        I = [[Fraction(0)] * self.n for _ in range(self.n)]
+        for yk, ents, (_, part) in zip(y, self.entries,
+                                       self.constraint_class):
+            if yk:
+                X, s = (R, yk) if part == "H" else (I, -yk)
+                for i, j, c in ents:
+                    X[i][j] += s * c
+        return R, I
 
     def ref_value(self, w) -> Fraction:
+        """The reference functional mixed into dual witnesses: on a group
+        its moment matrix is the identity, or identity + ones in
+        augmentation mode; on a free *-monoid it is 1 on the words s* s."""
         spec = self.spec
         if self.mode == "augmentation":
             return Fraction(0) if w == spec.identity_word else Fraction(-1)
@@ -459,36 +492,6 @@ class GramAssembly:
             return Fraction(0)
         half = len(w) // 2
         return Fraction(1 if spec.word_star(w[half:]) == w[:half] else 0)
-
-    def ref_moment(self):
-        """Exact reference moment matrix (identity, or identity + ones)."""
-        return self.moment_from_values(
-            {w: QC(self.ref_value(w)) for w in self.covered_words})
-
-    def ref_value_of(self, b: AlgebraElement) -> Fraction:
-        acc = QC(0)
-        for w, cw in b.terms.items():
-            acc = acc + cw * self.ref_value(w)
-        if acc.im != 0:
-            raise AssertionError("reference value of hermitian target is real")
-        return acc.re
-
-    def moment_from_values(self, values: dict):
-        """Matrix [phi(column_i* column_j)] for word values phi."""
-        e = self.spec.identity_word
-        M = [[QC(0)] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = QC(0)
-                for w, cw in self.products[i][j].items():
-                    if w == e and self.mode == "augmentation":
-                        continue
-                    v = values.get(w)
-                    if v is None:
-                        raise CoverageError("missing word value")
-                    acc = acc + cw * v
-                M[i][j] = acc
-        return M
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +522,8 @@ def sos_feasibility(b: AlgebraElement, basis=None,
         basis = gram_basis(b, mode)
     asm = GramAssembly(b.spec, basis, mode)
     beta = asm.beta(b)
-    entries = [(k, i, j, complex(c)) for k, ents in enumerate(asm.entries)
-               for i, j, c in ents]
-    res = sdp.solve_margin_sdp(entries, asm.n, [float(x) for x in beta])
+    res = sdp.solve_margin_sdp(asm.sdp_entries(), asm.n,
+                               [float(x) for x in beta])
     status = "feasible" if res.lam >= -TOL else "infeasible"
     return Feasibility(status=status, margin=res.lam, gram=res.gram,
                        y=res.y, assembly=asm, beta=beta,
@@ -543,16 +545,24 @@ def _grid(x: float, den: int) -> Fraction:
 
 
 def _rationalize_hermitian(G: np.ndarray, den: int):
+    """The hermitian part of G on the grid, as its real (symmetric) and
+    imaginary (antisymmetric) Fraction parts (R, I)."""
     n = G.shape[0]
-    Q = [[QC(0)] * n for _ in range(n)]
+    R = [[Fraction(0)] * n for _ in range(n)]
+    I = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        Q[i][i] = QC(_grid(float(G[i, i].real), den))
+        R[i][i] = _grid(float(G[i, i].real), den)
         for j in range(i + 1, n):
             z = (G[i, j] + np.conj(G[j, i])) / 2
-            q = QC(_grid(float(z.real), den), _grid(float(z.imag), den))
-            Q[i][j] = q
-            Q[j][i] = q.conjugate()
-    return Q
+            R[i][j] = R[j][i] = _grid(float(z.real), den)
+            I[i][j] = _grid(float(z.imag), den)
+            I[j][i] = -I[i][j]
+    return R, I
+
+
+def _gaussian(R, I):
+    """The QC matrix R + iI, as the exact LDL* and the witness take it."""
+    return [[QC(r, i) for r, i in zip(rr, ir)] for rr, ir in zip(R, I)]
 
 
 def _squares_from_ldlt(asm: GramAssembly, d, L):
@@ -598,20 +608,22 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
     beta = asm.beta(b)
     report = {}
     for den in DENOMINATOR_LADDER:
-        Q = _rationalize_hermitian(gram, den)
-        resid = [bk - qk for bk, qk in zip(beta, asm.apply(Q))]
+        R, I = _rationalize_hermitian(gram, den)
+        resid = [bk - qk for bk, qk in zip(beta, asm.apply(R, I))]
         if any(resid):
             z = exactla.ldlt_solve(*asm.gram_factor(), resid)
             if z is None:
                 raise ProjectionError(
                     "constraint system is inconsistent", {"denominator": den})
-            for zk, ents in zip(z, asm.entries):
+            for zk, ents, (_, part) in zip(z, asm.entries,
+                                           asm.constraint_class):
                 if zk:
+                    X = R if part == "H" else I
                     for i, j, c in ents:
-                        Q[i][j] = Q[i][j] + QC(zk * c.re, zk * c.im)
-            if any(bk != qk for bk, qk in zip(beta, asm.apply(Q))):
+                        X[i][j] += zk * c
+            if any(bk != qk for bk, qk in zip(beta, asm.apply(R, I))):
                 raise RuntimeError("exact projection missed the slice")
-        ok, d, L, fail = exactla.ldlt_psd_qc(Q)
+        ok, d, L, fail = exactla.ldlt_psd_qc(_gaussian(R, I))
         if ok:
             return SosCertificate(target=b, mode=mode,
                                   squares=_squares_from_ldlt(asm, d, L))
@@ -631,64 +643,75 @@ def _word_values_from_y(asm: GramAssembly, y):
     2 Re(x_w phi(w)) (or x_w phi(w) when w is self-adjoint), so
     phi(w) = (y_H + i y_K)/2, or y_H respectively.
     """
-    per_class = {}
-    for (k, part), yk in zip(asm.constraint_class, y):
-        h, kk = per_class.get(k, (Fraction(0), Fraction(0)))
-        if part == "H":
-            per_class[k] = (yk, kk)
-        else:
-            per_class[k] = (h, yk)
     values = {}
-    for k, w in enumerate(asm.class_reps):
-        yh, yk = per_class[k]
-        if asm.spec.word_star(w) == w:
-            values[w] = QC(yh)
-        else:
-            values[w] = QC(yh / 2, yk / 2)
-            values[asm.spec.word_star(w)] = QC(yh / 2, -yk / 2)
+    for (k, part), yk in zip(asm.constraint_class, y):
+        w = asm.class_reps[k]
+        star = asm.spec.word_star(w)
+        if part == "H":
+            values[w] = QC(yk if star == w else yk / 2)
+        else:                       # K follows the H of its class
+            values[w] = QC(values[w].re, yk / 2)
+        values[star] = values[w].conjugate()
     return values
+
+
+def _y_from_word_values(asm: GramAssembly, values: dict) -> list:
+    """Constraint coordinates of the functional with these word values,
+    the inverse of :func:`_word_values_from_y`.  Raises CoverageError
+    when a word of a class has no value, and ValueError unless
+    phi(w*) = conj phi(w) on every class."""
+    spec, y = asm.spec, []
+    for k, part in asm.constraint_class:
+        w = asm.class_reps[k]
+        star = spec.word_star(w)
+        if part == "H":             # K follows the H of its class
+            v, sv = (values.get(u) for u in (w, star))
+            if v is None or sv is None:
+                raise CoverageError("missing functional value at " + repr(
+                    spec.word_to_str(w if v is None else star)))
+            v, sv = (x if isinstance(x, QC) else QC(Fraction(x))
+                     for x in (v, sv))
+            if sv != v.conjugate():
+                raise ValueError("word values are not hermitian-consistent")
+        x = v.re if part == "H" else v.im
+        y.append(x if star == w else 2 * x)
+    return y
 
 
 def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
     """Rationalize the numeric separating functional and certify it.
 
-    y is rounded to the grid (1/den)Z for den in DENOMINATOR_LADDER, and
-    the rationalized moment matrix is mixed with mu times the reference
-    strictly positive one; mu, on the same grid, is chosen from a
-    numeric eigenvalue estimate and then both requirements -- exact PSD
-    moment matrix and exact negative value at the target -- are verified
-    over rationals.
+    y is rounded to the grid (1/den)Z for den in DENOMINATOR_LADDER and
+    mixed with mu times the coordinates of the reference functional
+    (:meth:`GramAssembly.ref_value`); mu, on the same grid, is chosen
+    from a numeric eigenvalue estimate and then both requirements --
+    exact PSD moment matrix and exact negative value beta . y at the
+    target -- are verified over rationals.
     """
     asm = feas.assembly
-    ref_vals = {w: QC(asm.ref_value(w)) for w in asm.covered_words}
-    ref_target = asm.ref_value_of(b)
-    M_ref = asm.ref_moment()
+    beta = asm.beta(b)
+    y_ref = _y_from_word_values(asm, {w: asm.ref_value(w)
+                                      for w in asm.covered_words})
 
     for den in DENOMINATOR_LADDER:
-        values = _word_values_from_y(asm, [_grid(float(v), den)
-                                           for v in feas.y])
-        M = asm.moment_from_values(values)
-        Mf = np.array([[complex(z) for z in row] for row in M])
+        y = [_grid(float(v), den) for v in feas.y]
+        R, I = asm.moment(y)
+        Mf = np.array(R, dtype=float) + 1j * np.array(I, dtype=float)
         est = float(np.linalg.eigvalsh((Mf + Mf.conj().T) / 2)[0])
         mu = Fraction(math.ceil(max(0.0, -est) * 2 * den) + 1, den)
         for _ in range(6):
-            M_mix = [[M[i][j] + M_ref[i][j] * mu for j in range(asm.n)]
-                     for i in range(asm.n)]
-            value = sum((b.terms[w] * values.get(w, QC(0))).re
-                        for w in b.terms) + mu * ref_target
+            y_mix = [yk + mu * rk for yk, rk in zip(y, y_ref)]
+            value = sum(bk * yk for bk, yk in zip(beta, y_mix))
             if value >= 0:
                 break                      # mixing ate the margin; refine y
-            ok, _, _, _ = exactla.ldlt_psd_qc(M_mix)
+            M = _gaussian(*asm.moment(y_mix))
+            ok, _, _, _ = exactla.ldlt_psd_qc(M)
             if not ok:
                 mu = mu * 4
                 continue
-            mixed_values = {w: values.get(w, QC(0)) + ref_vals[w] * mu
-                            for w in asm.covered_words}
-            if asm.mode == "augmentation":
-                mixed_values.pop(asm.spec.identity_word, None)
             return DualWitness(target=b, mode=asm.mode, basis=asm.basis,
-                               word_values=mixed_values, moment=M_mix,
-                               value_at_target=Fraction(value))
+                               word_values=_word_values_from_y(asm, y_mix),
+                               moment=M, value_at_target=value)
     raise ProjectionError("could not certify a separating functional",
                           {"margin": feas.margin})
 
@@ -697,44 +720,21 @@ def witness_from_word_values(b: AlgebraElement, values: dict, basis=None,
                              mode: str = "full",
                              require_negative: bool = True) -> DualWitness:
     """Build and exactly validate a witness from given word values."""
-    spec = b.spec
     if basis is None:
         basis = gram_basis(b, mode)
-    asm = GramAssembly(spec, basis, mode)
-    asm.check_coverage(b)
-    vals = {}
-    for w in asm.covered_words:
-        v = values.get(w)
-        if v is None:
-            raise CoverageError(
-                f"missing functional value at {spec.word_to_str(w)!r}")
-        v = v if isinstance(v, QC) else QC(Fraction(v))
-        star = spec.word_star(w)
-        sv = values.get(star)
-        if sv is None:
-            raise CoverageError(
-                f"missing functional value at {spec.word_to_str(star)!r}")
-        sv = sv if isinstance(sv, QC) else QC(Fraction(sv))
-        if sv != v.conjugate():
-            raise ValueError("word values are not hermitian-consistent")
-        vals[w] = v
-    M = asm.moment_from_values(vals)
+    asm = GramAssembly(b.spec, basis, mode)
+    beta = asm.beta(b)
+    y = _y_from_word_values(asm, values)
+    M = _gaussian(*asm.moment(y))
     ok, _, _, fail = exactla.ldlt_psd_qc(M)
     if not ok:
         raise ValueError(f"moment matrix is not PSD (pivot failure {fail})")
-    acc = QC(0)
-    e = spec.identity_word
-    for w, cw in b.terms.items():
-        if w == e and mode == "augmentation":
-            continue
-        acc = acc + cw * vals[w]
-    if acc.im != 0:
-        raise ValueError("value at hermitian target must be real")
-    if require_negative and acc.re >= 0:
+    value = sum(bk * yk for bk, yk in zip(beta, y))
+    if require_negative and value >= 0:
         raise ValueError("witness value at target is not negative")
     return DualWitness(target=b, mode=mode, basis=list(basis),
-                       word_values=vals, moment=M,
-                       value_at_target=acc.re)
+                       word_values=_word_values_from_y(asm, y), moment=M,
+                       value_at_target=value)
 
 
 # ---------------------------------------------------------------------------
@@ -838,31 +838,25 @@ def verify_certificate(cert: SosCertificate) -> bool:
 
 
 def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
-    """Re-derive the witness moment matrix and value from word values."""
+    """Re-derive the witness moment matrix and value from word values,
+    which must be hermitian-consistent on every class the basis reaches:
+    the moment matrix and beta(target) . y of their coordinates y."""
     try:
         asm = GramAssembly(wit.spec, wit.basis, wit.mode)
-        M = asm.moment_from_values(wit.word_values)
+        y = _y_from_word_values(asm, wit.word_values)
+        beta = asm.beta(wit.target)
     except (CoverageError, ValueError):
         return False
+    M = _gaussian(*asm.moment(y))
     if M != wit.moment:
-        return False
-    if not exactla.is_hermitian_qc(M):
         return False
     ok, _, _, _ = exactla.ldlt_psd_qc(M)
     if not ok:
         return False
-    e = wit.spec.identity_word
-    acc = QC(0)
-    for w, cw in wit.target.terms.items():
-        if w == e and wit.mode == "augmentation":
-            continue
-        v = wit.word_values.get(w)
-        if v is None:
-            return False
-        acc = acc + cw * v
-    if acc.im != 0 or acc.re != wit.value_at_target:
+    value = sum(bk * yk for bk, yk in zip(beta, y))
+    if value != wit.value_at_target:
         return False
-    return not require_negative or acc.re < 0
+    return not require_negative or value < 0
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +971,7 @@ def interior_shift_certificate(b: AlgebraElement, eta,
     G_plain = feas.gram + float(shift) * np.eye(asm.n)
     last = "rounded Gram matrix never became positive semidefinite"
     for den in DENOMINATOR_LADDER:
-        Q = _rationalize_hermitian(G_plain, den)
+        Q = _gaussian(*_rationalize_hermitian(G_plain, den))
         ok, d, L, _ = exactla.ldlt_psd_qc(Q)
         if not ok:
             continue

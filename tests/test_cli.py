@@ -97,6 +97,17 @@ def test_separate_matches_golden_functional(tmp_path, capsys):
     assert report["diagnostics"]["value_at_point"] == "-1"
 
 
+def test_separate_help_shows_the_equals_form_of_a_negative_point(
+        tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["separate", "--help"])
+    assert "--point=-1,0" in capsys.readouterr().out
+    # the space form reads -1,0 as an option, so the help must not show it
+    code, _, err = run(capsys, "separate", write_quadrant(tmp_path),
+                       "--point", "-1,0")
+    assert code == 64 and "expected one argument" in err
+
+
 def test_separate_point_inside_exits_two(tmp_path, capsys):
     cone = write_quadrant(tmp_path)
     code, out, _ = run(capsys, "separate", cone, "--point", "2,3")

@@ -338,7 +338,8 @@ def test_sparse_entries_match_dense_definitions_exactly(case):
                 acc = acc + A[i][j].conjugate() * Q[i][j]
         assert acc.im == 0
         expect.append(acc.re)
-    assert asm.apply(Q) == expect
+    assert asm.apply([[z.re for z in row] for row in Q],
+                     [[z.im for z in row] for row in Q]) == expect
     # entries are halves of Gaussian integers, so twice the matrices are
     # exact in floating point and so is their float Gram matrix
     twice = np.array([[[complex(2 * z) for z in row] for row in A]
@@ -356,9 +357,7 @@ def test_sdp_operators_match_dense_einsum(case):
     asm = GramAssembly(spec, basis, mode)
     A = np.array([[[complex(z) for z in row] for row in M]
                   for M in dense_constraints(asm)])
-    entries = [(k, i, j, complex(c)) for k, ents in enumerate(asm.entries)
-               for i, j, c in ents]
-    ops = sdp.SparseConstraints(entries, asm.n, asm.m)
+    ops = sdp.SparseConstraints(asm.sdp_entries(), asm.n, asm.m)
     rng = np.random.default_rng(5)
     X, Zi = random_hermitian(asm.n, rng), random_hermitian(asm.n, rng)
     y = rng.standard_normal(asm.m)
@@ -376,6 +375,51 @@ def test_sdp_operators_match_dense_einsum(case):
     np.testing.assert_allclose(ops.sq_norms,
                                np.einsum("kij,kij->k", A, A.conj()).real,
                                rtol=0, atol=1e-12)
+
+
+def moment_of_values(asm, values):
+    """[phi(column_i* column_j)] from the products, phi(e) = 0 in
+    augmentation mode."""
+    skip = asm.spec.identity_word if asm.mode == "augmentation" else None
+    return [[sum((cw * values[w] for w, cw in asm.products[i][j].items()
+                  if w != skip), QC(0))
+             for j in range(asm.n)] for i in range(asm.n)]
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_moment_and_pairing_match_word_value_definitions(case):
+    spec, basis, mode = SPARSE_CASES[case]
+    asm = GramAssembly(spec, basis, mode)
+    rng = random.Random(11)
+    ref = soscone._y_from_word_values(
+        asm, {w: asm.ref_value(w) for w in asm.covered_words})
+    for y in ([F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(asm.m)],
+              ref):
+        phi = soscone._word_values_from_y(asm, y)
+        assert set(phi) == asm.covered_words
+        R, I = asm.moment(y)
+        M = [[QC(r, i) for r, i in zip(rr, ir)] for rr, ir in zip(R, I)]
+        assert M == moment_of_values(asm, phi)
+        assert soscone._y_from_word_values(asm, phi) == y
+    if spec.is_group():
+        ones = 1 if mode == "augmentation" else 0
+        assert M == [[QC((i == j) + ones) for j in range(asm.n)]
+                     for i in range(asm.n)]
+    words = sorted(asm.covered_words, key=spec.word_key)
+    for _ in range(5):
+        b = AlgebraElement(spec, {
+            words[rng.randrange(len(words))]:
+                QC(F(rng.randint(-9, 9), rng.randint(1, 5)),
+                   F(rng.randint(-9, 9), rng.randint(1, 5)))
+            for _ in range(4)})
+        b = b + b.star()
+        if mode == "augmentation":
+            b = b - unit(spec) * b.augmentation()
+        y = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(asm.m)]
+        phi = soscone._word_values_from_y(asm, y)
+        expect = sum((cw * phi[w] for w, cw in b.terms.items()
+                      if w in phi), QC(0))
+        assert sum(bk * yk for bk, yk in zip(asm.beta(b), y)) == expect
 
 
 def test_radius_three_assembly_is_fast_and_full_mode_gram_is_diagonal():
@@ -429,6 +473,35 @@ def test_witness_from_word_values_missing_entry():
     b = unit(FREE1) * 2 - gen(FREE1, 1) - gen(FREE1, 1).star()
     with pytest.raises(CoverageError):
         witness_from_word_values(b, {(1,): QC(1)})
+
+
+def inconsistent_values(wit):
+    """The witness's word values with phi(a^2) moved off conj phi(A^2);
+    a^2 is outside the target's support, so phi(target) stays real."""
+    values = dict(wit.word_values)
+    for w in ((1, 1), (-1, -1)):
+        values[w] = values[w] + QC(0, 1)
+    return values
+
+
+def test_witness_from_word_values_rejects_inconsistent_values():
+    b, wit = refuted_witness()
+    with pytest.raises(ValueError, match="hermitian-consistent"):
+        witness_from_word_values(b, inconsistent_values(wit),
+                                 basis=wit.basis, mode=wit.mode)
+
+
+def test_verify_witness_rejects_inconsistent_values():
+    _, wit = refuted_witness()
+    values = inconsistent_values(wit)
+    asm = GramAssembly(wit.spec, wit.basis, wit.mode)
+    hacked = soscone.DualWitness(
+        target=wit.target, mode=wit.mode, basis=wit.basis,
+        word_values=values, moment=moment_of_values(asm, values),
+        value_at_target=wit.value_at_target)
+    assert hacked.moment != wit.moment
+    assert hacked.value_of(wit.target) == QC(wit.value_at_target)
+    assert not verify_witness(hacked)
 
 
 def test_witness_tampering_is_detected():
