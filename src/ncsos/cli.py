@@ -39,18 +39,17 @@ from .groupalg import (
 )
 from .qc import max_digits
 from .repwitness import (
+    UnitaryRepWitness,
     refutation_witness,
-    unitary_witness_from_json,
-    unitary_witness_to_json,
     verify_unitary_witness,
 )
 from .soscone import (
     TOL,
     CoverageError,
+    DualWitness,
     OversizeError,
+    SosCertificate,
     certificate_defect,
-    certificate_from_json,
-    certificate_to_json,
     certify_membership,
     default_radius,
     gram_basis,
@@ -59,8 +58,6 @@ from .soscone import (
     laplacian_bound,
     verify_certificate,
     verify_witness,
-    witness_from_json,
-    witness_to_json,
 )
 
 EXIT_OK = 0
@@ -116,29 +113,33 @@ class JobReport:
         return json.dumps(body, indent=1, sort_keys=True)
 
 
-def _digest(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {"path": os.path.basename(path),
-            "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _read_text(path: str) -> str:
+def _read(path: str) -> tuple[str, dict]:
+    """The UTF-8 text of an input file and the report's digest of the
+    same bytes: ``{"path", "sha256"}``.  The file is opened once."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _BadInput(f"cannot read {path}: {exc}") from exc
-
-
-def _load_json(path: str):
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _BadInput(f"{path} is not UTF-8: {exc}") from exc
+    return text, {"path": os.path.basename(path),
+                  "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _load_json(path: str) -> tuple[object, dict]:
+    """The parsed JSON of an input file and the digest of its bytes."""
+    text, digest = _read(path)
+    try:
+        return json.loads(text), digest
     except json.JSONDecodeError as exc:
         raise _BadInput(
             f"malformed JSON in {path} at line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:       # an integer too long to convert
+        raise _BadInput(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -173,18 +174,16 @@ def _write(path: str, text: str) -> str:
     return path
 
 
-# Each artifact kind: its name in messages, how ``verify`` reads it, the
-# name of its exact check (imported above, and looked up in this module
-# when called) and how ``sos`` writes it.  Both commands go through this
-# one table, so ``sos`` writes only what ``verify`` accepts.
+# Each artifact kind: its name in messages, its class (which owns the
+# dict form: ``to_dict`` for ``sos``, ``from_dict`` for ``verify``) and
+# the name of its exact check (imported above, and looked up in this
+# module when called).  Both commands go through this one table, so
+# ``sos`` writes only what ``verify`` accepts.
 _ARTIFACTS = {
-    "sos_certificate": ("certificate", certificate_from_json,
-                        "verify_certificate", certificate_to_json),
-    "dual_functional": ("dual witness", witness_from_json,
-                        "verify_witness", witness_to_json),
-    "unitary_representation": ("unitary witness", unitary_witness_from_json,
-                               "verify_unitary_witness",
-                               unitary_witness_to_json),
+    "sos_certificate": ("certificate", SosCertificate, "verify_certificate"),
+    "dual_functional": ("dual witness", DualWitness, "verify_witness"),
+    "unitary_representation": ("unitary witness", UnitaryRepWitness,
+                               "verify_unitary_witness"),
 }
 
 
@@ -200,7 +199,7 @@ def _write_artifact(report: JobReport, path: str, kind: str, obj) -> bool:
     A failed check raises RuntimeError.  A refusal records the artifact's
     max_digits and why, turns the verdict undecided and returns False.
     """
-    name, _, _, dump = _ARTIFACTS[kind]
+    name = _ARTIFACTS[kind][0]
     if not _check(kind, obj):
         raise RuntimeError(f"{name} fails verification")
     digits = max_digits(obj.rationals())
@@ -211,7 +210,7 @@ def _write_artifact(report: JobReport, path: str, kind: str, obj) -> bool:
             f"exact artifact found but not written: a number in it has "
             f"{digits} digits, above the limit of {MAX_ARTIFACT_DIGITS}")
         return False
-    report.artifact = _write(path, dump(obj))
+    report.artifact = _write(path, json.dumps(obj.to_dict(), indent=1))
     return True
 
 
@@ -224,7 +223,7 @@ def _cmd_separate(args):
         order = rcf.default_order()
     except ValueError as exc:
         raise _BadInput(str(exc)) from exc
-    cone_text = _read_text(args.cone)
+    cone_text, digest = _read(args.cone)
     try:
         cone = cone_from_json(cone_text)
     except (ValueError, KeyError, TypeError) as exc:
@@ -234,7 +233,7 @@ def _cmd_separate(args):
     if len(point) != cone.dim:
         raise _BadInput(f"point has {len(point)} coordinates, cone lives "
                         f"in dimension {cone.dim}")
-    report = JobReport(command="separate", inputs=_digest(args.cone),
+    report = JobReport(command="separate", inputs=digest,
                        verdict="",
                        disclosures={"dim": cone.dim,
                                     "generators": len(cone.generators),
@@ -285,8 +284,9 @@ def _smaller_radius(refusal: dict) -> str:
 
 def _sos_single(path: str, mode: str, radius, shift, out,
                 multi: bool) -> tuple[JobReport, int]:
+    text, digest = _read(path)
     try:
-        b = element_from_json(_read_text(path))
+        b = element_from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad element in {path}: {exc}") from exc
     if not b.is_hermitian():
@@ -309,7 +309,7 @@ def _sos_single(path: str, mode: str, radius, shift, out,
         raise _BadInput(f"--radius {radius} does not cover the support of "
                         f"the target; the smallest radius that does is "
                         f"{least}")
-    report = JobReport(command="sos", inputs=_digest(path), verdict="",
+    report = JobReport(command="sos", inputs=digest, verdict="",
                        disclosures={"mode": mode,
                                     "shift": str(shift) if shift else None,
                                     "tolerance": TOL})
@@ -445,7 +445,7 @@ def _first_mismatch(kind: str, obj) -> str:
 
 
 def _cmd_verify(args):
-    data = _load_json(args.artifact)
+    data, digest = _load_json(args.artifact)
     if not isinstance(data, dict):
         raise _BadInput("artifact must be a JSON object")
     if data.get("kind") == "sos_certificate":
@@ -458,13 +458,13 @@ def _cmd_verify(args):
         raise _BadInput("unrecognized artifact layout: expected a "
                         "certificate, a dual functional or a unitary "
                         "witness")
-    name, read = _ARTIFACTS[kind][:2]
+    name, cls = _ARTIFACTS[kind][:2]
     try:
-        obj = read(json.dumps(data))
+        obj = cls.from_dict(data)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _BadInput(f"unreadable {name}: {exc}") from exc
     ok = _check(kind, obj)
-    report = JobReport(command="verify", inputs=_digest(args.artifact),
+    report = JobReport(command="verify", inputs=digest,
                        verdict="verified" if ok else "failed",
                        diagnostics={"artifact_kind": kind})
     if kind == "unitary_representation":
@@ -494,12 +494,13 @@ def _parse_words(spec: AlgebraSpec, text: str):
 
 
 def _cmd_lap_bound(args):
+    text, digest = _read(args.element)
     try:
-        b = element_from_json(_read_text(args.element))
+        b = element_from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad element: {exc}") from exc
     S = _parse_words(b.spec, args.gens)
-    report = JobReport(command="lap-bound", inputs=_digest(args.element),
+    report = JobReport(command="lap-bound", inputs=digest,
                        verdict="",
                        disclosures={"generators": [b.spec.word_to_str(s)
                                                    for s in S]})
@@ -515,7 +516,7 @@ def _cmd_lap_bound(args):
 
 
 def _cmd_kazhdan(args):
-    data = _load_json(args.group)
+    data, digest = _load_json(args.group)
     try:
         spec = AlgebraSpec.from_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
@@ -523,7 +524,7 @@ def _cmd_kazhdan(args):
     if spec.kind != "finite":
         raise _BadInput("kazhdan expects a finite group backend")
     S = _parse_words(spec, args.gens)
-    report = JobReport(command="kazhdan", inputs=_digest(args.group),
+    report = JobReport(command="kazhdan", inputs=digest,
                        verdict="",
                        disclosures={"order": spec.order,
                                     "generators": [spec.word_to_str(s)

@@ -176,7 +176,13 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
     cover = objective == "cover"
     # columns: lam+ (k) | lam- (k) | s (ng if cover) | slacks appended below
     ncore = 2 * k + (ng if cover else 0)
-    rows, rhs = [], []
+    rows, rhs, signs = [], [], []
+
+    def add(core, value, sign):
+        """the row  core . x + sign * slack = value"""
+        rows.append(core)
+        rhs.append(value)
+        signs.append(sign)
 
     def phi_row(vec):
         """coefficients of phi(vec) in terms of lam+/lam-"""
@@ -185,51 +191,27 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
 
     for idx, g in enumerate(gens):
         if cover:
-            # phi(g) - s_g - u = 0
             row = phi_row(g) + [Fraction(0)] * ng
             row[2 * k + idx] = Fraction(-1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-            # s_g + v = 1
+            add(row, 0, -1)                 # phi(g) - s_g - u = 0
             row = [Fraction(0)] * ncore
             row[2 * k + idx] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(1))
+            add(row, 1, 1)                  # s_g + v = 1
         else:
-            # phi(g) - u = 0  (nonnegativity on the residual generators)
-            rows.append(phi_row(g))
-            rhs.append(Fraction(0))
+            # nonnegativity on the residual generators
+            add(phi_row(g), 0, -1)          # phi(g) - u = 0
     if x is not None:
-        # phi(x) + w = 0
-        rows.append(phi_row(x) + ([Fraction(0)] * ng if cover else []))
-        rhs.append(Fraction(0))
+        add(phi_row(x) + ([Fraction(0)] * ng if cover else []), 0, 1)
     for c in range(n):
         unit = tuple(Fraction(1) if i == c else Fraction(0) for i in range(n))
         base = phi_row(unit) + ([Fraction(0)] * ng if cover else [])
-        rows.append(list(base))   # coord + p = 1
-        rhs.append(Fraction(1))
-        rows.append([-v for v in base])  # -coord + q = 1
-        rhs.append(Fraction(1))
+        add(list(base), 1, 1)               # coord + p = 1
+        add([-v for v in base], 1, 1)       # -coord + q = 1
 
-    # append slack identity: every row above is "core-part + slack = rhs"
-    # except the phi(g) >= s rows which need slack sign -1 handled already
+    # slack columns follow the core ones: one per row, with its sign
     m = len(rows)
-    slack_signs = []
-    for idx in range(ng):
-        if cover:
-            slack_signs.append(-1)  # phi(g) - s - u = 0
-            slack_signs.append(1)   # s + v = 1
-        else:
-            slack_signs.append(-1)  # phi(g) - u = 0
-    if x is not None:
-        slack_signs.append(1)       # phi(x) + w = 0
-    slack_signs.extend([1, 1] * n)
-    if len(slack_signs) != m:
-        raise RuntimeError(f"{len(slack_signs)} slack signs for {m} rows")
     for i in range(m):
-        rows[i] = rows[i] + [Fraction(slack_signs[i]) if j == i else Fraction(0)
-                             for j in range(m)]
-    nvar = ncore + m
+        rows[i] = rows[i] + [signs[i] if j == i else 0 for j in range(m)]
     if cover:
         cost = [Fraction(0)] * (2 * k) + [Fraction(-1)] * ng + [Fraction(0)] * m
     else:

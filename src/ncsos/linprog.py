@@ -101,6 +101,9 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
              c: Sequence[Fraction]) -> LpResult:
     """min c.x s.t. A x = b, x >= 0 -- exact, deterministic.
 
+    Every entry is an ``int`` or a ``Fraction``: the tableau reads its
+    numerator and denominator as they are.
+
     On INFEASIBLE the returned ``y`` is a Farkas certificate:
     ``y.A <= 0`` componentwise and ``y.b > 0``.
     On OPTIMAL ``y`` solves the dual (``y = c_B B^-1``) and the objective
@@ -111,8 +114,6 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
     sign = [-1 if v < 0 else 1 for v in b]
     D = prod(lcm(bi.denominator, *(v.denominator for v in row))
              for row, bi in zip(A, b))
@@ -148,9 +149,8 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
 
     # phase 2 (artificials barred from entering), on the cost scaled to
     # integers by the lcm of its denominators
-    c2 = [Fraction(v) for v in c]
-    scale = lcm(*(v.denominator for v in c2))
-    cost2 = [scale * v.numerator // v.denominator for v in c2] + [0] * m
+    scale = lcm(*(v.denominator for v in c))
+    cost2 = [scale * v.numerator // v.denominator for v in c] + [0] * m
     status, D = _run_simplex(M, D, basis, cost2, range(n))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)

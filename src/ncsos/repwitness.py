@@ -9,7 +9,6 @@ number falls out of explicit matrices that anyone can replay with matrix
 products alone.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -285,6 +284,32 @@ class UnitaryRepWitness:
         (generators, state and value are floating point)."""
         return self.target.terms.values()
 
+    def to_dict(self) -> dict:
+        return {
+            "generators": [[[_pair(z) for z in row] for row in np.asarray(G)]
+                           for G in self.generators],
+            "state": [_pair(z) for z in np.asarray(self.state)],
+            "value": self.value,
+            "target": element_to_dict(self.target),
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "UnitaryRepWitness":
+        return UnitaryRepWitness(
+            generators=[np.array([[complex(re, im) for re, im in row]
+                                  for row in G], dtype=complex)
+                        for G in d["generators"]],
+            state=np.array([complex(re, im) for re, im in d["state"]],
+                           dtype=complex),
+            value=float(d["value"]),
+            target=element_from_dict(d["target"]),
+        )
+
+
+def _pair(z) -> list:
+    """A complex number as its JSON pair [re, im]."""
+    return [float(z.real), float(z.imag)]
+
 
 def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness:
     """Matrix refutation of b from a dual functional with phi(b) < 0.
@@ -367,32 +392,3 @@ def verify_unitary_witness(wit: UnitaryRepWitness) -> bool:
     if abs(replay_witness_value(wit) - wit.value) > REPLAY_TOL:
         return False
     return wit.value < 0
-
-
-def _matrix_to_lists(M: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
-def _matrix_from_lists(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows],
-                    dtype=complex)
-
-
-def unitary_witness_to_json(wit: UnitaryRepWitness) -> str:
-    return json.dumps({
-        "generators": [_matrix_to_lists(np.asarray(G)) for G in wit.generators],
-        "state": [[float(z.real), float(z.imag)] for z in np.asarray(wit.state)],
-        "value": wit.value,
-        "target": element_to_dict(wit.target),
-    }, indent=1)
-
-
-def unitary_witness_from_json(text: str) -> UnitaryRepWitness:
-    data = json.loads(text)
-    return UnitaryRepWitness(
-        generators=[_matrix_from_lists(G) for G in data["generators"]],
-        state=np.array([complex(re, im) for re, im in data["state"]],
-                       dtype=complex),
-        value=float(data["value"]),
-        target=element_from_dict(data["target"]),
-    )

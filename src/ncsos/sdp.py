@@ -50,11 +50,8 @@ class SdpResult:
     lam: float                 # optimal margin
     X: np.ndarray              # primal slack (Gram for the shifted target)
     y: np.ndarray              # dual multipliers (moment functional coords)
-    Z: np.ndarray              # dual slack = sum_k y_k A_k
     iterations: int
     gap: float
-    primal_infeas: float
-    dual_infeas: float
 
     @property
     def gram(self) -> np.ndarray:
@@ -185,13 +182,11 @@ def solve_margin_sdp(entries, n: int, b) -> SdpResult:
         rel_gap = gap / (1.0 + abs(lam) + abs(float(b @ y)))
         info["rel_gap"] = rel_gap
         if rel_gap < TOL and pinf < TOL and dinf < TOL and abs(r_t) < TOL:
-            return SdpResult(lam=lam, X=X, y=y, Z=Z, iterations=it, gap=gap,
-                             primal_infeas=pinf, dual_infeas=dinf)
+            return SdpResult(lam=lam, X=X, y=y, iterations=it, gap=gap)
         if stalls >= 3 or it == MAX_ITER - 1:
             if rel_gap < LOOSE and pinf < LOOSE and dinf < LOOSE \
                     and abs(r_t) < LOOSE:
-                return SdpResult(lam=lam, X=X, y=y, Z=Z, iterations=it,
-                                 gap=gap, primal_infeas=pinf, dual_infeas=dinf)
+                return SdpResult(lam=lam, X=X, y=y, iterations=it, gap=gap)
             raise SolverError("step lengths collapsed" if stalls >= 3
                               else "no convergence within iteration budget",
                               info)

@@ -30,7 +30,6 @@ ball sizes, before any product table is built.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -500,12 +499,10 @@ class GramAssembly:
 
 @dataclass
 class Feasibility:
-    status: str                    # 'feasible' | 'infeasible'
-    margin: float
+    margin: float                  # >= -TOL: numerically inside the cone
     gram: Optional[np.ndarray]     # numeric Gram hint (A(gram) = beta)
     y: np.ndarray                  # numeric dual functional coordinates
     assembly: GramAssembly
-    beta: list
     iterations: int
     gap: float
 
@@ -514,19 +511,16 @@ def sos_feasibility(b: AlgebraElement, basis=None,
                     mode: str = "full") -> Feasibility:
     """Margin SDP for membership of b in the chosen squares cone.
 
-    status 'feasible' means the margin is >= -TOL (b inside or on the
-    boundary of the degree-bounded cone, numerically); 'infeasible'
-    carries a separating functional hint in y.
+    A margin >= -TOL means b is inside or on the boundary of the
+    degree-bounded cone, numerically; below that y carries a separating
+    functional hint.
     """
     if basis is None:
         basis = gram_basis(b, mode)
     asm = GramAssembly(b.spec, basis, mode)
-    beta = asm.beta(b)
     res = sdp.solve_margin_sdp(asm.sdp_entries(), asm.n,
-                               [float(x) for x in beta])
-    status = "feasible" if res.lam >= -TOL else "infeasible"
-    return Feasibility(status=status, margin=res.lam, gram=res.gram,
-                       y=res.y, assembly=asm, beta=beta,
+                               [float(x) for x in asm.beta(b)])
+    return Feasibility(margin=res.lam, gram=res.gram, y=res.y, assembly=asm,
                        iterations=res.iterations, gap=res.gap)
 
 
@@ -678,6 +672,22 @@ def _y_from_word_values(asm: GramAssembly, values: dict) -> list:
     return y
 
 
+def _check_functional(asm: GramAssembly, beta, y, require_negative: bool):
+    """Exact check of the functional with constraint coordinates y.
+
+    Returns ``(value, M, fail)``: its value beta . y at the target, its
+    moment matrix M as QC (:meth:`GramAssembly.moment`) and where the
+    exact LDL* of M failed, None when M is PSD.  With require_negative a
+    value >= 0 returns ``(value, None, None)`` before M is built.
+    """
+    value = sum(bk * yk for bk, yk in zip(beta, y))
+    if require_negative and value >= 0:
+        return value, None, None
+    M = _gaussian(*asm.moment(y))
+    ok, _, _, fail = exactla.ldlt_psd_qc(M)
+    return value, M, None if ok else fail
+
+
 def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
     """Rationalize the numeric separating functional and certify it.
 
@@ -701,12 +711,10 @@ def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
         mu = Fraction(math.ceil(max(0.0, -est) * 2 * den) + 1, den)
         for _ in range(6):
             y_mix = [yk + mu * rk for yk, rk in zip(y, y_ref)]
-            value = sum(bk * yk for bk, yk in zip(beta, y_mix))
-            if value >= 0:
+            value, M, fail = _check_functional(asm, beta, y_mix, True)
+            if M is None:
                 break                      # mixing ate the margin; refine y
-            M = _gaussian(*asm.moment(y_mix))
-            ok, _, _, _ = exactla.ldlt_psd_qc(M)
-            if not ok:
+            if fail is not None:
                 mu = mu * 4
                 continue
             return DualWitness(target=b, mode=asm.mode, basis=asm.basis,
@@ -725,11 +733,9 @@ def witness_from_word_values(b: AlgebraElement, values: dict, basis=None,
     asm = GramAssembly(b.spec, basis, mode)
     beta = asm.beta(b)
     y = _y_from_word_values(asm, values)
-    M = _gaussian(*asm.moment(y))
-    ok, _, _, fail = exactla.ldlt_psd_qc(M)
-    if not ok:
+    value, M, fail = _check_functional(asm, beta, y, False)
+    if fail is not None:
         raise ValueError(f"moment matrix is not PSD (pivot failure {fail})")
-    value = sum(bk * yk for bk, yk in zip(beta, y))
     if require_negative and value >= 0:
         raise ValueError("witness value at target is not negative")
     return DualWitness(target=b, mode=mode, basis=list(basis),
@@ -847,16 +853,9 @@ def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
         beta = asm.beta(wit.target)
     except (CoverageError, ValueError):
         return False
-    M = _gaussian(*asm.moment(y))
-    if M != wit.moment:
-        return False
-    ok, _, _, _ = exactla.ldlt_psd_qc(M)
-    if not ok:
-        return False
-    value = sum(bk * yk for bk, yk in zip(beta, y))
-    if value != wit.value_at_target:
-        return False
-    return not require_negative or value < 0
+    value, M, fail = _check_functional(asm, beta, y, require_negative)
+    return M is not None and fail is None and M == wit.moment and \
+        value == wit.value_at_target
 
 
 # ---------------------------------------------------------------------------
@@ -1118,7 +1117,7 @@ def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None):
                                    mode="augmentation")
         except sdp.SolverError:
             return None                    # conservative: push C upward
-        if feas.status != "feasible" or feas.margin <= TOL:
+        if feas.margin <= TOL:
             return None
         try:
             return round_and_project(feas.gram, target, assembly=feas.assembly,
@@ -1323,23 +1322,3 @@ def kazhdan_margin_check(spec: AlgebraSpec, S, b: AlgebraElement,
     lo, hi, _ = kazhdan_constant_finite(spec, S, return_interval=True)
     bound = l1_norm_bound(b)
     return hi * phi_b.re < 2 * bound * phi_delta.re
-
-
-# ---------------------------------------------------------------------------
-# JSON fronts
-# ---------------------------------------------------------------------------
-
-def certificate_to_json(cert: SosCertificate) -> str:
-    return json.dumps(cert.to_dict(), indent=1)
-
-
-def certificate_from_json(text: str) -> SosCertificate:
-    return SosCertificate.from_dict(json.loads(text))
-
-
-def witness_to_json(wit: DualWitness) -> str:
-    return json.dumps(wit.to_dict(), indent=1)
-
-
-def witness_from_json(text: str) -> DualWitness:
-    return DualWitness.from_dict(json.loads(text))

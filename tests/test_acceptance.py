@@ -7,6 +7,7 @@ pinned tolerance next to the assert.  Randomized batches use frozen
 seeds whose expected outcomes were computed independently first.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -42,10 +43,9 @@ from ncsos.rcf import (
     hermitian_psd_check,
 )
 from ncsos.repwitness import (
+    UnitaryRepWitness,
     refutation_witness,
     replay_witness_value,
-    unitary_witness_from_json,
-    unitary_witness_to_json,
     verify_unitary_witness,
 )
 from ncsos.soscone import (
@@ -311,7 +311,8 @@ def test_criterion_10_refutation_pipeline():
             Gm = np.asarray(G, dtype=complex)
             residual = np.abs(Gm.conj().T @ Gm - np.eye(Gm.shape[0])).max()
             assert residual <= 1e-8
-        replayed = unitary_witness_from_json(unitary_witness_to_json(wit))
+        replayed = UnitaryRepWitness.from_dict(
+            json.loads(json.dumps(wit.to_dict(), indent=1)))
         assert verify_unitary_witness(replayed)
         assert abs(replay_witness_value(replayed) - wit.value) <= 1e-8
 

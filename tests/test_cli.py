@@ -9,6 +9,7 @@ checked-in golden file; everything else asserts the exit-code protocol
 leaves an artifact the verify command accepts.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -28,7 +29,7 @@ from ncsos.groupalg import (
     laplacian,
 )
 from ncsos.qc import QC
-from ncsos.soscone import certificate_from_json
+from ncsos.soscone import SosCertificate
 
 GOLDEN = Path(__file__).parent / "golden" / "quadrant_functional.json"
 
@@ -331,7 +332,8 @@ def test_sos_shift_certifies_from_the_given_radius(tmp_path, capsys):
     report = reports(out)[0]
     assert (report["disclosures"]["mode"],
             report["disclosures"]["radius"]) == ("full", 3)
-    cert = certificate_from_json(Path(report["artifact"]).read_text())
+    cert = SosCertificate.from_dict(
+        json.loads(Path(report["artifact"]).read_text()))
     assert max(F1.word_len(w) for _, a in cert.squares for w in a.terms) == 3
     vcode, _, _ = run(capsys, "verify", report["artifact"])
     assert vcode == 0
@@ -574,8 +576,7 @@ def test_sos_refuses_an_artifact_too_large_to_write(tmp_path, capsys,
     # verified certificate whose weights have more digits than CPython
     # will turn into a string
     import ncsos.cli as cli
-    from ncsos.soscone import (MembershipOutcome, SosCertificate,
-                               verify_certificate)
+    from ncsos.soscone import MembershipOutcome, verify_certificate
 
     one = unit(F1)
     t = Fraction(1, 10 ** 4100)
@@ -761,6 +762,48 @@ def test_verify_rejects_unparseable_files(tmp_path, capsys):
     path.write_text("not json at all", encoding="utf-8")
     code, _, err = run(capsys, "verify", str(path))
     assert code == 64
+
+
+def test_verify_reads_its_artifact_once_and_digests_those_bytes(
+        tmp_path, capsys, monkeypatch):
+    import ncsos.cli as cli
+
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(F1) - g - g.star())
+    _, out, _ = run(capsys, "sos", path)
+    artifact = reports(out)[0]["artifact"]
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, vout, _ = run(capsys, "verify", artifact)
+    assert code == 0 and opened == [artifact]
+    assert reports(vout)[0]["inputs"]["sha256"] == \
+        hashlib.sha256(Path(artifact).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{\x00}\x00", "is not UTF-8"),
+    (b'{"dim": ' + b"1" * 5000 + b"}", "4300"),
+], ids=["utf16", "long-integer"])
+@pytest.mark.parametrize("verb, extra", [
+    ("separate", ["--point", "1,1"]),
+    ("sos", []),
+    ("verify", []),
+    ("lap-bound", ["--gens", "a"]),
+    ("kazhdan", ["--gens", "1"]),
+])
+def test_unreadable_input_exits_64(tmp_path, capsys, verb, extra, content,
+                                   message):
+    # UTF-16 text, and a JSON integer longer than CPython converts
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, verb, str(path), *extra)
+    assert code == 64
+    assert message in out + err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ guarantees -- drift bounds, unitarity residuals, replay agreement --
 rather than inventing magic constants.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,6 @@ from ncsos.repwitness import (
     gns_from_moment,
     refutation_witness,
     replay_witness_value,
-    unitary_witness_from_json,
-    unitary_witness_to_json,
     verify_unitary_witness,
 )
 from ncsos.soscone import (
@@ -409,19 +408,17 @@ def test_verify_rejects_nonnegative_values():
 def test_witness_json_roundtrip_is_stable_and_verifiable():
     b = neg_laplacian_free1()
     wit = refutation_witness(b, sign_character_witness(b))
-    text = unitary_witness_to_json(wit)
-    back = unitary_witness_from_json(text)
+    text = json.dumps(wit.to_dict(), indent=1)
+    back = UnitaryRepWitness.from_dict(json.loads(text))
     assert verify_unitary_witness(back)
     assert replay_witness_value(back) == wit.value
-    assert unitary_witness_to_json(back) == text
+    assert json.dumps(back.to_dict(), indent=1) == text
 
 
 def test_witness_json_serializes_complex_pairs():
     b = neg_laplacian_free1()
     wit = refutation_witness(b, sign_character_witness(b))
-    import json
-
-    data = json.loads(unitary_witness_to_json(wit))
+    data = json.loads(json.dumps(wit.to_dict(), indent=1))
     assert set(data) == {"generators", "state", "value", "target"}
     assert data["value"] == -4.0
     assert data["state"] == [[1.0, 0.0], [0.0, 0.0]]

@@ -35,8 +35,6 @@ from ncsos.soscone import (
     ProjectionError,
     SosCertificate,
     certificate_defect,
-    certificate_from_json,
-    certificate_to_json,
     certify_membership,
     delta_interior_shift,
     exact_dual_witness,
@@ -53,9 +51,7 @@ from ncsos.soscone import (
     sos_feasibility,
     verify_certificate,
     verify_witness,
-    witness_from_json,
     witness_from_word_values,
-    witness_to_json,
 )
 
 F = Fraction
@@ -67,6 +63,16 @@ GENS2 = [(1,), (-1,), (2,), (-2,)]
 
 def unit(spec):
     return AlgebraElement.unit(spec)
+
+
+def dump(artifact) -> str:
+    """The JSON text ``ncsos sos`` writes for a certificate or witness."""
+    return json.dumps(artifact.to_dict(), indent=1)
+
+
+def reread(artifact):
+    """The artifact written as JSON text and read back."""
+    return type(artifact).from_dict(json.loads(dump(artifact)))
 
 
 def gen(spec, i):
@@ -507,19 +513,19 @@ def test_verify_witness_rejects_inconsistent_values():
 def test_witness_tampering_is_detected():
     _, wit = refuted_witness()
     assert verify_witness(wit)
-    hacked = witness_from_json(witness_to_json(wit))
+    hacked = reread(wit)
     hacked.moment[0][0] = hacked.moment[0][0] + QC(1)
     assert not verify_witness(hacked)
-    hacked2 = witness_from_json(witness_to_json(wit))
+    hacked2 = reread(wit)
     object.__setattr__(hacked2, "value_at_target", F(1))
     assert not verify_witness(hacked2)
 
 
 def test_witness_json_roundtrip_is_stable():
     _, wit = refuted_witness()
-    text = witness_to_json(wit)
-    back = witness_from_json(text)
-    assert witness_to_json(back) == text
+    text = dump(wit)
+    back = soscone.DualWitness.from_dict(json.loads(text))
+    assert dump(back) == text
     assert back.moment == wit.moment
     assert back.value_at_target == wit.value_at_target
     assert verify_witness(back)
@@ -695,7 +701,7 @@ def test_interior_shift_absorbs_the_residual_when_projection_fails(
     assert cert.residual_policy["kind"] == "absorbed"
     assert cert.residual_policy["amount"] == F(eta, 2)
     assert verify_certificate(cert)
-    again = certificate_from_json(certificate_to_json(cert))
+    again = reread(cert)
     assert again.residual_policy == cert.residual_policy
     assert verify_certificate(again)
 
@@ -1062,8 +1068,7 @@ def test_s4_gap_target_certifies_with_short_numbers():
     assert out.verdict == "certified"
     assert verify_certificate(out.certificate)
     assert max_digits(out.certificate.rationals()) < 1000
-    text = certificate_to_json(out.certificate)
-    assert verify_certificate(certificate_from_json(text))
+    assert verify_certificate(reread(out.certificate))
 
 
 def test_free2_delta_squared_factors_the_constraint_system_once(
@@ -1187,9 +1192,9 @@ def test_margin_check_rejects_bad_inputs():
 def test_certificate_json_roundtrip_stable():
     g = gen(FREE1, 1)
     cert = certify_membership(unit(FREE1) * 2 - g - g.star()).certificate
-    text = certificate_to_json(cert)
-    back = certificate_from_json(text)
-    assert certificate_to_json(back) == text
+    text = dump(cert)
+    back = SosCertificate.from_dict(json.loads(text))
+    assert dump(back) == text
     assert back.target == cert.target
     assert back.squares == cert.squares
     assert verify_certificate(back)
@@ -1198,10 +1203,10 @@ def test_certificate_json_roundtrip_stable():
 def test_certificate_weight_tampering_detected():
     g = gen(FREE1, 1)
     cert = certify_membership(unit(FREE1) * 2 - g - g.star()).certificate
-    data = json.loads(certificate_to_json(cert))
+    data = json.loads(dump(cert))
     w = F(data["squares"][0]["w"])
     data["squares"][0]["w"] = str(w + 1)
-    assert not verify_certificate(certificate_from_json(json.dumps(data)))
+    assert not verify_certificate(SosCertificate.from_dict(data))
 
 
 def test_certificate_negative_weight_rejected():
@@ -1234,7 +1239,7 @@ def test_absorbed_policy_survives_json():
                           mode="full",
                           residual_policy={"kind": "absorbed", "by": h,
                                            "amount": F(1, 3)})
-    back = certificate_from_json(certificate_to_json(cert))
+    back = reread(cert)
     assert back.residual_policy["kind"] == "absorbed"
     assert back.residual_policy["by"] == h
     assert back.residual_policy["amount"] == F(1, 3)
