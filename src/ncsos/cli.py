@@ -31,8 +31,6 @@ from .cones import (
     separate_point,
 )
 from .groupalg import (
-    FREE,
-    FREE_STAR,
     AlgebraElement,
     AlgebraSpec,
     element_from_json,
@@ -157,13 +155,14 @@ def _artifact_path(input_path: str, out: str | None, suffix: str,
     default_name = f"{stem}.{suffix}.json"
     if out is None:
         return os.path.join(os.path.dirname(input_path) or ".", default_name)
-    if multi or os.path.isdir(out):
-        os.makedirs(out, exist_ok=True)
-        return os.path.join(out, default_name)
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return out
+    multi = multi or os.path.isdir(out)
+    folder = out if multi else os.path.dirname(out)
+    try:
+        os.makedirs(folder or ".", exist_ok=True)
+    except OSError as exc:
+        raise _BadInput(f"cannot create directory {folder} for --out: "
+                        f"{exc}") from exc
+    return os.path.join(out, default_name) if multi else out
 
 
 def _write(path: str, text: str) -> str:
@@ -356,7 +355,7 @@ def _sos_refuted(report: JobReport, b, mode: str, outcome, apath: str):
     and it passes its check, the dual functional otherwise."""
     report.verdict = "refuted"
     wit, kind = outcome.witness, "dual_functional"
-    if b.spec.kind in (FREE, FREE_STAR):
+    if b.spec.relation_free:
         # the dilation needs functional values one step past the space;
         # re-refute on a wider ball when the first pass is too short (a
         # representation witness refutes membership at every radius, so
@@ -521,8 +520,6 @@ def _cmd_kazhdan(args):
         spec = AlgebraSpec.from_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad group description: {exc}") from exc
-    if spec.kind != "finite":
-        raise _BadInput("kazhdan expects a finite group backend")
     S = _parse_words(spec, args.gens)
     report = JobReport(command="kazhdan", inputs=digest,
                        verdict="",
@@ -530,8 +527,7 @@ def _cmd_kazhdan(args):
                                     "generators": [spec.word_to_str(s)
                                                    for s in S]})
     try:
-        lo, hi, exact = kazhdan_constant_finite(spec, S,
-                                                return_interval=True)
+        lo, hi, exact = kazhdan_constant_finite(spec, S)
     except ValueError as exc:
         if "does not generate" in str(exc):
             report.verdict = "not-generating"

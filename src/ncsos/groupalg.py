@@ -1,23 +1,19 @@
-"""Exact *-algebra arithmetic for four word backends.
-
-Backends
---------
-``free(n)``          reduced words in n letters and their inverses
-``free_abelian(n)``  exponent vectors (commuting letters)
-``finite``           explicit multiplication table, identity at index 0
-``free_star(n)``     free monoid words; the involution reverses a word and
-                     stars the letters (``y_i* = z_i``; with
-                     ``hermitian=True`` there are only ``z_i`` and
-                     ``z_i* = z_i``)
+"""Exact *-algebra arithmetic over four word backends.
 
 Elements are finitely supported maps word -> QC in normal form.  The
 involution is ``(sum a_g g)* = sum conj(a_g) g^{-1}`` (word-star for
 free_star), trace reads the identity coefficient, augmentation sums all
 coefficients.  Nothing here is numeric: every operation is exact.
+
+Each backend is one private subclass of ``AlgebraSpec`` that owns its word
+format: validation, product, star, length, order, string and dict forms,
+ball sizes and generators.  Other modules ask the spec; the only kind
+they test for is FINITE.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import string
@@ -34,86 +30,37 @@ FREE_STAR = "free_star"
 
 
 class AlgebraSpec:
-    """Immutable description of the underlying group / monoid."""
+    """Immutable description of the underlying group / monoid.
 
-    __slots__ = ("kind", "rank", "hermitian", "mult_table", "inv_table", "order")
+    Build one with the static constructors or ``from_dict``.  Words of
+    length one are ``letter_words()``; ``relation_free`` says that the
+    words are free products of the letters, so any choice of generator
+    matrices is a representation.
+    """
 
-    def __init__(self, kind: str, rank: int = 0, hermitian: bool = False,
-                 mult_table: Sequence[Sequence[int]] | None = None):
-        if kind not in (FREE, FREE_ABELIAN, FINITE, FREE_STAR):
-            raise ValueError(f"unknown backend {kind!r}")
-        self.kind = kind
-        self.hermitian = bool(hermitian)
-        if kind == FINITE:
-            if mult_table is None:
-                raise ValueError("finite backend needs a multiplication table")
-            table = tuple(tuple(int(v) for v in row) for row in mult_table)
-            m = len(table)
-            if any(len(row) != m for row in table):
-                raise ValueError("multiplication table must be square")
-            for i in range(m):
-                if table[0][i] != i or table[i][0] != i:
-                    raise ValueError("index 0 must be the identity")
-            inv = [None] * m
-            for i in range(m):
-                for j in range(m):
-                    if table[i][j] == 0:
-                        inv[i] = j
-            if any(v is None for v in inv):
-                raise ValueError("some element has no inverse")
-            # Light's associativity test: the elements g with
-            # (x g) y == x (g y) for all x, y are closed under products, so
-            # checking a generating set checks the whole table
-            gens, reached = [], [True] + [False] * (m - 1)
-            for a in range(1, m):
-                if not reached[a]:
-                    gens.append(a)
-                    stack = [x for x in range(m) if reached[x]]
-                    while stack:
-                        x = stack.pop()
-                        for g in gens:
-                            y = table[x][g]
-                            if not reached[y]:
-                                reached[y] = True
-                                stack.append(y)
-            for g in gens:
-                for x in range(m):
-                    xg, row = table[x][g], table[x]
-                    if any(table[xg][y] != row[gy]
-                           for y, gy in enumerate(table[g])):
-                        raise ValueError(
-                            "multiplication table is not associative")
-            self.mult_table = table
-            self.inv_table = tuple(inv)
-            self.order = m
-            self.rank = 0
-        else:
-            if rank < 1 or rank > 26:
-                raise ValueError("rank must be between 1 and 26")
-            self.rank = rank
-            self.mult_table = None
-            self.inv_table = None
-            self.order = 0
-        if hermitian and kind != FREE_STAR:
-            raise ValueError("hermitian flag only applies to free_star")
-
-    # constructors -----------------------------------------------------------
+    kind = ""
+    rank = 0
+    hermitian = False
+    order = 0
+    mult_table = None
+    identity_word = ()
+    relation_free = False
 
     @staticmethod
     def free(n: int) -> "AlgebraSpec":
-        return AlgebraSpec(FREE, n)
+        return _Free(n)
 
     @staticmethod
     def free_abelian(n: int) -> "AlgebraSpec":
-        return AlgebraSpec(FREE_ABELIAN, n)
+        return _FreeAbelian(n)
 
     @staticmethod
     def finite(mult_table) -> "AlgebraSpec":
-        return AlgebraSpec(FINITE, mult_table=mult_table)
+        return _Finite(mult_table)
 
     @staticmethod
     def free_star(n: int, hermitian: bool = False) -> "AlgebraSpec":
-        return AlgebraSpec(FREE_STAR, n, hermitian=hermitian)
+        return _FreeStar(n, hermitian)
 
     @staticmethod
     def cyclic(m: int) -> "AlgebraSpec":
@@ -121,135 +68,24 @@ class AlgebraSpec:
         return AlgebraSpec.finite([[(i + j) % m for j in range(m)]
                                    for i in range(m)])
 
+    @staticmethod
+    def from_dict(d: dict) -> "AlgebraSpec":
+        """The spec of a dict form; constructors take fields by name."""
+        cls = _BACKENDS.get(d["backend"])
+        if cls is None:
+            raise ValueError(f"unknown backend {d['backend']!r}")
+        fields = ("rank", "hermitian", "mult_table")
+        return cls(**{k: d[k] for k in fields if k in d})
+
     def is_group(self) -> bool:
-        return self.kind != FREE_STAR
+        return True
 
-    # words -------------------------------------------------------------------
-
-    @property
-    def identity_word(self):
-        return 0 if self.kind == FINITE else \
-            ((0,) * self.rank if self.kind == FREE_ABELIAN else ())
-
-    def validate_word(self, w):
-        if self.kind == FINITE:
-            if not isinstance(w, int) or not 0 <= w < self.order:
-                raise ValueError(f"bad group element index {w!r}")
-            return w
-        if not isinstance(w, tuple):
-            raise ValueError(f"word must be a tuple, got {type(w).__name__}")
-        if self.kind == FREE_ABELIAN:
-            if len(w) != self.rank or not all(isinstance(e, int) for e in w):
-                raise ValueError(f"bad exponent vector {w!r}")
-            return w
-        if self.kind == FREE:
-            for a, b in zip(w, w[1:]):
-                if a == -b:
-                    raise ValueError(f"word {w!r} is not reduced")
-            if not all(isinstance(l, int) and l != 0 and abs(l) <= self.rank
-                       for l in w):
-                raise ValueError(f"letters out of range in {w!r}")
-            return w
-        nletters = self.rank if self.hermitian else 2 * self.rank
-        if not all(isinstance(l, int) and 1 <= l <= nletters for l in w):
-            raise ValueError(f"letters out of range in {w!r}")
-        return w
-
-    def word_mul(self, u, v):
-        if self.kind == FINITE:
-            return self.mult_table[u][v]
-        if self.kind == FREE_ABELIAN:
-            return tuple(a + b for a, b in zip(u, v))
-        if self.kind == FREE:
-            u = list(u)
-            i = 0
-            while u and i < len(v) and u[-1] == -v[i]:
-                u.pop()
-                i += 1
-            return tuple(u) + tuple(v[i:])
-        return u + v
-
-    def word_star(self, w):
-        if self.kind == FINITE:
-            return self.inv_table[w]
-        if self.kind == FREE_ABELIAN:
-            return tuple(-e for e in w)
-        if self.kind == FREE:
-            return tuple(-l for l in reversed(w))
-        if self.hermitian:
-            return tuple(reversed(w))
-        n = self.rank
-        return tuple(l + n if l <= n else l - n for l in reversed(w))
-
-    def word_len(self, w) -> int:
-        if self.kind == FINITE:
-            return 0 if w == 0 else 1
-        if self.kind == FREE_ABELIAN:
-            return sum(abs(e) for e in w)
-        return len(w)
+    def generators(self):
+        return self.letter_words()
 
     def word_key(self, w):
         """Total deterministic order: by length, then lexicographic code."""
-        if self.kind == FINITE:
-            return (0 if w == 0 else 1, w)
-        if self.kind == FREE_ABELIAN:
-            return (self.word_len(w), w)
-        return (len(w), tuple(2 * abs(l) - (l > 0) for l in w)) \
-            if self.kind == FREE else (len(w), w)
-
-    # rendering ---------------------------------------------------------------
-
-    def word_to_str(self, w) -> str:
-        if self.kind == FINITE:
-            return str(w)
-        if self.kind == FREE_ABELIAN:
-            out = []
-            for i, e in enumerate(w):
-                ch = string.ascii_lowercase[i]
-                out.append((ch if e > 0 else ch.upper()) * abs(e))
-            return "".join(out)
-        if self.kind == FREE:
-            return "".join(string.ascii_lowercase[l - 1] if l > 0
-                           else string.ascii_uppercase[-l - 1] for l in w)
-        n = self.rank
-        return "".join(string.ascii_lowercase[l - 1] if l <= n
-                       else string.ascii_uppercase[l - n - 1] for l in w)
-
-    def word_from_str(self, s: str):
-        if self.kind == FINITE:
-            return self.validate_word(int(s))
-        letters = []
-        for ch in s:
-            if ch in string.ascii_lowercase:
-                idx = ord(ch) - ord("a") + 1
-                letters.append(idx)
-            elif ch in string.ascii_uppercase:
-                idx = ord(ch) - ord("A") + 1
-                letters.append(-idx)
-            else:
-                raise ValueError(f"bad letter {ch!r} in word {s!r}")
-        if self.kind == FREE_ABELIAN:
-            vec = [0] * self.rank
-            for l in letters:
-                vec[abs(l) - 1] += 1 if l > 0 else -1
-            return tuple(vec)
-        if self.kind == FREE:
-            w = ()
-            for l in letters:
-                w = self.word_mul(w, (l,))
-            return self.validate_word(w)
-        # free_star: uppercase means starred letter
-        out = []
-        for l in letters:
-            if l > 0:
-                out.append(l)
-            else:
-                if self.hermitian:
-                    raise ValueError("hermitian free_star has no starred letters")
-                out.append(-l + self.rank)
-        return self.validate_word(tuple(out))
-
-    # misc ---------------------------------------------------------------------
+        return (self.word_len(w), w)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraSpec) and \
@@ -260,27 +96,263 @@ class AlgebraSpec:
         return hash((self.kind, self.rank, self.hermitian, self.mult_table))
 
     def __repr__(self):
-        if self.kind == FINITE:
-            return f"AlgebraSpec(finite, order={self.order})"
-        herm = ", hermitian" if self.hermitian else ""
-        return f"AlgebraSpec({self.kind}({self.rank}){herm})"
+        return (f"AlgebraSpec({self.kind}, rank={self.rank}, "
+                f"order={self.order}, hermitian={self.hermitian})")
+
+
+class _Lettered(AlgebraSpec):
+    """Backends with ``rank`` generators spelled ``a..z``, their inverses
+    or stars ``A..Z``.  A word's letters are (generator, starred) pairs:
+    ``_letter_word`` builds one, ``_spelling`` (``letter``) reads them."""
+
+    def __init__(self, rank, hermitian=False):
+        if type(rank) is not int or not 1 <= rank <= 26:
+            raise ValueError(
+                f"rank must be an integer between 1 and 26, got {rank!r}")
+        if hermitian is not False:
+            raise ValueError("hermitian flag only applies to free_star")
+        self.rank = rank
 
     def to_dict(self) -> dict:
-        if self.kind == FINITE:
-            return {"backend": FINITE,
-                    "mult_table": [list(r) for r in self.mult_table]}
-        d = {"backend": self.kind, "rank": self.rank}
-        if self.kind == FREE_STAR:
-            d["hermitian"] = self.hermitian
-        return d
+        return {"backend": self.kind, "rank": self.rank}
 
-    @staticmethod
-    def from_dict(d: dict) -> "AlgebraSpec":
-        kind = d["backend"]
-        if kind == FINITE:
-            return AlgebraSpec.finite(d["mult_table"])
-        return AlgebraSpec(kind, int(d["rank"]),
-                           hermitian=bool(d.get("hermitian", False)))
+    def generators(self):
+        return [self._letter_word(i, False) for i in range(self.rank)]
+
+    def letter_words(self):
+        return [self._letter_word(i, starred)
+                for starred in ((False,) if self.hermitian else (False, True))
+                for i in range(self.rank)]
+
+    def _spelling(self, w):
+        return map(self.letter, w)
+
+    def validate_word(self, w):
+        if not isinstance(w, tuple) or not self._is_word(w):
+            raise ValueError(f"{w!r} is not a normal-form word of {self!r}")
+        return w
+
+    def word_len(self, w) -> int:
+        return len(w)
+
+    def word_to_str(self, w) -> str:
+        return "".join(string.ascii_letters[i + 26 * starred]
+                       for i, starred in self._spelling(w))
+
+    def word_from_str(self, s: str):
+        w = self.identity_word
+        for ch in s:
+            k = string.ascii_letters.find(ch)
+            if k < 0 or k % 26 >= self.rank:
+                raise ValueError(f"bad letter {ch!r} in word {s!r}: rank "
+                                 f"{self.rank} has no such letter")
+            w = self.word_mul(w, self._letter_word(k % 26, k >= 26))
+        return self.validate_word(w)
+
+
+class _Free(_Lettered):
+    """Free group: reduced words of nonzero letters in -rank..rank, where
+    -i is the inverse of generator i."""
+
+    kind = FREE
+    relation_free = True
+
+    def _letter_word(self, i, starred):
+        return (-i - 1 if starred else i + 1,)
+
+    def letter(self, l):
+        return abs(l) - 1, l < 0
+
+    def _is_word(self, w):
+        return all(isinstance(l, int) and 0 < abs(l) <= self.rank
+                   for l in w) and all(a != -b for a, b in zip(w, w[1:]))
+
+    def word_mul(self, u, v):
+        u = list(u)
+        i = 0
+        while u and i < len(v) and u[-1] == -v[i]:
+            u.pop()
+            i += 1
+        return tuple(u) + tuple(v[i:])
+
+    def word_star(self, w):
+        return tuple(-l for l in reversed(w))
+
+    def word_key(self, w):
+        return (len(w), tuple(2 * abs(l) - (l > 0) for l in w))
+
+    def _ball_size(self, d):
+        # 1 + 2k sum_{j<d} (2k-1)^j reduced words
+        k = self.rank
+        return 1 + 2 * d if k == 1 else 1 + k * ((2 * k - 1) ** d - 1) // (k - 1)
+
+
+class _FreeAbelian(_Lettered):
+    """Free abelian group: exponent vectors of length rank (commuting
+    letters), spelled letter by letter in generator order."""
+
+    kind = FREE_ABELIAN
+
+    @property
+    def identity_word(self):
+        return (0,) * self.rank
+
+    def _letter_word(self, i, starred):
+        return tuple((-1 if starred else 1) if j == i else 0
+                     for j in range(self.rank))
+
+    def _spelling(self, w):
+        return ((i, e < 0) for i, e in enumerate(w) for _ in range(abs(e)))
+
+    def _is_word(self, w):
+        return len(w) == self.rank and all(isinstance(e, int) for e in w)
+
+    def word_mul(self, u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    def word_star(self, w):
+        return tuple(-e for e in w)
+
+    def word_len(self, w) -> int:
+        return sum(abs(e) for e in w)
+
+    def _ball_size(self, d):
+        # choose i nonzero coordinates, their signs, and a composition
+        k = self.rank
+        return sum(2 ** i * math.comb(k, i) * math.comb(d, i)
+                   for i in range(min(k, d) + 1))
+
+
+class _FreeStar(_Lettered):
+    """Free *-algebra: words in the free monoid on letters 1..2*rank; the
+    involution reverses a word and stars its letters (``y_i* = z_i``, the
+    letter i + rank).  With ``hermitian`` there are only the letters
+    1..rank and ``z_i* = z_i``."""
+
+    kind = FREE_STAR
+    relation_free = True
+
+    def __init__(self, rank, hermitian=False):
+        if type(hermitian) is not bool:
+            raise ValueError(f"hermitian must be a boolean, got {hermitian!r}")
+        super().__init__(rank)
+        self.hermitian = hermitian
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "hermitian": self.hermitian}
+
+    def is_group(self) -> bool:
+        return False
+
+    def _letter_word(self, i, starred):
+        if starred and self.hermitian:
+            raise ValueError("hermitian free_star has no starred letters")
+        return (i + 1 + self.rank * starred,)
+
+    def letter(self, l):
+        return (l - 1, False) if l <= self.rank else (l - self.rank - 1, True)
+
+    def _is_word(self, w):
+        n = self.rank if self.hermitian else 2 * self.rank
+        return all(isinstance(l, int) and 1 <= l <= n for l in w)
+
+    def word_mul(self, u, v):
+        return u + v
+
+    def word_star(self, w):
+        if self.hermitian:
+            return tuple(reversed(w))
+        n = self.rank
+        return tuple(l + n if l <= n else l - n for l in reversed(w))
+
+    def _ball_size(self, d):
+        k = len(self.letter_words())
+        return d + 1 if k == 1 else (k ** (d + 1) - 1) // (k - 1)
+
+
+class _Finite(AlgebraSpec):
+    """Finite group from an explicit multiplication table: the elements are
+    the indices 0..order-1 with the identity at 0, and every other element
+    is a word of length one, so the 1-ball is the whole group."""
+
+    kind = FINITE
+    identity_word = 0
+
+    def __init__(self, mult_table: Sequence[Sequence[int]]):
+        table = tuple(tuple(row) for row in mult_table)
+        m = len(table)
+        if m == 0 or any(len(row) != m or any(type(v) is not int or
+                                              not 0 <= v < m for v in row)
+                         for row in table):
+            raise ValueError("multiplication table must be a nonempty "
+                             "square of integers below its order")
+        for i in range(m):
+            if table[0][i] != i or table[i][0] != i:
+                raise ValueError("index 0 must be the identity")
+        inv = [None] * m
+        for i in range(m):
+            for j in range(m):
+                if table[i][j] == 0:
+                    inv[i] = j
+        if any(v is None for v in inv):
+            raise ValueError("some element has no inverse")
+        # Light's associativity test: the elements g with
+        # (x g) y == x (g y) for all x, y are closed under products, so
+        # checking a generating set checks the whole table
+        gens, reached = [], [True] + [False] * (m - 1)
+        for a in range(1, m):
+            if not reached[a]:
+                gens.append(a)
+                stack = [x for x in range(m) if reached[x]]
+                while stack:
+                    x = stack.pop()
+                    for g in gens:
+                        y = table[x][g]
+                        if not reached[y]:
+                            reached[y] = True
+                            stack.append(y)
+        for g in gens:
+            for x in range(m):
+                xg, row = table[x][g], table[x]
+                if any(table[xg][y] != row[gy]
+                       for y, gy in enumerate(table[g])):
+                    raise ValueError("multiplication table is not associative")
+        self.mult_table = table
+        self.inv_table = tuple(inv)
+        self.order = m
+
+    def to_dict(self) -> dict:
+        return {"backend": FINITE,
+                "mult_table": [list(r) for r in self.mult_table]}
+
+    def letter_words(self):
+        return list(range(1, self.order))
+
+    def validate_word(self, w):
+        if not isinstance(w, int) or not 0 <= w < self.order:
+            raise ValueError(f"bad group element index {w!r}")
+        return w
+
+    def word_mul(self, u, v):
+        return self.mult_table[u][v]
+
+    def word_star(self, w):
+        return self.inv_table[w]
+
+    def word_len(self, w) -> int:
+        return 0 if w == 0 else 1
+
+    def word_to_str(self, w) -> str:
+        return str(w)
+
+    def word_from_str(self, s: str):
+        return self.validate_word(int(s))
+
+    def _ball_size(self, d):
+        return 1 if d == 0 else self.order
+
+
+_BACKENDS = {cls.kind: cls for cls in (_Free, _FreeAbelian, _Finite, _FreeStar)}
 
 
 class AlgebraElement:
@@ -317,12 +389,10 @@ class AlgebraElement:
 
     @staticmethod
     def generator(spec: AlgebraSpec, i: int) -> "AlgebraElement":
-        if spec.kind == FINITE:
-            return AlgebraElement(spec, {i: QC(1)})
-        if spec.kind == FREE_ABELIAN:
-            w = tuple(1 if j == i - 1 else 0 for j in range(spec.rank))
-            return AlgebraElement(spec, {w: QC(1)})
-        return AlgebraElement(spec, {(i,): QC(1)})
+        gens = spec.generators()
+        if not 1 <= i <= len(gens):
+            raise ValueError(f"generator index {i} is not in 1..{len(gens)}")
+        return AlgebraElement(spec, {gens[i - 1]: QC(1)})
 
     # ring --------------------------------------------------------------------
 
@@ -486,65 +556,38 @@ def laplacian(spec: AlgebraSpec, S: Iterable) -> AlgebraElement:
     return AlgebraElement(spec, terms)
 
 
-def ball(spec: AlgebraSpec, d: int):
-    """All normal-form words of length <= d, deterministically ordered.
+def spheres(spec: AlgebraSpec, steps):
+    """Breadth-first spheres around the identity in the Cayley graph of
+    ``steps``: the lists of words at distance 0, 1, 2, ... (right
+    multiplication), ending when a sphere is empty."""
+    seen = {spec.identity_word}
+    sphere = [spec.identity_word]
+    while sphere:
+        yield sphere
+        new = []
+        for w in sphere:
+            for s in steps:
+                v = spec.word_mul(w, s)
+                if v not in seen:
+                    seen.add(v)
+                    new.append(v)
+        sphere = new
 
-    finite backend: every non-identity element is a length-1 word, so the
-    1-ball is already the whole group.
-    """
+
+def ball(spec: AlgebraSpec, d: int):
+    """All normal-form words of length <= d, deterministically ordered:
+    the first d + 1 spheres over the spec's one-letter words."""
     if d < 0:
         raise ValueError("radius must be nonnegative")
-    if spec.kind == FINITE:
-        return [0] if d == 0 else list(range(spec.order))
-    out = []
-    if spec.kind == FREE_ABELIAN:
-        def rec(prefix, remaining):
-            if len(prefix) == spec.rank:
-                out.append(tuple(prefix))
-                return
-            for e in range(-remaining, remaining + 1):
-                rec(prefix + [e], remaining - abs(e))
-        rec([], d)
-    elif spec.kind == FREE:
-        frontier = [()]
-        out.extend(frontier)
-        letters = [l for i in range(1, spec.rank + 1) for l in (i, -i)]
-        for _ in range(d):
-            new = []
-            for w in frontier:
-                for l in letters:
-                    if w and w[-1] == -l:
-                        continue
-                    new.append(w + (l,))
-            out.extend(new)
-            frontier = new
-    else:
-        nletters = spec.rank if spec.hermitian else 2 * spec.rank
-        frontier = [()]
-        out.extend(frontier)
-        for _ in range(d):
-            new = [w + (l,) for w in frontier for l in range(1, nletters + 1)]
-            out.extend(new)
-            frontier = new
-    return sorted(out, key=spec.word_key)
+    near = itertools.islice(spheres(spec, spec.letter_words()), d + 1)
+    return sorted(itertools.chain.from_iterable(near), key=spec.word_key)
 
 
 def ball_size(spec: AlgebraSpec, d: int) -> int:
     """``len(ball(spec, d))``, counted without listing the words."""
     if d < 0:
         raise ValueError("radius must be nonnegative")
-    if spec.kind == FINITE:
-        return 1 if d == 0 else spec.order
-    k = spec.rank
-    if spec.kind == FREE_ABELIAN:
-        # choose i nonzero coordinates, their signs, and a composition
-        return sum(2 ** i * math.comb(k, i) * math.comb(d, i)
-                   for i in range(min(k, d) + 1))
-    if spec.kind == FREE:
-        # 1 + 2k sum_{j<d} (2k-1)^j reduced words
-        return 1 + 2 * d if k == 1 else 1 + k * ((2 * k - 1) ** d - 1) // (k - 1)
-    letters = k if spec.hermitian else 2 * k
-    return d + 1 if letters == 1 else (letters ** (d + 1) - 1) // (letters - 1)
+    return spec._ball_size(d)
 
 
 def l1_norm_bound(a: AlgebraElement) -> Fraction:

@@ -15,10 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .groupalg import (
-    FINITE,
-    FREE,
-    FREE_ABELIAN,
-    FREE_STAR,
     AlgebraElement,
     AlgebraSpec,
     ball,
@@ -39,32 +35,18 @@ def _c(z: QC) -> complex:
     return complex(float(z.re), float(z.im))
 
 
-def _generator_words(spec: AlgebraSpec):
-    """Canonical generator words, one per generator (no inverses)."""
-    if spec.kind == FINITE:
-        return list(range(1, spec.order))
-    if spec.kind == FREE_ABELIAN:
-        return [tuple(1 if j == i else 0 for j in range(spec.rank))
-                for i in range(spec.rank)]
-    return [(i,) for i in range(1, spec.rank + 1)]
-
-
-def _letter_matrix(spec: AlgebraSpec, letter: int, gens):
-    if spec.kind == FREE:
-        if letter > 0:
-            return gens[letter - 1]
-        return gens[-letter - 1].conj().T
-    # free_star: letters rank+1..2*rank are starred copies
-    if letter <= spec.rank:
-        return gens[letter - 1]
-    return gens[letter - spec.rank - 1].conj().T
-
-
-def _word_matrix(spec: AlgebraSpec, w, gens, dim: int):
-    M = np.eye(dim, dtype=complex)
-    for letter in w:
-        M = M @ _letter_matrix(spec, letter, gens)
-    return M
+def _evaluate(target: AlgebraElement, gens, state) -> complex:
+    """<state, target(gens) state>: a word acts as the product of its
+    letters' generator matrices, starred letters by the adjoint."""
+    state = np.asarray(state, dtype=complex)
+    gens = [np.asarray(G, dtype=complex) for G in gens]
+    val = 0.0 + 0.0j
+    for w, cf in target.terms.items():
+        M = np.eye(len(state), dtype=complex)
+        for i, starred in map(target.spec.letter, w):
+            M = M @ (gens[i].conj().T if starred else gens[i])
+        val += _c(cf) * np.vdot(state, M @ state)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +192,7 @@ def compressions(space: GnsSpace):
     spec = space.spec
     F = space.frame
     out = []
-    for g in _generator_words(spec):
+    for g in spec.generators():
         n = len(space.basis_words)
         T = np.zeros((n, n), dtype=complex)
         for i, u in enumerate(space.basis_words):
@@ -321,7 +303,7 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
     functional value within 1e-6 relative + 1e-9 absolute error.
     """
     spec = b.spec
-    if spec.kind not in (FREE, FREE_STAR):
+    if not spec.relation_free:
         raise ValueError("refutation witnesses need a free group or free "
                          "*-algebra backend")
     if not b.terms:
@@ -339,7 +321,7 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
                          f"(value {expected:.3e})")
 
     Ms = compressions(space)
-    if spec.kind == FREE:
+    if spec.is_group():
         gens = [choi_dilation(M) for M in Ms]
         state = np.concatenate([space.state,
                                 np.zeros(space.dim, dtype=complex)])
@@ -347,10 +329,7 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
         gens = [np.asarray(M) for M in Ms]
         state = space.state
 
-    val = 0.0 + 0.0j
-    for w, cf in b.terms.items():
-        Mw = _word_matrix(spec, w, gens, len(state))
-        val += _c(cf) * np.vdot(state, Mw @ state)
+    val = _evaluate(b, gens, state)
     if abs(val.imag) > UNITARITY_TOL:
         raise RuntimeError("evaluation is not real; hermitian data expected")
     value = float(val.real)
@@ -363,21 +342,20 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
 
 def replay_witness_value(wit: UnitaryRepWitness) -> float:
     """Recompute the stored value with matrix products only."""
-    state = np.asarray(wit.state, dtype=complex)
-    gens = [np.asarray(G, dtype=complex) for G in wit.generators]
-    val = 0.0 + 0.0j
-    for w, cf in wit.target.terms.items():
-        Mw = _word_matrix(wit.target.spec, w, gens, len(state))
-        val += _c(cf) * np.vdot(state, Mw @ state)
-    return float(val.real)
+    return float(_evaluate(wit.target, wit.generators, wit.state).real)
 
 
 def verify_unitary_witness(wit: UnitaryRepWitness) -> bool:
-    """Independent check: generator shape, state normalization, replay."""
+    """Independent check: a free group or free *-algebra target, one square
+    generator per rank sized as the state, shape, normalization, replay."""
     spec = wit.target.spec
     gens = [np.asarray(G, dtype=complex) for G in wit.generators]
+    state = np.asarray(wit.state, dtype=complex)
+    if not spec.relation_free or len(gens) != spec.rank or \
+            any(G.shape != (len(state),) * 2 for G in gens):
+        return False
     for G in gens:
-        if spec.kind == FREE:
+        if spec.is_group():
             if np.abs(G.conj().T @ G - np.eye(G.shape[0])).max() > UNITARITY_TOL:
                 return False
         else:
@@ -386,7 +364,6 @@ def verify_unitary_witness(wit: UnitaryRepWitness) -> bool:
                 return False
             if spec.hermitian and np.abs(G - G.conj().T).max() > UNITARITY_TOL:
                 return False
-    state = np.asarray(wit.state, dtype=complex)
     if abs(np.vdot(state, state).real - 1.0) > 1e-6:
         return False
     if abs(replay_witness_value(wit) - wit.value) > REPLAY_TOL:

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import exactla, sdp
 from .groupalg import (
+    FINITE,
     AlgebraElement,
     AlgebraSpec,
     ball,
@@ -50,6 +51,7 @@ from .groupalg import (
     l1_norm_sq_bound,
     laplacian,
     omega_squared_decomposition,
+    spheres,
 )
 from .qc import QC, abs_upper
 
@@ -58,6 +60,9 @@ MODES = ("full", "augmentation")
 # rational constant >= 1/sqrt(2) used by the Laplacian domination bound;
 # any rational upper bound keeps the inequality valid.
 KAPPA = Fraction(884, 1250)
+
+# width of the enclosure of an irrational finite-group spectral gap
+KAZHDAN_PRECISION = Fraction(1, 2 ** 30)
 
 DENOMINATOR_LADDER = (10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12)
 
@@ -1014,29 +1019,19 @@ def nu_table(spec: AlgebraSpec, S, words):
     targets = {spec.validate_word(w) for w in words}
     if e in targets:
         raise ValueError("nu is undefined at the identity")
-    dist = {e: 0}
-    frontier = [e]
-    depth = 0
     max_depth = 2 * max((spec.word_len(w) for w in targets), default=1) + 2
-    while frontier and not targets <= dist.keys() and depth < max_depth:
-        depth += 1
-        new = []
-        for u in frontier:
-            for s in S:
-                v = spec.word_mul(u, s)
-                if v not in dist:
-                    dist[v] = depth
-                    new.append(v)
-        frontier = new
+    dist, by_depth = {}, []
+    for depth, sphere in enumerate(spheres(spec, S)):
+        by_depth.append(sphere)
+        dist.update(dict.fromkeys(sphere, depth))
+        if targets <= dist.keys() or depth == max_depth:
+            break
     missing = targets - dist.keys()
     if missing:
         raise ValueError(
             "words not generated by S within the search depth: "
             + ", ".join(spec.word_to_str(w) for w in sorted(
                 missing, key=spec.word_key)))
-    by_depth: dict = {}
-    for w, dw in dist.items():
-        by_depth.setdefault(dw, []).append(w)
     nu = {}
     for s in S:
         if dist.get(s) != 1:
@@ -1044,7 +1039,7 @@ def nu_table(spec: AlgebraSpec, S, words):
         nu[s] = Fraction(2)
     need = max(dist[w] for w in targets)
     for dw in range(2, need + 1):
-        for w in by_depth.get(dw, []):
+        for w in by_depth[dw]:
             best = None
             for u, du in dist.items():
                 if not 1 <= du <= dw - 1:
@@ -1197,9 +1192,7 @@ def _sign_variations(chain, a: int, q: int) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def kazhdan_constant_finite(spec: AlgebraSpec, S,
-                            precision: Fraction = Fraction(1, 2 ** 30),
-                            return_interval: bool = False):
+def kazhdan_constant_finite(spec: AlgebraSpec, S):
     """Spectral gap of Delta(S) on the complement of invariant vectors.
 
     The gap is the smallest positive root of the minimal polynomial of
@@ -1218,30 +1211,21 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
     only if it is one of the integers 1..2|S|, each tested exactly.
     Otherwise a bisection with (lo, hi] halving, counting roots by a
     Sturm chain of primitive integer polynomials signed exactly at each
-    dyadic point, gives a certified enclosure of width <= precision and
-    its lower endpoint is returned (or the whole interval with
-    return_interval=True).
+    dyadic point, gives a certified enclosure of width <= KAZHDAN_PRECISION.
+    Returns ``(lo, hi, exact)``: an enclosure of the gap, with
+    ``lo == hi`` when ``exact``.
     """
-    if not precision > 0:
-        raise ValueError("precision must be positive")
-    if spec.kind != "finite":
+    if spec.kind != FINITE:
         raise ValueError("Kazhdan constants are computed for finite backends")
     S = list(S)
     delta = laplacian(spec, S)
     order = spec.order
     if order == 1:
         raise ValueError("trivial group has no nonzero modes")
-    subgroup, stack = {spec.identity_word}, [spec.identity_word]
-    while stack:
-        x = stack.pop()
-        for s in S:
-            y = spec.word_mul(x, s)
-            if y not in subgroup:
-                subgroup.add(y)
-                stack.append(y)
-    if len(subgroup) != order:
+    subgroup = sum(len(sphere) for sphere in spheres(spec, S))
+    if subgroup != order:
         raise ValueError("S does not generate: invariant subspace has "
-                         f"dimension {order // len(subgroup)}")
+                         f"dimension {order // subgroup}")
     terms = [(w, int(c.re)) for w, c in delta.terms.items()]
     vec = [1] + [0] * (order - 1)           # Delta^d delta_e
     t = [1]                                 # moments t_0 .. t_2d
@@ -1290,15 +1274,15 @@ def kazhdan_constant_finite(spec: AlgebraSpec, S,
     k = next((Fraction(j) for j in range(1, int(hi) + 1)
               if _hom_eval(chain[0], j, 1) == 0), None)
     if k is not None and roots_upto(k) == 1:
-        return (k, k, True) if return_interval else k
+        return k, k, True
     lo = Fraction(0)
-    while hi - lo > precision:
+    while hi - lo > KAZHDAN_PRECISION:
         mid = (lo + hi) / 2
         if roots_upto(mid) >= 1:
             hi = mid
         else:
             lo = mid
-    return (lo, hi, False) if return_interval else lo
+    return lo, hi, False
 
 
 def kazhdan_margin_check(spec: AlgebraSpec, S, b: AlgebraElement,
@@ -1319,6 +1303,6 @@ def kazhdan_margin_check(spec: AlgebraSpec, S, b: AlgebraElement,
         raise ValueError("phi(Delta) must be a nonnegative real")
     if phi_delta.re == 0:
         raise ValueError("witness functional is trivial on the ideal")
-    lo, hi, _ = kazhdan_constant_finite(spec, S, return_interval=True)
+    lo, hi, _ = kazhdan_constant_finite(spec, S)
     bound = l1_norm_bound(b)
     return hi * phi_b.re < 2 * bound * phi_delta.re

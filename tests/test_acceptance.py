@@ -272,8 +272,8 @@ def test_criterion_09_finite_group_spectral_gap_pipeline():
     with criterion(9, "Z/3 gap = 3, twenty unit-bound shifts certify", 60):
         Z3 = AlgebraSpec.cyclic(3)
         S = [1, 2]
-        gap = kazhdan_constant_finite(Z3, S)
-        assert gap == 3
+        gap, _, exact = kazhdan_constant_finite(Z3, S)
+        assert gap == 3 and exact
         delta = laplacian(Z3, S)
         triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25),
                    (20, 21, 29), (1, 0, 1), (0, 1, 1)]

@@ -2,7 +2,8 @@
 
 A public top-level function or class of the package is either used
 inside the package or documented as library API in the README; anything
-else is a helper that only tests call.
+else is a helper that only tests call.  Backend word formats live in
+``groupalg``: no other module names a non-finite backend.
 """
 
 import ast
@@ -10,6 +11,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+NON_FINITE = {"FREE", "FREE_ABELIAN", "FREE_STAR"}
 
 
 def test_every_public_name_is_used_or_documented():
@@ -30,3 +32,41 @@ def test_every_public_name_is_used_or_documented():
     assert not orphans, (
         "public names used nowhere in src/ncsos and not in README.md: "
         + ", ".join(orphans))
+
+
+def _kind_comparisons(tree):
+    """Operand lists of every comparison that has a ``kind`` name or
+    ``.kind`` attribute among its operands."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "kind" or
+                   isinstance(o, ast.Name) and o.id == "kind"
+                   for o in operands):
+                yield node.lineno, operands
+
+
+def test_backend_knowledge_stays_in_groupalg():
+    leaks = []
+    for path in sorted((ROOT / "src" / "ncsos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "groupalg":
+            leaks += [f"groupalg:{line} compares a kind"
+                      for line, _ in _kind_comparisons(tree)]
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                leaks += [f"{path.stem}:{node.lineno} imports {a.name}"
+                          for a in node.names if a.name in NON_FINITE]
+            elif isinstance(node, ast.Constant) and node.value in \
+                    {"free", "free_abelian", "free_star", "finite"}:
+                leaks += [f"{path.stem}:{node.lineno} names {node.value!r}"]
+        for line, operands in _kind_comparisons(tree):
+            spec_kind = any(isinstance(o, ast.Attribute) and o.attr == "kind"
+                            for o in operands)
+            finite = any(isinstance(o, ast.Name) and o.id == "FINITE"
+                         for o in operands)
+            if spec_kind and not finite:
+                leaks.append(f"{path.stem}:{line} compares .kind")
+    assert not leaks, "backend knowledge outside its classes: " + \
+        ", ".join(leaks)

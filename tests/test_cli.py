@@ -474,6 +474,24 @@ def test_sos_rejects_non_hermitian_targets(tmp_path, capsys):
     assert "hermitian" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sos", "{a}", "{b}", "--out", "{o}"],
+    ["sos", "{a}", "--out", "{o}/x.json"],
+    ["separate", "{cone}", "--point=-1,0", "--out", "{o}/f.json"],
+], ids=["sos-batch", "sos-single", "separate"])
+def test_out_path_that_cannot_be_created_exits_64(tmp_path, capsys, argv):
+    g = gen(F1, 1)
+    blocker = tmp_path / "o"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    paths = {"a": write_element(tmp_path, "a.json",
+                                2 * unit(F1) - g - g.star()),
+             "b": write_element(tmp_path, "b.json", unit(F1)),
+             "cone": write_quadrant(tmp_path), "o": str(blocker)}
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 64
+    assert f"cannot create directory {blocker}" in out + err
+
+
 def test_sos_batch_processes_every_input(tmp_path, capsys):
     g = gen(F1, 1)
     p1 = write_element(tmp_path, "one.json", 2 * unit(F1) - g - g.star())
@@ -749,6 +767,28 @@ def test_verify_flags_tampered_witness_value(tmp_path, capsys):
     assert reports(vout)[0]["verdict"] == "failed"
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda d: d.update(target={"backend": "finite",
+                               "mult_table": [[0, 1], [1, 0]],
+                               "terms": [{"word": "1", "re": "-1"}]}),
+    lambda d: d["target"].update(backend="free_abelian"),
+    lambda d: d["generators"].pop(),
+    lambda d: d["state"].append([0.0, 0.0]),
+], ids=["finite-target", "free-abelian-target", "missing-generator",
+        "state-size"])
+def test_verify_fails_a_malformed_unitary_witness(tmp_path, capsys, tamper):
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F1, [(1,), (-1,)]))
+    _, out, _ = run(capsys, "sos", path)
+    artifact = reports(out)[0]["artifact"]
+    data = json.loads(Path(artifact).read_text())
+    tamper(data)
+    Path(artifact).write_text(json.dumps(data), encoding="utf-8")
+    code, vout, _ = run(capsys, "verify", artifact)
+    assert code == 1
+    assert reports(vout)[0]["verdict"] == "failed"
+
+
 def test_verify_rejects_unknown_layouts(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text('{"surprise": true}', encoding="utf-8")
@@ -856,6 +896,37 @@ def test_kazhdan_rejects_non_finite_backends(tmp_path, capsys):
     code, _, err = run(capsys, "kazhdan", str(path), "--gens", "a")
     assert code == 64
     assert "finite" in err
+
+
+@pytest.mark.parametrize("verb, spec, word, extra, needle", [
+    ("sos", {"backend": "free_abelian", "rank": 2}, "z", [],
+     "rank 2 has no such letter"),
+    ("lap-bound", {"backend": "free_abelian", "rank": 2}, "",
+     ["--gens", "z,Z"], "rank 2 has no such letter"),
+    ("sos", {"backend": "finite", "mult_table": [[0, 1, 2], [1, 5, 0],
+                                                 [2, 0, 1]]}, "1", [],
+     "nonempty square of integers"),
+    ("kazhdan", {"backend": "finite", "mult_table": [[0, 1, 2], [1, 5, 0],
+                                                     [2, 0, 1]]}, None,
+     ["--gens", "1,2"], "nonempty square of integers"),
+    ("sos", {"backend": "finite", "mult_table": []}, None, [],
+     "nonempty square of integers"),
+    ("sos", {"backend": "free_star", "rank": 1, "hermitian": "false"}, "",
+     [], "hermitian must be a boolean"),
+    ("sos", {"backend": "free", "rank": 2.7}, "", [],
+     "rank must be an integer"),
+], ids=["abelian-letter", "abelian-gens", "table-entry", "kazhdan-table",
+        "empty-table", "hermitian-string", "fractional-rank"])
+def test_malformed_backend_descriptions_exit_64(tmp_path, capsys, verb,
+                                                spec, word, extra, needle):
+    doc = dict(spec)
+    if word is not None:
+        doc["terms"] = [{"word": word, "re": "1", "im": "0"}]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, verb, str(path), *extra)
+    assert code == 64
+    assert needle in out + err
 
 
 def test_unknown_flags_exit_64(tmp_path, capsys):

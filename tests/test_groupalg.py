@@ -372,6 +372,9 @@ def test_word_strings():
     fin = AlgebraSpec.cyclic(4)
     assert fin.word_to_str(3) == "3"
     assert fin.word_from_str("3") == 3
+    for spec in all_specs():
+        for w in ball(spec, 2):
+            assert spec.word_from_str(spec.word_to_str(w)) == w, (spec, w)
 
 
 def test_json_roundtrip_all_backends():
