@@ -16,3 +16,21 @@ Subpackages / modules:
 """
 
 __version__ = "0.1.0"
+
+import os
+import sys
+
+# One BLAS thread unless the environment asks for more, set before any
+# submodule imports numpy: the SDP's dense systems are small, threaded
+# BLAS is slower on them whenever another core is busy, and the thread
+# count changes the last digits of the numeric hints.  ``sos --jobs``
+# is the way to run in parallel.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+
+# The thread variables numpy reads when it is first imported, which is
+# after this point, or None when numpy was imported before ncsos: its
+# thread count was then fixed by an environment ncsos never saw.
+BLAS_THREADS = None if "numpy" in sys.modules else {
+    _var: os.environ[_var] for _var in _BLAS_VARS}

@@ -8,7 +8,7 @@ travel as "p/q" strings end to end.
 
 Exit codes: 0 success/certificate/separation, 1 failed verification,
 2 point inside the cone, 3 refutation witness, 4 undecided at the given
-radius or shift (also: a Gram system refused as too large, or an
+radius (also: a Gram system refused as too large, or an
 artifact whose numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed input,
 70 internal error (with NCSOS_DEBUG=1 its traceback goes to stderr).
 """
@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import rcf
+from . import BLAS_THREADS, rcf
 from .cones import (
     PointInsideCone,
     cone_from_json,
@@ -45,13 +45,10 @@ from .soscone import (
     TOL,
     CoverageError,
     DualWitness,
-    OversizeError,
     SosCertificate,
     certificate_defect,
     certify_membership,
     default_radius,
-    gram_basis,
-    interior_shift_certificate,
     kazhdan_constant_finite,
     laplacian_bound,
     verify_certificate,
@@ -268,19 +265,6 @@ def _cmd_separate(args):
 # sos
 # ---------------------------------------------------------------------------
 
-def _undecided(report: JobReport, diagnostics: dict, advice: str):
-    report.verdict = "undecided"
-    report.diagnostics.update(diagnostics, advice=advice)
-    return report, EXIT_UNDECIDED
-
-
-def _smaller_radius(refusal: dict) -> str:
-    """Advice for a Gram system refused as too large."""
-    fits = refusal["largest_radius_that_fits"]
-    return f"retry with --radius {fits} or less" if fits else \
-        "no radius fits this backend"
-
-
 def _sos_single(path: str, mode: str, radius, shift, out,
                 multi: bool) -> tuple[JobReport, int]:
     text, digest = _read(path)
@@ -311,37 +295,27 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     report = JobReport(command="sos", inputs=digest, verdict="",
                        disclosures={"mode": mode,
                                     "shift": str(shift) if shift else None,
-                                    "tolerance": TOL})
+                                    "tolerance": TOL,
+                                    "blas_threads": BLAS_THREADS})
 
-    if shift is not None:
-        if radius is None:
-            radius = least
-        report.disclosures["radius"] = radius
-        try:
-            cert = interior_shift_certificate(
-                b, shift, basis=gram_basis(target, "full", radius))
-        except OversizeError as err:
-            refusal = {"refused": str(err), **err.report}
-            return _undecided(report, refusal, _smaller_radius(refusal))
-        except ValueError as exc:
-            return _undecided(report, {"reason": str(exc)},
-                              "increase --shift or --radius and retry")
-        report.diagnostics["target_includes_shift"] = True
-    else:
-        outcome = certify_membership(b, mode=mode, radius=radius)
-        report.disclosures["radius"] = outcome.radius
-        if outcome.margin is not None:
-            report.diagnostics["sdp_margin"] = outcome.margin
-        if outcome.verdict == "refuted":
-            return _sos_refuted(report, b, mode, outcome,
-                                _artifact_path(path, out, "witness", multi))
-        if outcome.verdict == "undecided":
-            diag = outcome.diagnostics
-            return _undecided(
-                report, diag, _smaller_radius(diag) if "refused" in diag
-                else f"no exact artifact at radius {outcome.radius}; "
-                     f"retry with --radius {outcome.radius + 1}")
-        cert = outcome.certificate
+    outcome = certify_membership(target, mode=mode, radius=radius)
+    report.disclosures["radius"] = outcome.radius
+    if outcome.margin is not None:
+        report.diagnostics["sdp_margin"] = outcome.margin
+    if outcome.verdict == "refuted":
+        return _sos_refuted(report, target, mode, outcome,
+                            _artifact_path(path, out, "witness", multi))
+    if outcome.verdict == "undecided":
+        diag, r = outcome.diagnostics, outcome.radius
+        fits = diag.get("largest_radius_that_fits")  # set on a refusal
+        advice = (f"retry with --radius {fits} or less" if fits else
+                  "no radius fits this backend" if "refused" in diag else
+                  f"no exact artifact at radius {r}; retry with --radius "
+                  f"{r + 1}")
+        report.verdict = "undecided"
+        report.diagnostics.update(diag, advice=advice)
+        return report, EXIT_UNDECIDED
+    cert = outcome.certificate
     if not _write_artifact(report, _artifact_path(path, out, "cert", multi),
                            "sos_certificate", cert):
         return report, EXIT_UNDECIDED
@@ -547,7 +521,9 @@ def _cmd_kazhdan(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process."""
     parser = _Parser(prog="ncsos",
                      description="Exact cone separation and sums of "
                                  "hermitian squares.")
@@ -597,15 +573,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser, built once per process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
         report, code = args.func(args)
         if report is not None:

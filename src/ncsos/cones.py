@@ -397,4 +397,7 @@ def cone_to_json(C: ConeV) -> str:
 
 def cone_from_json(text: str) -> ConeV:
     data = json.loads(text)
-    return ConeV(int(data["dim"]), data["generators"])
+    dim = data["dim"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dim must be an integer of at least 0, got {dim!r}")
+    return ConeV(dim, data["generators"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .qc import QC
 

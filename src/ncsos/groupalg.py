@@ -70,12 +70,21 @@ class AlgebraSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "AlgebraSpec":
-        """The spec of a dict form; constructors take fields by name."""
-        cls = _BACKENDS.get(d["backend"])
+        """The spec of a dict form; constructors take fields by name, and
+        the first of a backend's ``_fields`` is required."""
+        name = d["backend"] if "backend" in d else None
+        cls = _BACKENDS.get(name)
         if cls is None:
-            raise ValueError(f"unknown backend {d['backend']!r}")
-        fields = ("rank", "hermitian", "mult_table")
-        return cls(**{k: d[k] for k in fields if k in d})
+            raise ValueError(f"field 'backend' must be one of "
+                             f"{', '.join(_BACKENDS)}, got {name!r}")
+        given = {k: d[k] for k in ("rank", "hermitian", "mult_table")
+                 if k in d}
+        for k in given:
+            if k not in cls._fields:
+                raise ValueError(f"{name} backend takes no field {k!r}")
+        if cls._fields[0] not in given:
+            raise ValueError(f"{name} backend needs field {cls._fields[0]!r}")
+        return cls(**given)
 
     def is_group(self) -> bool:
         return True
@@ -104,6 +113,8 @@ class _Lettered(AlgebraSpec):
     """Backends with ``rank`` generators spelled ``a..z``, their inverses
     or stars ``A..Z``.  A word's letters are (generator, starred) pairs:
     ``_letter_word`` builds one, ``_spelling`` (``letter``) reads them."""
+
+    _fields = ("rank", "hermitian")
 
     def __init__(self, rank, hermitian=False):
         if type(rank) is not int or not 1 <= rank <= 26:
@@ -277,6 +288,7 @@ class _Finite(AlgebraSpec):
 
     kind = FINITE
     identity_word = 0
+    _fields = ("mult_table",)
 
     def __init__(self, mult_table: Sequence[Sequence[int]]):
         table = tuple(tuple(row) for row in mult_table)

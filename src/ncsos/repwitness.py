@@ -31,10 +31,6 @@ UNITARITY_TOL = 1e-8
 REPLAY_TOL = 1e-10
 
 
-def _c(z: QC) -> complex:
-    return complex(float(z.re), float(z.im))
-
-
 def _evaluate(target: AlgebraElement, gens, state) -> complex:
     """<state, target(gens) state>: a word acts as the product of its
     letters' generator matrices, starred letters by the adjoint."""
@@ -45,7 +41,7 @@ def _evaluate(target: AlgebraElement, gens, state) -> complex:
         M = np.eye(len(state), dtype=complex)
         for i, starred in map(target.spec.letter, w):
             M = M @ (gens[i].conj().T if starred else gens[i])
-        val += _c(cf) * np.vdot(state, M @ state)
+        val += complex(cf) * np.vdot(state, M @ state)
     return val
 
 
@@ -83,13 +79,13 @@ def _orthonormal_frame(Kq, K):
         for c, k in enumerate(pos):
             r = float(dvec[k]) ** 0.5
             for j in range(n):
-                frame[j, c] = _c(Y[k][j].conjugate()) / r
-                coords[c, j] = r * _c(L[j][k].conjugate())
+                frame[j, c] = complex(Y[k][j].conjugate()) / r
+                coords[c, j] = r * complex(L[j][k].conjugate())
         null = [k for k in range(n) if dvec[k] == 0]
         null_vectors = np.zeros((n, len(null)), dtype=complex)
         for c, k in enumerate(null):
             for j in range(n):
-                null_vectors[j, c] = _c(Y[k][j].conjugate())
+                null_vectors[j, c] = complex(Y[k][j].conjugate())
         return frame, coords, len(null), null_vectors
     lam, Q = np.linalg.eigh((K + K.conj().T) / 2.0)
     top = max(1.0, float(lam.max(initial=0.0)))
@@ -166,7 +162,7 @@ def gns_from_moment(phi: DualWitness, d: int) -> GnsSpace:
             if z is None:
                 raise CoverageError(f"missing functional value at {w!r}")
             Kq[i][j] = z
-    K = np.array([[_c(Kq[i][j]) for j in range(n)] for i in range(n)])
+    K = np.array([[complex(Kq[i][j]) for j in range(n)] for i in range(n)])
 
     frame, coords, null_dim, null_vectors = _orthonormal_frame(Kq, K)
     if frame.shape[1] == 0:
@@ -175,7 +171,7 @@ def gns_from_moment(phi: DualWitness, d: int) -> GnsSpace:
                      frame=frame, word_coords=coords,
                      null_dim=null_dim,
                      null_vectors=null_vectors,
-                     word_values={w: _c(z) for w, z in values.items()})
+                     word_values={w: complex(z) for w, z in values.items()})
     gram = coords.conj().T @ coords
     if np.abs(gram - K).max() > 1e-8 * max(1.0, float(np.abs(K).max())):
         raise RuntimeError("orthonormal frame does not reproduce the moment")
@@ -315,7 +311,7 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
         z = space.word_values.get(w)
         if z is None:
             raise CoverageError(f"missing functional value at {w!r}")
-        expected += _c(cf) * z
+        expected += complex(cf) * z
     if abs(expected.imag) > 1e-9 or expected.real >= 0:
         raise ValueError("functional does not refute the target "
                          f"(value {expected:.3e})")

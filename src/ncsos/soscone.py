@@ -18,6 +18,9 @@ side; on the dual side a functional is its constraint coordinates y,
 rounded and mixed with a reference functional's, its moment matrix is
 the conjugate of sum_k y_k A_k and its value at the target is beta . y.
 No verdict other than ``undecided`` ever rests on floating point.
+:func:`certify_membership` is the one path from a target to a
+certificate or witness: the epsilon shift and the Laplacian bisection
+only change the target they ask it about.
 
 Rounding puts every entry on the grid (1/den)Z (Peyrl & Parrilo, TCS
 2008), so a rounded matrix has the one denominator den rather than the
@@ -107,45 +110,32 @@ class SosCertificate:
     target: AlgebraElement
     squares: list                  # list of (Fraction weight > 0, AlgebraElement)
     mode: str = "full"
-    residual_policy: dict = field(default_factory=lambda: {"kind": "exact"})
 
     def rationals(self):
         """Every rational the certificate carries (weights, coefficients)."""
-        elems = [self.target] + [a for _, a in self.squares]
         yield from (w for w, _ in self.squares)
-        if self.residual_policy.get("kind") == "absorbed":
-            elems.append(self.residual_policy["by"])
-            yield self.residual_policy["amount"]
-        for a in elems:
+        for a in [self.target] + [a for _, a in self.squares]:
             yield from a.terms.values()
 
     def to_dict(self) -> dict:
-        pol = dict(self.residual_policy)
-        if pol.get("kind") == "absorbed":
-            pol = {"kind": "absorbed",
-                   "by": element_to_dict(pol["by"]),
-                   "amount": str(pol["amount"])}
+        # "absorption" keeps the layout that certificates of older releases
+        # have, so their bytes do not change; from_dict ignores it
         return {
             "kind": "sos_certificate",
             "mode": self.mode,
             "target": element_to_dict(self.target),
             "squares": [{"w": str(w), "a": element_to_dict(a)}
                         for w, a in self.squares],
-            "absorption": pol,
+            "absorption": {"kind": "exact"},
         }
 
     @staticmethod
     def from_dict(d: dict) -> "SosCertificate":
-        pol = dict(d.get("absorption", {"kind": "exact"}))
-        if pol.get("kind") == "absorbed":
-            pol = {"kind": "absorbed", "by": element_from_dict(pol["by"]),
-                   "amount": Fraction(pol["amount"])}
         return SosCertificate(
             target=element_from_dict(d["target"]),
             squares=[(Fraction(s["w"]), element_from_dict(s["a"]))
                      for s in d["squares"]],
             mode=d.get("mode", "full"),
-            residual_policy=pol,
         )
 
 
@@ -448,22 +438,6 @@ class GramAssembly:
                 raise RuntimeError("constraint Gram matrix is not PSD")
             self._gram_factor = (d, exactla.lower_rows(L))
         return self._gram_factor
-
-    def element_of(self, Q):
-        """The algebra element sum_{ij} Q[i,j] * column_i* column_j."""
-        terms: dict = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                q = Q[i][j]
-                if not q:
-                    continue
-                for w, cw in self.products[i][j].items():
-                    s = terms.get(w, QC(0)) + q * cw
-                    if s:
-                        terms[w] = s
-                    else:
-                        terms.pop(w, None)
-        return AlgebraElement(self.spec, terms)
 
     # -- the dual side: functionals by their constraint coordinates y ---------
 
@@ -822,6 +796,23 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
                              margin=feas.margin, diagnostics=diag)
 
 
+def interior_shift_certificate(b: AlgebraElement, eta) -> SosCertificate:
+    """Exact certificate for b + eta*1, the epsilon-shift Positivstellensatz:
+    a strictly positive b puts b + eta*1 in the cone for every eta > 0.
+
+    Runs :func:`certify_membership` on b + eta*1 in full mode at the
+    default radius of the shifted target, and raises ValueError naming
+    the verdict unless it is certified.
+    """
+    eta = Fraction(eta)
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    out = certify_membership(b + AlgebraElement.unit(b.spec) * eta, "full")
+    if out.verdict != "certified":
+        raise ValueError(f"b + eta*1 is {out.verdict} at radius {out.radius}")
+    return out.certificate
+
+
 # ---------------------------------------------------------------------------
 # verification (independent of the solver path)
 # ---------------------------------------------------------------------------
@@ -921,75 +912,6 @@ def lemma_bounded_certificate(a: AlgebraElement, lam=None) -> SosCertificate:
     if lam < bound:
         raise ValueError(f"lam={lam} below certified squared l1 bound {bound}")
     return l1_absorption_certificate(a.star() * a, lam)
-
-
-def _element_squares(r: AlgebraElement) -> list:
-    """Squares summing exactly to r, funded by r's own identity mass."""
-    spec = r.spec
-    one = AlgebraElement.unit(spec)
-    r_e = r.terms.get(spec.identity_word, QC(0)).re
-    return l1_absorption_certificate(one * r_e - r, r_e).squares
-
-
-def interior_shift_certificate(b: AlgebraElement, eta,
-                               basis=None) -> SosCertificate:
-    """Exact certificate for b + eta*1 using half of eta as rounding room.
-
-    The margin SDP runs on b + (eta/2)*1; the remaining shift buys
-    eta/(2n) of extra Gram eigenvalue room on an n-column basis, so any
-    margin above -eta/(2n) means the full target is numerically inside.
-    The recentred Gram is first rounded and exactly projected onto the
-    full target (residual policy 'exact'); failing that it is rounded
-    plainly and the exact hermitian residual, whose l1 norm is small
-    against the reserved identity mass, is absorbed through certified
-    coefficient bounds.  Either way the certificate is exact by
-    construction, and :func:`verify_certificate` is its check.
-    """
-    spec = b.spec
-    if not b.is_hermitian():
-        raise ValueError("target must be hermitian")
-    eta = Fraction(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    one = AlgebraElement.unit(spec)
-    half = eta / 2
-    tau_half = b + one * half
-    target = b + one * eta
-    if basis is None:
-        basis = gram_basis(target, "full")
-    feas = sos_feasibility(tau_half, basis, mode="full")
-    asm = feas.assembly
-    room = eta / (2 * asm.n)
-    if feas.margin < -float(room) - TOL:
-        raise ValueError(
-            f"target is SDP-infeasible even with the full shift "
-            f"(margin {feas.margin:.3e} < {-float(room):.3e})")
-    G_full = feas.gram + float(room) * np.eye(asm.n)
-    try:
-        return round_and_project(G_full, target, assembly=asm)
-    except ProjectionError:
-        pass
-    # plain rounding at a safely interior shift; absorb the exact residual
-    margin = Fraction(feas.margin)
-    shift = min(room, max(Fraction(0), -margin) + room / 2)
-    G_plain = feas.gram + float(shift) * np.eye(asm.n)
-    last = "rounded Gram matrix never became positive semidefinite"
-    for den in DENOMINATOR_LADDER:
-        Q = _gaussian(*_rationalize_hermitian(G_plain, den))
-        ok, d, L, _ = exactla.ldlt_psd_qc(Q)
-        if not ok:
-            continue
-        squares = _squares_from_ldlt(asm, d, L)
-        resid = target - asm.element_of(Q)   # hermitian, small l1 off 1
-        try:
-            absorb = _element_squares(resid)
-        except ValueError as err:
-            last = f"residual exceeds the absorption headroom: {err}"
-            continue
-        return SosCertificate(
-            target=target, squares=squares + absorb, mode="full",
-            residual_policy={"kind": "absorbed", "by": resid, "amount": half})
-    raise ValueError(last)
 
 
 # ---------------------------------------------------------------------------
@@ -1092,33 +1014,19 @@ def laplacian_bound(b: AlgebraElement, S, radius: int | None = None) -> Fraction
 def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None):
     """Smallest bisected C with C*Delta(S) + b exactly in the ideal cone.
 
-    Searches C upward from 0 against augmentation-mode SDP feasibility,
-    capped by laplacian_bound(b, S); brackets to relative width 2^-10
-    and certifies exactly at the feasible endpoint.  ``radius`` limits
-    the ideal-squared decomposition behind the cap.  Returns
-    (C, SosCertificate).
+    Searches C upward from 0, asking :func:`certify_membership` in
+    augmentation mode at each step, capped by laplacian_bound(b, S);
+    brackets to relative width 2^-10 and returns the certificate of the
+    certified endpoint.  ``radius`` limits the ideal-squared
+    decomposition behind the cap.  Returns (C, SosCertificate).
     """
     spec = b.spec
     cap = laplacian_bound(b, S, radius=radius)
     delta = laplacian(spec, S)
 
     def attempt(c):
-        target = delta * Fraction(c) + b
-        if not target:
-            return SosCertificate(target=target, squares=[],
-                                  mode="augmentation")
-        try:
-            feas = sos_feasibility(target, gram_basis(target, "augmentation"),
-                                   mode="augmentation")
-        except sdp.SolverError:
-            return None                    # conservative: push C upward
-        if feas.margin <= TOL:
-            return None
-        try:
-            return round_and_project(feas.gram, target, assembly=feas.assembly,
-                                     mode="augmentation")
-        except ProjectionError:
-            return None
+        out = certify_membership(delta * Fraction(c) + b, "augmentation")
+        return out.certificate if out.verdict == "certified" else None
 
     cert = attempt(Fraction(0))
     if cert is not None:

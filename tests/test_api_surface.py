@@ -70,3 +70,28 @@ def test_backend_knowledge_stays_in_groupalg():
                 leaks.append(f"{path.stem}:{line} compares .kind")
     assert not leaks, "backend knowledge outside its classes: " + \
         ", ".join(leaks)
+
+
+def test_every_import_is_used():
+    # a name counts as used where it is read, or where it appears as a
+    # string constant (``cli._ARTIFACTS`` looks its checks up by name)
+    unused = []
+    for path in sorted((ROOT / "src" / "ncsos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0],
+                                 node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str):
+                used.add(node.value)
+        unused += [f"{path.stem}:{line} imports {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -133,6 +133,18 @@ def test_separate_dimension_mismatch_exits_64(tmp_path, capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("dim", [2.9, "2", True, -1, None])
+def test_separate_rejects_a_cone_dim_that_is_not_a_json_integer(
+        tmp_path, capsys, dim):
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"dim": dim, "generators": [["1", "0"]]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "separate", str(cone), "--point", "1,1")
+    assert code == 64
+    assert "dim must be an integer" in err
+    assert not list(tmp_path.glob("*.functional.json"))
+
+
 def test_separate_report_is_deterministic(tmp_path, capsys):
     cone = write_quadrant(tmp_path)
     out_file = str(tmp_path / "f.json")
@@ -278,15 +290,40 @@ def test_sos_shift_certifies_shifted_target(tmp_path, capsys):
     assert vcode == 0
 
 
-def test_sos_infeasible_shift_is_undecided(tmp_path, capsys):
+def test_sos_infeasible_shift_is_refuted(tmp_path, capsys):
     path = write_element(tmp_path, "b.json",
                          -laplacian(F1, [(1,), (-1,)]))
     code, out, _ = run(capsys, "sos", path, "--shift", "1/10")
-    assert code == 4
+    assert code == 3
     report = reports(out)[0]
-    assert report["verdict"] == "undecided"
-    assert "advice" in report["diagnostics"]
-    assert report["artifact"] is None
+    assert report["verdict"] == "refuted"
+    vcode, vout, _ = run(capsys, "verify", report["artifact"])
+    assert vcode == 0
+    assert reports(vout)[0]["verdict"] == "verified"
+
+
+@pytest.mark.parametrize("case, eta, extra, code", [
+    ("a+A", 2, [], 0),
+    ("a+A", 2, ["--radius", "2"], 4),
+    ("-Delta", Fraction(1, 10), [], 3),
+], ids=["certified", "undecided", "refuted"])
+def test_sos_shift_is_sos_on_the_shifted_target(tmp_path, capsys, case, eta,
+                                                extra, code):
+    g = gen(F1, 1)
+    b = g + g.star() if case == "a+A" else -laplacian(F1, [(1,), (-1,)])
+    x = write_element(tmp_path, "x.json", b)
+    y = write_element(tmp_path, "y.json", b + unit(F1) * eta)
+    got = []
+    for argv in ([x, "--shift", str(eta)], [y]):
+        out_file = tmp_path / f"{Path(argv[0]).stem}.artifact.json"
+        got_code, out, _ = run(capsys, "sos", *argv, *extra,
+                               "--out", str(out_file))
+        report = reports(out)[0]
+        got.append((got_code, report["verdict"], report["diagnostics"],
+                    out_file.read_bytes() if out_file.exists() else None))
+    assert got[0] == got[1]
+    assert got[0][0] == code
+    assert (got[0][3] is None) == (code == 4)
 
 
 @pytest.mark.parametrize("argv, patched, suffix", [
@@ -376,24 +413,25 @@ def test_sos_shift_refuses_an_oversize_gram_system(tmp_path, capsys,
     assert not list(tmp_path.glob("*.cert.json"))
 
 
-def test_sos_shift_absorbed_certificate_passes_verify(tmp_path, capsys,
-                                                      monkeypatch):
-    import ncsos.soscone as soscone
-
-    def refuse(*args, **kwargs):
-        raise soscone.ProjectionError("refused for the test", {})
-
-    monkeypatch.setattr(soscone, "round_and_project", refuse)
+def test_old_absorbed_certificate_still_verifies(tmp_path, capsys):
+    # older releases could write "absorption": {"kind": "absorbed", ...};
+    # the key is ignored on read, and the squares alone sum to the target
     g = gen(F1, 1)
-    path = write_element(tmp_path, "b.json", g + g.star())
-    code, out, _ = run(capsys, "sos", path, "--shift", "2")
+    cert = SosCertificate(target=3 * unit(F1) - g - g.star(),
+                          squares=[(Fraction(1), unit(F1) - g),
+                                   (Fraction(1), unit(F1))])
+    data = cert.to_dict()
+    assert data["absorption"] == {"kind": "exact"}
+    data["absorption"] = {"kind": "absorbed",
+                          "by": json.loads(element_to_json(g + g.star())),
+                          "amount": "1/3"}
+    back = SosCertificate.from_dict(data)
+    assert (back.target, back.squares) == (cert.target, cert.squares)
+    path = tmp_path / "old.cert.json"
+    path.write_text(json.dumps(data, indent=1), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
-    artifact = reports(out)[0]["artifact"]
-    data = json.loads(Path(artifact).read_text())
-    assert data["absorption"]["kind"] == "absorbed"
-    vcode, vout, _ = run(capsys, "verify", artifact)
-    assert vcode == 0
-    assert reports(vout)[0]["verdict"] == "verified"
+    assert reports(out)[0]["verdict"] == "verified"
 
 
 @pytest.mark.parametrize("extra", [[], ["--shift", "1"]])
@@ -915,8 +953,17 @@ def test_kazhdan_rejects_non_finite_backends(tmp_path, capsys):
      [], "hermitian must be a boolean"),
     ("sos", {"backend": "free", "rank": 2.7}, "", [],
      "rank must be an integer"),
+    ("sos", {"backend": "free", "terms": []}, None, [],
+     "free backend needs field 'rank'"),
+    ("kazhdan", {"backend": "finite"}, None, ["--gens", "1"],
+     "finite backend needs field 'mult_table'"),
+    ("kazhdan", {**C3.to_dict(), "rank": 3}, None, ["--gens", "1"],
+     "finite backend takes no field 'rank'"),
+    ("sos", {"rank": 1, "terms": []}, None, [],
+     "field 'backend' must be one of"),
 ], ids=["abelian-letter", "abelian-gens", "table-entry", "kazhdan-table",
-        "empty-table", "hermitian-string", "fractional-rank"])
+        "empty-table", "hermitian-string", "fractional-rank", "no-rank",
+        "no-table", "stray-rank", "no-backend"])
 def test_malformed_backend_descriptions_exit_64(tmp_path, capsys, verb,
                                                 spec, word, extra, needle):
     doc = dict(spec)
@@ -927,6 +974,7 @@ def test_malformed_backend_descriptions_exit_64(tmp_path, capsys, verb,
     code, out, err = run(capsys, verb, str(path), *extra)
     assert code == 64
     assert needle in out + err
+    assert "_Lettered" not in out + err and "_Finite" not in out + err
 
 
 def test_unknown_flags_exit_64(tmp_path, capsys):
@@ -945,3 +993,42 @@ def test_console_entry_point_runs_as_module(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["diagnostics"]["gap"] == "3"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, pinned", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+], ids=["default", "user-set"])
+def test_blas_threads_default_to_one_unless_set(tmp_path, preset, pinned):
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "e.json", 2 * unit(F1) - g - g.star())
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import json, os, ncsos; print(json.dumps("
+         f"[os.environ.get(v) for v in {BLAS_VARS!r}]))"],
+        env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == pinned
+    proc = subprocess.run([sys.executable, "-m", "ncsos", "sos", path],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["disclosures"]["blas_threads"] == \
+        dict(zip(BLAS_VARS, pinned))
+
+
+def test_blas_threads_unknown_when_numpy_was_imported_first(tmp_path):
+    # numpy read its thread count before ncsos could pin one, so the
+    # report must not claim the pinned value.
+    g = gen(F1, 1)
+    path = write_element(tmp_path, "e.json", 2 * unit(F1) - g - g.star())
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy, ncsos.cli; "
+         f"sys.exit(ncsos.cli.main(['sos', {str(path)!r}]))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["disclosures"]["blas_threads"] is None

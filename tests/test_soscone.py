@@ -142,7 +142,7 @@ def test_boundary_square_is_certified_exactly():
     b = unit(FREE1) * 2 - g - g.star()
     out = certify_membership(b)
     assert out.verdict == "certified"
-    assert out.certificate.residual_policy == {"kind": "exact"}
+    assert out.certificate.to_dict()["absorption"] == {"kind": "exact"}
     assert verify_certificate(out.certificate)
     assert not certificate_defect(out.certificate).terms
     assert out.certificate.target == b
@@ -684,28 +684,6 @@ def test_interior_shift_minus_laplacian():
     assert verify_certificate(cert)
 
 
-@pytest.mark.parametrize("case, eta", [("a+A", 2), ("a+A", 3),
-                                       ("-Delta", 9), ("-Delta", 100)])
-def test_interior_shift_absorbs_the_residual_when_projection_fails(
-        monkeypatch, case, eta):
-    # with the exact projection refused, the Gram hint is rounded plainly
-    # and its exact residual absorbed through certified l1 bounds
-    def refuse(*args, **kwargs):
-        raise ProjectionError("refused for the test", {})
-
-    monkeypatch.setattr(soscone, "round_and_project", refuse)
-    g = gen(FREE1, 1)
-    b = g + g.star() if case == "a+A" else -laplacian(FREE2, GENS2)
-    cert = interior_shift_certificate(b, eta)
-    assert cert.target == b + unit(b.spec) * eta
-    assert cert.residual_policy["kind"] == "absorbed"
-    assert cert.residual_policy["amount"] == F(eta, 2)
-    assert verify_certificate(cert)
-    again = reread(cert)
-    assert again.residual_policy == cert.residual_policy
-    assert verify_certificate(again)
-
-
 def test_interior_shift_rejects_infeasible():
     with pytest.raises(ValueError):
         interior_shift_certificate(unit(FREE1) * F(-10), 2)
@@ -1198,8 +1176,7 @@ def test_certificate_weight_tampering_detected():
 
 def test_certificate_negative_weight_rejected():
     cert = SosCertificate(target=AlgebraElement(FREE1, {}),
-                          squares=[(F(-1), unit(FREE1))], mode="full",
-                          residual_policy={"kind": "exact"})
+                          squares=[(F(-1), unit(FREE1))], mode="full")
     assert not verify_certificate(cert)
 
 
@@ -1209,24 +1186,10 @@ def test_augmentation_certificate_square_outside_ideal_rejected():
     bad = SosCertificate(target=cert.target,
                          squares=cert.squares + [(F(1), unit(FREE2) * 0 +
                                                   unit(FREE2) - unit(FREE2))],
-                         mode=cert.mode, residual_policy=cert.residual_policy)
+                         mode=cert.mode)
     # adding a zero square is fine; adding a square with augmentation 1 is not
     bad2 = SosCertificate(target=cert.target + unit(FREE2),
                           squares=cert.squares + [(F(1), unit(FREE2))],
-                          mode=cert.mode, residual_policy=cert.residual_policy)
+                          mode=cert.mode)
     assert verify_certificate(bad)
     assert not verify_certificate(bad2)
-
-
-def test_absorbed_policy_survives_json():
-    g = gen(FREE1, 1)
-    h = g + g.star()
-    base = l1_absorption_certificate(h, 2)
-    cert = SosCertificate(target=base.target, squares=base.squares,
-                          mode="full",
-                          residual_policy={"kind": "absorbed", "by": h,
-                                           "amount": F(1, 3)})
-    back = reread(cert)
-    assert back.residual_policy["kind"] == "absorbed"
-    assert back.residual_policy["by"] == h
-    assert back.residual_policy["amount"] == F(1, 3)
