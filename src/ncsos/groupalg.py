@@ -540,6 +540,24 @@ class AlgebraElement:
 # derived constructions
 # ---------------------------------------------------------------------------
 
+def star_product(spec: AlgebraSpec, p, q) -> dict:
+    """The word -> (re, im) map of p* q for term lists p, q of
+    ``(word, re, im)`` with integer coefficients: conj(p_u) q_v lands on
+    u* v, from ``word_star`` and ``word_mul`` alone.  Zeros are dropped.
+    For p* p the pair (v, u) adds the star of the pair (u, v)'s term."""
+    mul, star, acc = spec.word_mul, spec.word_star, {}
+    for i, (u, ar, ai) in enumerate(p):
+        us = star(u)
+        for k, (v, br, bi) in enumerate(p[i:] if p is q else q):
+            re, im = ar * br + ai * bi, ar * bi - ai * br
+            x, y = acc.get(w := mul(us, v), (0, 0))
+            acc[w] = (x + re, y + im)
+            if p is q and k:
+                x, y = acc.get(w := star(w), (0, 0))
+                acc[w] = (x + re, y - im)
+    return {w: c for w, c in acc.items() if c[0] or c[1]}
+
+
 def c_of(spec: AlgebraSpec, w) -> AlgebraElement:
     """g - 1: the canonical augmentation-ideal generator for g."""
     if not spec.is_group():

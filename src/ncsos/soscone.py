@@ -55,6 +55,7 @@ from .groupalg import (
     laplacian,
     omega_squared_decomposition,
     spheres,
+    star_product,
 )
 from .qc import QC, abs_upper
 
@@ -308,11 +309,11 @@ class GramAssembly:
         self.n = len(self.basis)
         e = spec.identity_word
 
-        cols = [AlgebraElement.from_word(spec, w) if mode == "full"
-                else c_of(spec, w) for w in self.basis]
-        self.columns = cols
-        self.products = [[(cols[i].star() * cols[j]).terms
-                          for j in range(self.n)] for i in range(self.n)]
+        # column i as (word, re, im) terms: w, or c(w) = w - e
+        self.columns = [[(w, 1, 0)] if mode == "full" else
+                        [(w, 1, 0), (e, -1, 0)] for w in self.basis]
+        self.products = [[star_product(spec, ci, cj) for cj in self.columns]
+                         for ci in self.columns]
 
         words = set()
         for i in range(self.n):
@@ -326,26 +327,26 @@ class GramAssembly:
         self.rep_index = {w: k for k, w in enumerate(reps)}
         self.covered_words = words
 
-        # E[p][q] = c at the representative of class k puts c/2 at (p, q)
-        # and (q, p) into the weights of H, -c/2 and c/2 into those of K
+        # E[p][q] = c at the representative of class k puts c at (p, q) and
+        # (q, p) into the doubled weights of H, -c and c into those of K
         HK = [({}, {}) for _ in reps]
         for p in range(self.n):
             for q in range(self.n):
-                for w, c in self.products[p][q].items():
+                for w, (c, _) in self.products[p][q].items():
                     if w in self.rep_index:
                         H, K = HK[self.rep_index[w]]
-                        half = c.re / 2
-                        for acc, pos, val in ((H, (p, q), half),
-                                              (H, (q, p), half),
-                                              (K, (p, q), -half),
-                                              (K, (q, p), half)):
-                            acc[pos] = acc.get(pos, 0) + val
+                        H[p, q] = H.get((p, q), 0) + c
+                        H[q, p] = H.get((q, p), 0) + c
+                        K[p, q] = K.get((p, q), 0) - c
+                        K[q, p] = K.get((q, p), 0) + c
+        half = {c: Fraction(c, 2) for pair in HK for acc in pair
+                for c in acc.values()}
         self.entries = []           # per condition: sorted (i, j, weight)
         self.constraint_class = []  # (class index, 'H' | 'K')
         for k, w in enumerate(reps):
             selfconj = spec.word_star(w) == w
             for part, acc in zip("HK", HK[k][:1] if selfconj else HK[k]):
-                self.entries.append([(i, j, c) for (i, j), c
+                self.entries.append([(i, j, half[c]) for (i, j), c
                                      in sorted(acc.items()) if c])
                 self.constraint_class.append((k, part))
         self.m = len(self.entries)
@@ -419,14 +420,16 @@ class GramAssembly:
             conds = zip(self.entries, self.constraint_class)
             for k, (ents, (_, part)) in enumerate(conds):
                 for i, j, c in ents:
-                    at.setdefault((part, i, j), []).append((k, c))
-            G = [[Fraction(0)] * self.m for _ in range(self.m)]
+                    at.setdefault((part, i, j), []).append((k, int(2 * c)))
+            G4 = [[0] * self.m for _ in range(self.m)]     # 4 G, in ints
             for here in at.values():
                 for k, c in here:
-                    Gk = G[k]
+                    Gk = G4[k]
                     for l, d in here:
                         Gk[l] += c * d
-            self._gram_inner = G
+            zero = Fraction(0)
+            self._gram_inner = [[Fraction(x, 4) if x else zero for x in row]
+                                for row in G4]
         return self._gram_inner
 
     def gram_factor(self):
@@ -551,11 +554,12 @@ def _squares_from_ldlt(asm: GramAssembly, d, L):
         den = math.lcm(*(x.denominator for x in parts))
         f = Fraction(den, math.gcd(*(x.numerator * (den // x.denominator)
                                      for x in parts)))
-        a = AlgebraElement(asm.spec, {})
+        terms = {}
         for i, coef in enumerate(vec, start=k):
-            if coef:
-                a = a + asm.columns[i] * QC(coef.re * f, coef.im * f)
-        squares.append((d[k] / (f * f), a))
+            for w, c, _ in asm.columns[i]:          # real column terms
+                terms[w] = terms.get(w, 0) + QC(c * f * coef.re,
+                                                c * f * coef.im)
+        squares.append((d[k] / (f * f), AlgebraElement(asm.spec, terms)))
     return squares
 
 
@@ -818,11 +822,20 @@ def interior_shift_certificate(b: AlgebraElement, eta) -> SosCertificate:
 # ---------------------------------------------------------------------------
 
 def certificate_defect(cert: SosCertificate) -> AlgebraElement:
-    """target - sum_i weight_i (a_i)* a_i, exactly."""
-    acc = AlgebraElement(cert.target.spec, {})
+    """target - sum_i w_i (a_i)* a_i, exactly: with d the lcm of a_i's
+    denominators, :func:`star_product` gives (d a_i)* (d a_i) in integers,
+    and w_i/d^2 is applied once per word."""
+    spec, sums = cert.target.spec, {}
     for w, a in cert.squares:
-        acc = acc + (a.star() * a) * Fraction(w)
-    return cert.target - acc
+        if a.spec != spec:
+            raise ValueError("mixed algebra specs")
+        d = math.lcm(*(x.denominator for c in a.terms.values()
+                       for x in (c.re, c.im)))
+        ints = [(u, int(c.re * d), int(c.im * d)) for u, c in a.terms.items()]
+        scale = Fraction(w) / (d * d)
+        for u, (x, y) in star_product(spec, ints, ints).items():
+            sums[u] = sums.get(u, 0) + QC(scale * x, scale * y)
+    return cert.target - AlgebraElement(spec, sums)
 
 
 def verify_certificate(cert: SosCertificate) -> bool:
@@ -839,7 +852,7 @@ def verify_certificate(cert: SosCertificate) -> bool:
     return not certificate_defect(cert).terms
 
 
-def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
+def verify_witness(wit: DualWitness) -> bool:
     """Re-derive the witness moment matrix and value from word values,
     which must be hermitian-consistent on every class the basis reaches:
     the moment matrix and beta(target) . y of their coordinates y."""
@@ -849,7 +862,7 @@ def verify_witness(wit: DualWitness, require_negative: bool = True) -> bool:
         beta = asm.beta(wit.target)
     except (CoverageError, ValueError):
         return False
-    value, M, fail = _check_functional(asm, beta, y, require_negative)
+    value, M, fail = _check_functional(asm, beta, y, True)
     return M is not None and fail is None and M == wit.moment and \
         value == wit.value_at_target
 
@@ -1011,17 +1024,16 @@ def laplacian_bound(b: AlgebraElement, S, radius: int | None = None) -> Fraction
     return total
 
 
-def delta_interior_shift(b: AlgebraElement, S, radius: int | None = None):
+def delta_interior_shift(b: AlgebraElement, S):
     """Smallest bisected C with C*Delta(S) + b exactly in the ideal cone.
 
     Searches C upward from 0, asking :func:`certify_membership` in
     augmentation mode at each step, capped by laplacian_bound(b, S);
     brackets to relative width 2^-10 and returns the certificate of the
-    certified endpoint.  ``radius`` limits the ideal-squared
-    decomposition behind the cap.  Returns (C, SosCertificate).
+    certified endpoint.  Returns (C, SosCertificate).
     """
     spec = b.spec
-    cap = laplacian_bound(b, S, radius=radius)
+    cap = laplacian_bound(b, S)
     delta = laplacian(spec, S)
 
     def attempt(c):

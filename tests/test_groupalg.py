@@ -27,6 +27,7 @@ from ncsos.groupalg import (
     l1_norm_sq_bound,
     laplacian,
     omega_squared_decomposition,
+    star_product,
 )
 from ncsos.qc import QC
 
@@ -198,6 +199,30 @@ def test_involution_laws_random():
             assert (x * y).star() == y.star() * x.star()
             s = QC(F(3, 2), F(-1, 3))
             assert (x * s).star() == x.star() * s.conjugate()
+
+
+def test_star_product_matches_element_product():
+    # the integer kernel against AlgebraElement: p* q, p* p (each pair
+    # once, also when a word repeats) and an empty side, on every backend
+    rng = random.Random(1313)
+
+    def ints(x):
+        return [(w, int(c.re), int(c.im)) for w, c in x.terms.items()]
+
+    for spec in all_specs():
+        for _ in range(12):
+            x, y = (random_element(spec, rng, nterms=5) * 6 for _ in "xy")
+            assert all(c.re.denominator == c.im.denominator == 1
+                       for z in (x, y) for c in z.terms.values())
+            p, q = ints(x), ints(y)
+            twice = p + p
+            for got, ref in ((star_product(spec, p, q), x.star() * y),
+                             (star_product(spec, p, p), x.star() * x),
+                             (star_product(spec, twice, twice),
+                              x.star() * x * 4),
+                             (star_product(spec, p, []), x * 0)):
+                assert got == {w: (c.re, c.im) for w, c in ref.terms.items()}
+                assert all(type(v) is int for c in got.values() for v in c)
 
 
 def test_trace_and_augmentation_random():

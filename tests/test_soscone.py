@@ -10,6 +10,7 @@ Expected values fall into three buckets:
     rational arithmetic with no reference to the solver.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -263,6 +264,39 @@ def test_round_and_project_failure_reports_margin():
                           basis=[FREE1.identity_word])
 
 
+# fixed Gram hints, rounded from SDP runs, so the exact layer is pinned
+# without the solver: grid rounding is IEEE-deterministic on any CPU
+PINNED_HINTS = {
+    "free1-full": (
+        AlgebraElement(FREE1, {(): 6, (1,): QC(1, F(1, 2)),
+                               (-1,): QC(1, F(-1, 2)),
+                               (1, 1): F(1, 3), (-1, -1): F(1, 3)}),
+        "full",
+        [[2.2144, 0.5 + 0.25j, 0.5 - 0.25j],
+         [0.5 - 0.25j, 1.8928, 0.3333],
+         [0.5 + 0.25j, 0.3333, 1.8928]],
+        "b0de17157fd085b86bc3a939788e54bb9b96d20e7d034897c2fc1b7c40156913"),
+    "z5-augmentation": (
+        AlgebraElement(AlgebraSpec.cyclic(5), {
+            0: 3, 1: QC(F(-1, 2), F(-1, 2)), 2: -1, 3: -1,
+            4: QC(F(-1, 2), F(1, 2))}),
+        "augmentation",
+        [[0.4138, -0.0067 - 0.0966j, -0.0553 - 0.0262j, -0.0906 - 0.0068j],
+         [-0.0067 + 0.0966j, 0.4255, 0.0359 - 0.0476j, -0.0553 - 0.0262j],
+         [-0.0553 + 0.0262j, 0.0359 + 0.0476j, 0.4255, -0.0067 - 0.0966j],
+         [-0.0906 + 0.0068j, -0.0553 + 0.0262j, -0.0067 + 0.0966j, 0.4138]],
+        "d7bb9de69f618f2047efc46791cb76ee50dc8bf60aa8e53ff1966a305e39b4d7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_HINTS))
+def test_rounding_a_fixed_hint_gives_pinned_certificate_bytes(case):
+    b, mode, hint, digest = PINNED_HINTS[case]
+    cert = round_and_project(np.array(hint, dtype=complex), b, mode=mode)
+    assert verify_certificate(cert)
+    assert hashlib.sha256(dump(cert).encode()).hexdigest() == digest
+
+
 def test_feasibility_margin_sign_tracks_membership():
     g = gen(FREE1, 1)
     inside = sos_feasibility(unit(FREE1) * 3 - g - g.star())
@@ -299,7 +333,7 @@ def dense_constraints(asm):
     half, minus_half_i = QC(F(1, 2)), QC(0, F(-1, 2))
     order, mats = [], []
     for k, w in enumerate(asm.class_reps):
-        E = [[asm.products[i][j].get(w, QC(0)) for j in range(n)]
+        E = [[QC(*asm.products[i][j].get(w, (0, 0))) for j in range(n)]
              for i in range(n)]
         order.append((k, "H"))
         mats.append([[(E[i][j] + E[j][i].conjugate()) * half
@@ -387,7 +421,7 @@ def moment_of_values(asm, values):
     """[phi(column_i* column_j)] from the products, phi(e) = 0 in
     augmentation mode."""
     skip = asm.spec.identity_word if asm.mode == "augmentation" else None
-    return [[sum((cw * values[w] for w, cw in asm.products[i][j].items()
+    return [[sum((QC(*cw) * values[w] for w, cw in asm.products[i][j].items()
                   if w != skip), QC(0))
              for j in range(asm.n)] for i in range(asm.n)]
 
@@ -426,6 +460,26 @@ def test_moment_and_pairing_match_word_value_definitions(case):
         expect = sum((cw * phi[w] for w, cw in b.terms.items()
                       if w in phi), QC(0))
         assert sum(bk * yk for bk, yk in zip(asm.beta(b), y)) == expect
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (FREE2, 1), (AlgebraSpec.free_abelian(2), 1), (AlgebraSpec.cyclic(6), 1),
+    (AlgebraSpec.free_star(1), 2),
+    (AlgebraSpec.free_star(2, hermitian=True), 1),
+], ids=["free2", "free_abelian2", "z6", "free_star1", "free_star2-hermitian"])
+def test_integer_products_match_element_products(spec, radius):
+    for mode in ("full", "augmentation") if spec.is_group() else ("full",):
+        basis = [w for w in ball(spec, radius)
+                 if mode == "full" or w != spec.identity_word]
+        asm = GramAssembly(spec, basis, mode)
+        cols = [AlgebraElement.from_word(spec, w) if mode == "full"
+                else c_of(spec, w) for w in basis]
+        for i, ci in enumerate(cols):
+            for j, cj in enumerate(cols):
+                got = asm.products[i][j]
+                assert got == {w: (c.re, c.im)
+                               for w, c in (ci.star() * cj).terms.items()}
+                assert all(type(x) is int for c in got.values() for x in c)
 
 
 def test_radius_three_assembly_is_fast_and_full_mode_gram_is_diagonal():
@@ -529,6 +583,70 @@ def test_witness_json_roundtrip_is_stable():
     assert back.moment == wit.moment
     assert back.value_at_target == wit.value_at_target
     assert verify_witness(back)
+
+
+# ---------------------------------------------------------------------------
+# the certificate identity
+# ---------------------------------------------------------------------------
+
+def random_fraction_qc(rng):
+    return QC(F(rng.randint(-9, 9), rng.randint(1, 12)),
+              F(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("spec, mode", [
+    (FREE2, "full"), (AlgebraSpec.cyclic(6), "augmentation"),
+    (AlgebraSpec.free_star(1), "full")], ids=["free2", "z6", "free_star1"])
+def test_certificate_defect_matches_element_arithmetic(spec, mode):
+    rng = random.Random(29)
+    words = ball(spec, 1)
+    for _ in range(6):
+        squares = []
+        for _ in range(3):
+            a = AlgebraElement(spec, {words[rng.randrange(len(words))]:
+                                      random_fraction_qc(rng)
+                                      for _ in range(3)})
+            if mode == "augmentation":
+                a = a - a.augmentation()
+            squares.append((F(rng.randint(1, 9), rng.randint(1, 9)), a))
+        total = AlgebraElement(spec, {})
+        for w, a in squares:
+            total = total + a.star() * a * w
+        x = AlgebraElement(spec, {words[rng.randrange(len(words))]:
+                                  random_fraction_qc(rng)})
+        for target in (total, total + x + x.star()):
+            cert = SosCertificate(target=target, squares=squares, mode=mode)
+            assert certificate_defect(cert) == target - total
+            assert verify_certificate(cert) == (target == total)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_HINTS))
+@pytest.mark.parametrize("field", ["re", "im", "w"])
+def test_tampered_certificate_fails_verification(case, field):
+    b, mode, hint, _ = PINNED_HINTS[case]
+    d = round_and_project(np.array(hint, dtype=complex), b,
+                          mode=mode).to_dict()
+    square = d["squares"][1]
+    spot = square if field == "w" else square["a"]["terms"][0]
+    spot[field] = str(F(spot[field]) + F(1, 10 ** 9))
+    assert not verify_certificate(SosCertificate.from_dict(d))
+
+
+def test_verify_certificate_needs_no_qc_product(monkeypatch):
+    z2 = AlgebraSpec.cyclic(2)
+    b, mode, hint, _ = PINNED_HINTS["z5-augmentation"]
+    certs = [certify_membership(unit(z2) * 3 + gen(z2, 1)).certificate,
+             round_and_project(np.array(hint, dtype=complex), b, mode=mode)]
+    assert [c.mode for c in certs] == ["full", "augmentation"]
+
+    def no_product(self, other):
+        raise AssertionError("QC product")
+
+    monkeypatch.setattr(QC, "__mul__", no_product)
+    with pytest.raises(AssertionError):
+        QC(2) * QC(3)
+    for cert in certs:
+        assert verify_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
