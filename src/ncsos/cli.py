@@ -35,7 +35,7 @@ from .groupalg import (
     AlgebraSpec,
     element_from_json,
 )
-from .qc import max_digits
+from .qc import max_digits, rational
 from .repwitness import (
     UnitaryRepWitness,
     refutation_witness,
@@ -139,7 +139,7 @@ def _load_json(path: str) -> tuple[object, dict]:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        return rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _BadInput(f"bad rational for {what}: {text!r}") from exc
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
-from .qc import BOUND_DENOMINATOR, QC, _frac, _limit_up, abs_upper
+from .qc import BOUND_DENOMINATOR, QC, _frac, _limit_up, abs_upper, rational
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
@@ -693,7 +693,7 @@ def element_from_dict(d: dict) -> AlgebraElement:
     terms = {}
     for t in d.get("terms", []):
         w = spec.word_from_str(t["word"])
-        c = QC(Fraction(t.get("re", "0")), Fraction(t.get("im", "0")))
+        c = QC(rational(t.get("re", "0")), rational(t.get("im", "0")))
         terms[w] = terms.get(w, QC(0)) + c
     return AlgebraElement(spec, terms)
 

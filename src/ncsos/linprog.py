@@ -16,15 +16,17 @@ No ``Fraction`` is formed until the answer is read off.
 
 Bland's rule picks the entering column (least index with a negative reduced
 cost) and the leaving row (least ratio, ties to the least basic index), which
-guarantees termination without perturbation.  The final tableau exposes
-exact dual multipliers, used as Farkas certificates when a system is
-infeasible.  Every answer is checked against the original data before it is
-returned.
+guarantees termination without perturbation.  A slack crash first swaps each
+column that is zero outside one row, where it enters at a level >= 0, for
+that row's artificial.  The final tableau exposes exact dual multipliers,
+used as Farkas certificates when a system is infeasible.  Every answer is
+checked against the original data before it is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 from typing import Sequence
 
@@ -50,7 +52,7 @@ def _pivot(M, D, basis, r, e):
     """Pivot the tableau ``M / D`` on (r, e) in place; returns the new D."""
     pr = M[r]
     p = pr[e]
-    if p < 0:    # only when an artificial leaves the basis at level zero
+    if p < 0:    # only on a row at level zero: a crash or a leaving artificial
         pr = M[r] = [-a for a in pr]
         p = -p
     support = [(j, a) for j, a in enumerate(pr) if a]
@@ -125,6 +127,14 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
                  + [D if k == i else 0 for k in range(m)]
                  + [w * bi.numerator // bi.denominator])
     basis = list(range(n, n + m))
+
+    # slack crash, least index first; its pivots only rescale the other
+    # rows, so the zero pattern read from the initial rows stays valid
+    for j, col in enumerate(islice(zip(*M), n)):
+        if col.count(0) == m - 1:
+            i = next(i for i, a in enumerate(col) if a)
+            if basis[i] >= n and (M[i][j] > 0 or not M[i][-1]):
+                D = _pivot(M, D, basis, i, j)
 
     # phase 1
     cost1 = [0] * n + [1] * m

@@ -10,6 +10,7 @@ reported bound is certified (``bound**2 >= x`` holds exactly).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -18,6 +19,18 @@ Rat = Union[int, Fraction]
 # certified upper bounds are rounded up to the grid (1/BOUND_DENOMINATOR)Z
 BOUND_DENOMINATOR = 10 ** 12
 NEWTON_ROUNDS = 20
+MAX_STR_DIGITS = 4300   # CPython's int <-> str limit, so json.loads's too
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def rational(x) -> Fraction:
+    """``Fraction(x)``, refusing a string whose decimal exponent expands it
+    past MAX_STR_DIGITS digits before the (slow) conversion."""
+    if isinstance(x, str) and (m := _EXPONENT.search(x)):
+        digits = sum(ch.isdigit() for ch in x[:m.start()])
+        if digits + abs(int(m.group(1))) > MAX_STR_DIGITS:
+            raise ValueError(f"{x[:20]!r}... over {MAX_STR_DIGITS} digits")
+    return Fraction(x)
 
 
 def _frac(x) -> Fraction:
@@ -26,7 +39,7 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 

@@ -63,26 +63,28 @@ def _herm(W: np.ndarray) -> np.ndarray:
     return (W + W.conj().T) / 2
 
 
-def _max_step(M: np.ndarray, D: np.ndarray, tau: float = 0.98) -> float:
-    """Largest safe alpha <= 1 with M + alpha*D still positive definite.
+def _inv_factor(M: np.ndarray):
+    """inv(L) for a Cholesky factor L of M, or None when none is found.
 
     Near optimality M is barely definite and a bare Cholesky can fail
     from rounding; a relative jitter ladder keeps the factorization
-    alive (the resulting step only becomes slightly conservative).
+    alive (the steps taken with it only become slightly conservative).
     """
     n = M.shape[0]
     scale = max(float(np.trace(M).real) / n, np.finfo(float).tiny)
-    L = None
     for k in range(7):
         jitter = 0.0 if k == 0 else scale * 10.0 ** (k - 16)
         try:
-            L = np.linalg.cholesky(M + jitter * np.eye(n))
-            break
+            return np.linalg.inv(np.linalg.cholesky(M + jitter * np.eye(n)))
         except np.linalg.LinAlgError:
             continue
-    if L is None:
+    return None
+
+
+def _max_step(Li, D: np.ndarray, tau: float = 0.98) -> float:
+    """Largest alpha <= 1 keeping M + alpha*D definite; Li = _inv_factor(M)"""
+    if Li is None:
         return 0.0
-    Li = np.linalg.inv(L)
     W = _herm(Li @ D @ Li.conj().T)
     lo = float(np.linalg.eigvalsh(W)[0])
     if lo >= -1e-14:
@@ -216,10 +218,11 @@ def solve_margin_sdp(entries, n: int, b) -> SdpResult:
             dX = G0 - _herm(Zi @ a_adj(dy) @ X)
             return _herm(dX), float(dlam), dy, _herm(dZ)
 
-        # predictor (affine scaling)
+        # predictor (affine scaling); both step searches share one factor
+        LXi, LZi = _inv_factor(X), _inv_factor(Z)
         dXa, dlama, dya, dZa = direction(0.0, 0.0)
-        ap = _max_step(X, dXa, tau=1.0)
-        ad = _max_step(Z, dZa, tau=1.0)
+        ap = _max_step(LXi, dXa, tau=1.0)
+        ad = _max_step(LZi, dZa, tau=1.0)
         gap_aff = float(np.einsum(
             "ij,ji->", X + ap * dXa, Z + ad * dZa).real)
         sigma = min(0.8, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
@@ -227,8 +230,8 @@ def solve_margin_sdp(entries, n: int, b) -> SdpResult:
         # corrector
         corr = _herm(Zi @ dZa @ dXa)
         dX, dlam, dy, dZ = direction(sigma * mu, corr)
-        ap = _max_step(X, dX)
-        ad = _max_step(Z, dZ)
+        ap = _max_step(LXi, dX)
+        ad = _max_step(LZi, dZ)
 
         X = _herm(X + ap * dX)
         lam += ap * dlam

@@ -57,7 +57,7 @@ from .groupalg import (
     spheres,
     star_product,
 )
-from .qc import QC, abs_upper
+from .qc import QC, abs_upper, rational
 
 MODES = ("full", "augmentation")
 
@@ -134,7 +134,7 @@ class SosCertificate:
     def from_dict(d: dict) -> "SosCertificate":
         return SosCertificate(
             target=element_from_dict(d["target"]),
-            squares=[(Fraction(s["w"]), element_from_dict(s["a"]))
+            squares=[(rational(s["w"]), element_from_dict(s["a"]))
                      for s in d["squares"]],
             mode=d.get("mode", "full"),
         )
@@ -205,11 +205,11 @@ class DualWitness:
             target=target,
             mode=d["mode"],
             basis=[spec.word_from_str(s) for s in d["basis"]],
-            word_values={spec.word_from_str(s): QC(Fraction(re), Fraction(im))
+            word_values={spec.word_from_str(s): QC(rational(re), rational(im))
                          for s, (re, im) in d["word_values"].items()},
-            moment=[[QC(Fraction(re), Fraction(im)) for re, im in row]
+            moment=[[QC(rational(re), rational(im)) for re, im in row]
                     for row in d["moment"]],
-            value_at_target=Fraction(d["value_at_target"]),
+            value_at_target=rational(d["value_at_target"]),
         )
 
 
@@ -500,8 +500,12 @@ def sos_feasibility(b: AlgebraElement, basis=None,
     if basis is None:
         basis = gram_basis(b, mode)
     asm = GramAssembly(b.spec, basis, mode)
-    res = sdp.solve_margin_sdp(asm.sdp_entries(), asm.n,
-                               [float(x) for x in asm.beta(b)])
+    try:
+        beta = [float(x) for x in asm.beta(b)]
+    except OverflowError:
+        raise sdp.SolverError("no float form", {
+            "reason": "a constraint value is beyond float range"}) from None
+    res = sdp.solve_margin_sdp(asm.sdp_entries(), asm.n, beta)
     return Feasibility(margin=res.lam, gram=res.gram, y=res.y, assembly=asm,
                        iterations=res.iterations, gap=res.gap)
 

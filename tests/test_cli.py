@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -882,6 +883,58 @@ def test_unreadable_input_exits_64(tmp_path, capsys, verb, extra, content,
     code, out, err = run(capsys, verb, str(path), *extra)
     assert code == 64
     assert message in out + err
+
+
+def _huge_point(tmp_path):
+    return ["separate", write_quadrant(tmp_path), "--point=-1e5000,1"]
+
+
+def _huge_generator(tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"dim": 2, "generators": [
+        ["1e10000000", "0"], ["0", "1"]]}), encoding="utf-8")
+    return ["separate", str(path), "--point=-1,1"]
+
+
+def _huge_coefficient(tmp_path):
+    data = F1.to_dict()
+    data["terms"] = [{"word": "", "re": "1e10000000", "im": "0"}]
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return ["sos", str(path)]
+
+
+def _huge_weight(tmp_path):
+    data = SosCertificate(target=unit(F1),
+                          squares=[(Fraction(1), unit(F1))]).to_dict()
+    data["squares"][0]["w"] = "1e10000000"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return ["verify", str(path)]
+
+
+@pytest.mark.parametrize("argv_of", [
+    _huge_point, _huge_generator, _huge_coefficient, _huge_weight,
+], ids=["point", "generator", "coefficient", "weight"])
+def test_huge_decimal_exponents_exit_64_at_once(tmp_path, capsys, argv_of):
+    # Fraction("1e10000000") alone takes seconds, and a 5001-digit
+    # numerator cannot be written out; both are refused before conversion
+    argv = argv_of(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 64
+    assert "1e" in out + err
+
+
+def test_target_beyond_float_range_is_undecided(tmp_path, capsys):
+    path = write_element(tmp_path, "big.json",
+                         unit(F1) * Fraction(10) ** 400)
+    code, out, _ = run(capsys, "sos", str(path))
+    assert code == 4
+    report = reports(out)[0]
+    assert report["verdict"] == "undecided"
+    assert "float range" in report["diagnostics"]["solver"]["reason"]
 
 
 # ---------------------------------------------------------------------------

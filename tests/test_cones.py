@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsos import linprog
+from ncsos import cones, linprog
 from ncsos.cones import (
     ConeV,
     LexFunctional,
@@ -121,19 +121,142 @@ def _random_lp(rng):
 
 
 def test_lp_results_match_recorded_digest():
-    # (status, x, obj, y) of 500 seeded LPs, recorded from the Fraction
-    # tableau; any change of a pivot choice changes x or y on some of them
+    # 500 seeded LPs.  (status, obj) does not depend on the pivot path;
+    # (status, x, obj, y) pins it, so any change of a pivot choice changes
+    # x or y on some of them
     rng = random.Random(20261018)
-    h = hashlib.sha256()
+    values, path = hashlib.sha256(), hashlib.sha256()
     counts = {}
     for _ in range(500):
         res = linprog.solve_lp(*_random_lp(rng))
         counts[res.status] = counts.get(res.status, 0) + 1
-        h.update(repr((res.status, res.x, res.obj, res.y)).encode())
+        values.update(repr((res.status, res.obj)).encode())
+        path.update(repr((res.status, res.x, res.obj, res.y)).encode())
     assert counts == {linprog.OPTIMAL: 205, linprog.INFEASIBLE: 110,
                       linprog.UNBOUNDED: 185}
-    assert h.hexdigest() == ("a7c8d47b0a287df2d79680e3cf81a0b1"
-                             "e747df3f85fe332b7f2949fdd991dd39")
+    assert values.hexdigest() == ("0cf2970273df455bf92c4a1f6c336205"
+                                  "2422d9991fff81809a5e3fdfda0a45e5")
+    assert path.hexdigest() == ("3674201a7aed835d3c09acc8bc950796"
+                                "0e23d9e632ad3b8c5edb19e30c79b812")
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Per solve_lp call, the (row, column) pivots made by the slack crash,
+    by phase 1, and after phase 1."""
+    log = []
+    solve, run, pivot = linprog.solve_lp, linprog._run_simplex, linprog._pivot
+    phase = [0]
+
+    def solve_lp(*args):
+        log.append(([], [], []))
+        phase[0] = 0
+        return solve(*args)
+
+    def run_simplex(*args):
+        phase[0] = 1 if phase[0] == 0 else 2
+        try:
+            return run(*args)
+        finally:
+            phase[0] = 2
+
+    def counted_pivot(M, D, basis, r, e):
+        log[-1][phase[0]].append((r, e))
+        return pivot(M, D, basis, r, e)
+
+    monkeypatch.setattr(linprog, "solve_lp", solve_lp)
+    monkeypatch.setattr(linprog, "_run_simplex", run_simplex)
+    monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+    return log
+
+
+def _assert_optimal(A, b, c, res, x, obj):
+    """res is the optimum x (computed by hand) with a dual that proves it."""
+    assert res.status == linprog.OPTIMAL
+    assert res.x == [F(v) for v in x] and res.obj == obj
+    y = res.y
+    assert sum(yi * bi for yi, bi in zip(y, b)) == obj      # strong duality
+    assert all(cj - sum(yi * row[j] for yi, row in zip(y, A)) >= 0
+               for j, cj in enumerate(c))                    # dual feasible
+
+
+def _assert_farkas(A, b, res):
+    assert res.status == linprog.INFEASIBLE
+    y = res.y
+    assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+    assert all(sum(yi * row[j] for yi, row in zip(y, A)) <= 0
+               for j in range(len(A[0])))
+
+
+def test_crash_unit_column_with_coefficient_three(pivots):
+    # x1/2 + 3 s = 3, 2 x1 + t = 4; max x1 is 2 with s = 2/3
+    A = [[F(1, 2), F(3), F(0)], [F(2), F(0), F(1)]]
+    b, c = [F(3), F(4)], [F(-1), F(0), F(0)]
+    _assert_optimal(A, b, c, linprog.solve_lp(A, b, c), [2, F(2, 3), 0], -2)
+    crash, phase1, _ = pivots[0]
+    assert crash == [(0, 1), (1, 2)] and phase1 == []
+
+
+def test_crash_negates_a_zero_rhs_row(pivots):
+    # x1 - x2 - s = 0 (x2 <= x1), x1 + x2 + t = 2; max x2 is 1
+    A = [[F(1), F(-1), F(-1), F(0)], [F(1), F(1), F(0), F(1)]]
+    b, c = [F(0), F(2)], [F(0), F(-1), F(0), F(0)]
+    _assert_optimal(A, b, c, linprog.solve_lp(A, b, c), [1, 1, 0, 0], -1)
+    crash, phase1, _ = pivots[0]
+    assert crash == [(0, 2), (1, 3)] and phase1 == []
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_crash_skips_a_surplus_on_a_positive_rhs(pivots, sign):
+    # x1 + x2 - s = 1 (also written negated), x1 + 2 x2 + t = 4: s would
+    # enter at level -1, so row 0 keeps its artificial for phase 1
+    A = [[F(sign), F(sign), F(-sign), F(0)], [F(1), F(2), F(0), F(1)]]
+    b, c = [F(sign), F(4)], [F(1), F(2), F(0), F(0)]
+    _assert_optimal(A, b, c, linprog.solve_lp(A, b, c), [1, 0, 0, 3], 1)
+    crash, phase1, _ = pivots[0]
+    assert crash == [(1, 3)] and phase1 != []
+
+
+def test_crash_takes_the_least_unit_column_of_a_row(pivots):
+    # columns 1 and 3 are both unit columns of row 0; column 1 enters
+    A = [[F(1), F(1), F(0), F(2)], [F(1), F(0), F(1), F(0)]]
+    b, c = [F(2), F(3)], [F(-1), F(0), F(0), F(-3)]
+    _assert_optimal(A, b, c, linprog.solve_lp(A, b, c), [0, 0, 3, 1], -3)
+    crash, phase1, _ = pivots[0]
+    assert crash == [(0, 1), (1, 2)]
+
+
+def test_crash_with_a_redundant_row(pivots):
+    # row 0 crashes; rows 1 and 2 say x1 + x2 = 1 twice
+    A = [[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(2), F(2), F(0)]]
+    b, c = [F(3), F(1), F(2)], [F(1), F(2), F(0)]
+    _assert_optimal(A, b, c, linprog.solve_lp(A, b, c), [1, 0, 2], 1)
+    assert pivots[0][0] == [(0, 2)]
+
+
+def test_crash_infeasible_with_every_slack_row_crashed(pivots):
+    # x2 <= x1 <= 1 and x2 = 2.  Every row with a slack crashes (a system
+    # whose rows all crash is feasible at its crash basis), and the Farkas
+    # certificate must weigh the crashed rows
+    A = [[F(1), F(-1), F(-1), F(0)], [F(0), F(1), F(0), F(0)],
+         [F(1), F(0), F(0), F(1)]]
+    b = [F(0), F(2), F(1)]
+    res = linprog.solve_lp(A, b, [F(0)] * 4)
+    _assert_farkas(A, b, res)
+    assert res.y[0] and res.y[2]
+    assert pivots[0][0] == [(0, 2), (2, 3)]
+
+
+def test_stage_lps_make_no_phase_one_pivots(pivots):
+    gens = [(F(1), F(0), F(2)), (F(-1), F(1), F(0)), (F(0), F(-1), F(1))]
+    h_basis = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    x = (F(0), F(0), F(-1))
+    cones._stage_lp(h_basis, gens, x, "cover")
+    cones._stage_lp(h_basis, gens, None, "cover")
+    cones._stage_lp(h_basis, gens, x, "repel")
+    assert len(pivots) == 3
+    for crash, phase1, _ in pivots:
+        assert crash and phase1 == []
 
 
 # ---------------------------------------------------------------------------

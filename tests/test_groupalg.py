@@ -29,7 +29,7 @@ from ncsos.groupalg import (
     omega_squared_decomposition,
     star_product,
 )
-from ncsos.qc import QC
+from ncsos.qc import QC, rational
 
 F = Fraction
 
@@ -58,6 +58,19 @@ def random_element(spec, rng, nterms=4, radius=2, complex_coeffs=True):
 # ---------------------------------------------------------------------------
 # words and normal forms
 # ---------------------------------------------------------------------------
+
+def test_rational_refuses_exponents_past_the_digit_limit():
+    # mantissa digits plus |exponent| may reach 4300, the int <-> str limit
+    assert rational("1e4299") == 10 ** 4299
+    assert rational("-1.5E-4298") == F(-15, 10 ** 4299)
+    assert rational(" 12.3e2 ") == 1230
+    assert rational(F(1, 3)) == F(1, 3) and rational(2) == 2
+    for text in ("11e4299", "1e4300", "1e-10000000", "0.5e+4300"):
+        with pytest.raises(ValueError, match="4300"):
+            rational(text)
+    with pytest.raises(ValueError):
+        rational("1e" + "9" * 5000)
+
 
 def test_free_words_reduce():
     spec = AlgebraSpec.free(2)
