@@ -8,9 +8,9 @@ travel as "p/q" strings end to end.
 
 Exit codes: 0 success/certificate/separation, 1 failed verification,
 2 point inside the cone, 3 refutation witness, 4 undecided at the given
-radius (also: a Gram system refused as too large, or an
-artifact whose numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed input,
-70 internal error (with NCSOS_DEBUG=1 its traceback goes to stderr).
+radius (also: a Gram system or a lap-bound search refused as too large,
+or an artifact whose numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed
+input, 70 internal error (with NCSOS_DEBUG=1 its traceback goes to stderr).
 """
 
 import argparse
@@ -45,6 +45,7 @@ from .soscone import (
     TOL,
     CoverageError,
     DualWitness,
+    OversizeError,
     SosCertificate,
     certificate_defect,
     certify_membership,
@@ -248,6 +249,9 @@ def _cmd_separate(args):
         raise RuntimeError(
             "separating functional fails its sign contract: value at the "
             f"point {val_x.render()}, generators nonnegative: {gens_ok}")
+    # the order the evaluation used: widened for a functional whose last
+    # level lies beyond the configured one
+    report.disclosures["truncation_order"] = val_x.order
     path = _write(_artifact_path(args.cone, args.out, "functional"),
                   functional.to_json())
     report.verdict = "separated"
@@ -307,11 +311,14 @@ def _sos_single(path: str, mode: str, radius, shift, out,
                             _artifact_path(path, out, "witness", multi))
     if outcome.verdict == "undecided":
         diag, r = outcome.diagnostics, outcome.radius
-        fits = diag.get("largest_radius_that_fits")  # set on a refusal
-        advice = (f"retry with --radius {fits} or less" if fits else
-                  "no radius fits this backend" if "refused" in diag else
-                  f"no exact artifact at radius {r}; retry with --radius "
-                  f"{r + 1}")
+        if "refused" in diag:
+            advice = _refusal_advice(diag)
+        elif "solver" in diag:
+            advice = ("the SDP solver failed: " + diag["solver"].get(
+                "reason", "see diagnostics.solver"))
+        else:
+            advice = (f"no exact artifact at radius {r}; retry with "
+                      f"--radius {r + 1}")
         report.verdict = "undecided"
         report.diagnostics.update(diag, advice=advice)
         return report, EXIT_UNDECIDED
@@ -322,6 +329,13 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     report.verdict = "certified"
     report.diagnostics["squares"] = len(cert.squares)
     return report, EXIT_OK
+
+
+def _refusal_advice(diag: dict) -> str:
+    """Advice after a size refusal (diagnostics of an OversizeError)."""
+    fits = diag["largest_radius_that_fits"]
+    return f"retry with --radius {fits} or less" if fits else \
+        "no radius fits this backend"
 
 
 def _sos_refuted(report: JobReport, b, mode: str, outcome, apath: str):
@@ -479,6 +493,11 @@ def _cmd_lap_bound(args):
                                                    for s in S]})
     try:
         bound = laplacian_bound(b, S, radius=args.radius)
+    except OversizeError as exc:
+        report.verdict = "undecided"
+        report.diagnostics.update(exc.report, refused=str(exc),
+                                  advice=_refusal_advice(exc.report))
+        return report, EXIT_UNDECIDED
     except ValueError as exc:
         report.verdict = "failed"
         report.diagnostics["reason"] = str(exc)

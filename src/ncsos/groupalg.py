@@ -509,9 +509,6 @@ class AlgebraElement:
             tot = tot + c
         return tot
 
-    def coeff(self, w) -> QC:
-        return self.terms.get(self.spec.validate_word(w), QC(0))
-
     def degree(self) -> int:
         return max((self.spec.word_len(w) for w in self.terms), default=0)
 

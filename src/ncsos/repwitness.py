@@ -23,7 +23,7 @@ from .groupalg import (
 )
 from .exactla import ldlt_psd_qc, unit_lower_inverse
 from .qc import QC
-from .soscone import CoverageError, DualWitness
+from .soscone import CoverageError, DualWitness, default_radius
 
 NULL_TOL = 1e-9          # relative eigenvalue threshold for null modes
 CONTRACTION_TOL = 1e-9   # singular values may exceed 1 by at most this
@@ -292,8 +292,12 @@ def _pair(z) -> list:
 def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness:
     """Matrix refutation of b from a dual functional with phi(b) < 0.
 
-    The space radius is the longest word in b; the functional must carry
-    values one step further (products of length 2d + 1).  Group
+    The space is the ball of radius s = ceil(d/2), d the longest word
+    in b, and the functional must carry values one step further
+    (products of length 2s + 1).  Every word w of b splits as p v with
+    |p|, |v| <= s, and each generator step of U_v on the state stays in
+    the ball, where the compression is isometric, so
+    <state, U_w state> = <U_p* state, U_v state> = phi(w).  Group
     generators are dilated to unitaries; free *-algebra generators stay
     as compressions.  The evaluation agrees with the normalized
     functional value within 1e-6 relative + 1e-9 absolute error.
@@ -304,8 +308,7 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
                          "*-algebra backend")
     if not b.terms:
         raise ValueError("target is zero")
-    d = max(spec.word_len(w) for w in b.terms)
-    space = gns_from_moment(phi, d)
+    space = gns_from_moment(phi, default_radius(b, "full"))
     expected = 0.0 + 0.0j
     for w, cf in b.terms.items():
         z = space.word_values.get(w)

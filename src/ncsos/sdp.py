@@ -16,9 +16,9 @@ system <A_k, X0> = b_k and some y gives a positive definite Z -- the
 shapes produced by the Gram pipeline guarantee both -- the two problems
 are strictly feasible, the central path exists, and a Mehrotra-style
 predictor-corrector converges.  Everything is deterministic: fixed
-starting point, no randomization.  The constraint matrices are sparse
-entry lists (:class:`SparseConstraints`); the iterates X, Z and the m x m
-Schur complement are dense.
+starting point, no randomization.  The constraint matrices are the Gram
+assembly's weight lists, read as they are (:class:`SparseConstraints`);
+the iterates X, Z and the m x m Schur complement are dense.
 
 This solver produces floating-point hints; all certification happens
 downstream in exact rational arithmetic.
@@ -95,26 +95,25 @@ def _max_step(Li, D: np.ndarray, tau: float = 0.98) -> float:
 class SparseConstraints:
     """Hermitian n x n matrices A_0..A_{m-1} held as entry arrays.
 
-    ``entries`` lists ``(k, i, j, value)`` with A_k[i, j] = value; absent
-    entries are zero and each (k, i, j) appears at most once.
+    ``entries[k]`` lists the ``(i, j, weight)`` of A_k sorted by (i, j);
+    A_k[i, j] is the weight when ``parts[k]`` is ``'H'`` and i times it
+    when it is ``'K'``, as :class:`ncsos.soscone.GramAssembly` builds them.
     """
 
-    def __init__(self, entries, n: int, m: int):
-        k, i, j, v = (np.asarray(a) for a in zip(*entries))
-        o = np.lexsort((j, i, k))
-        self.k, self.i, self.j, self.v = k[o], i[o], j[o], v[o] + 0j
-        self.n, self.m = n, m
+    def __init__(self, entries, parts, n: int):
+        self.n, self.m = n, len(entries)
+        counts = [len(ents) for ents in entries]
+        i, j, w = zip(*(e for ents in entries for e in ents))
+        self.k = np.repeat(np.arange(self.m), counts)
+        self.i, self.j, w = np.array(i), np.array(j), np.array(w, float)
+        imag = np.repeat([part == "K" for part in parts], counts)
+        self.v = np.where(imag, 0.0, w) + 1j * np.where(imag, w, 0.0)
         # the entries of A_k occupy the slice start[k]:start[k + 1]
-        self.start = np.searchsorted(self.k, np.arange(m + 1))
-        t = np.lexsort((self.i, self.j, self.k))    # the transposed order
-        if not (np.array_equal(self.i[t], self.j) and np.array_equal(
-                self.j[t], self.i) and np.allclose(self.v[t].conj(), self.v,
-                                                   rtol=0, atol=1e-12)):
-            raise ValueError("constraint matrices must be hermitian")
+        self.start = np.cumsum([0] + counts)
         diag = self.i == self.j
         self.trace = np.bincount(self.k[diag], self.v[diag].real,
-                                 minlength=m)
-        self.sq_norms = np.bincount(self.k, abs(self.v) ** 2, minlength=m)
+                                 minlength=self.m)
+        self.sq_norms = np.bincount(self.k, abs(self.v) ** 2, minlength=self.m)
 
     def apply(self, W: np.ndarray) -> np.ndarray:
         """A(W)_k = Re tr(A_k W), which is <A_k, W> for hermitian W."""
@@ -145,17 +144,17 @@ class SparseConstraints:
         return (S + S.T) / 2
 
 
-def solve_margin_sdp(entries, n: int, b) -> SdpResult:
+def solve_margin_sdp(entries, parts, n: int, b) -> SdpResult:
     """Run the predictor-corrector iteration on the margin problem.
 
-    entries : ``(k, i, j, value)`` entries of m hermitian n x n matrices
-    b       : length-m real vector of constraint values
+    entries, parts : the m constraint matrices (:class:`SparseConstraints`)
+    b              : length-m real vector of constraint values
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
     if m == 0:
         raise ValueError("no constraints; decide trivially upstream")
-    A = SparseConstraints(entries, n, m)
+    A = SparseConstraints(entries, parts, n)
     t = A.trace
     if not np.any(np.abs(t) > 1e-14):
         raise ValueError("all constraints are traceless; margin undefined")

@@ -79,6 +79,11 @@ TOL = 1e-7
 # the exact projection holds the m x m constraint Gram matrix.
 MAX_CONDITIONS = 4000
 
+# Largest dense QC system, |B(2r)| rows times (|B(r)| - 1)^2 pair unknowns,
+# that the omega^2 search of laplacian_bound solves: free_abelian(3) at
+# r = 3 has 1.45e6 cells and took 86 s; free(2) at r = 3 has 3.9e6.
+MAX_OMEGA_CELLS = 2 * 10 ** 6
+
 
 class CoverageError(ValueError):
     """Target support not expressible with the chosen basis products."""
@@ -312,19 +317,16 @@ class GramAssembly:
         # column i as (word, re, im) terms: w, or c(w) = w - e
         self.columns = [[(w, 1, 0)] if mode == "full" else
                         [(w, 1, 0), (e, -1, 0)] for w in self.basis]
-        self.products = [[star_product(spec, ci, cj) for cj in self.columns]
-                         for ci in self.columns]
+        products = [[star_product(spec, ci, cj) for cj in self.columns]
+                    for ci in self.columns]
 
-        words = set()
-        for i in range(self.n):
-            for j in range(self.n):
-                words.update(self.products[i][j])
+        words = {w for row in products for prod in row for w in prod}
         if mode == "augmentation":
             words.discard(e)
         reps = sorted({min(w, spec.word_star(w), key=spec.word_key)
                        for w in words}, key=spec.word_key)
         self.class_reps = reps
-        self.rep_index = {w: k for k, w in enumerate(reps)}
+        rep_index = {w: k for k, w in enumerate(reps)}
         self.covered_words = words
 
         # E[p][q] = c at the representative of class k puts c at (p, q) and
@@ -332,9 +334,9 @@ class GramAssembly:
         HK = [({}, {}) for _ in reps]
         for p in range(self.n):
             for q in range(self.n):
-                for w, (c, _) in self.products[p][q].items():
-                    if w in self.rep_index:
-                        H, K = HK[self.rep_index[w]]
+                for w, (c, _) in products[p][q].items():
+                    if w in rep_index:
+                        H, K = HK[rep_index[w]]
                         H[p, q] = H.get((p, q), 0) + c
                         H[q, p] = H.get((q, p), 0) + c
                         K[p, q] = K.get((p, q), 0) - c
@@ -363,15 +365,6 @@ class GramAssembly:
             for i, j, c in ents:
                 A[i][j] = QC(c) if part == "H" else QC(0, c)
         return dense
-
-    def sdp_entries(self):
-        """``(k, i, j, value)`` of every A_k, the input of
-        :func:`sdp.solve_margin_sdp`."""
-        return [(k, i, j, complex(float(c), 0.0) if part == "H"
-                 else complex(0.0, float(c)))
-                for k, (ents, (_, part)) in enumerate(
-                    zip(self.entries, self.constraint_class))
-                for i, j, c in ents]
 
     # -- target handling -----------------------------------------------------
 
@@ -479,35 +472,21 @@ class GramAssembly:
 # numeric feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Feasibility:
-    margin: float                  # >= -TOL: numerically inside the cone
-    gram: Optional[np.ndarray]     # numeric Gram hint (A(gram) = beta)
-    y: np.ndarray                  # numeric dual functional coordinates
-    assembly: GramAssembly
-    iterations: int
-    gap: float
+def sos_feasibility(b: AlgebraElement,
+                    asm: GramAssembly) -> sdp.SdpResult:
+    """Margin SDP for membership of b in the cone of the assembly.
 
-
-def sos_feasibility(b: AlgebraElement, basis=None,
-                    mode: str = "full") -> Feasibility:
-    """Margin SDP for membership of b in the chosen squares cone.
-
-    A margin >= -TOL means b is inside or on the boundary of the
+    A margin ``lam`` >= -TOL means b is inside or on the boundary of the
     degree-bounded cone, numerically; below that y carries a separating
     functional hint.
     """
-    if basis is None:
-        basis = gram_basis(b, mode)
-    asm = GramAssembly(b.spec, basis, mode)
     try:
         beta = [float(x) for x in asm.beta(b)]
     except OverflowError:
         raise sdp.SolverError("no float form", {
             "reason": "a constraint value is beyond float range"}) from None
-    res = sdp.solve_margin_sdp(asm.sdp_entries(), asm.n, beta)
-    return Feasibility(margin=res.lam, gram=res.gram, y=res.y, assembly=asm,
-                       iterations=res.iterations, gap=res.gap)
+    return sdp.solve_margin_sdp(
+        asm.entries, [part for _, part in asm.constraint_class], asm.n, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +546,10 @@ def _squares_from_ldlt(asm: GramAssembly, d, L):
     return squares
 
 
-def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
-                      mode: str = "full",
-                      assembly: GramAssembly | None = None) -> SosCertificate:
-    """Turn a numeric Gram hint into an exact certificate.
+def round_and_project(asm: GramAssembly, b: AlgebraElement,
+                      gram: np.ndarray) -> SosCertificate:
+    """Turn a numeric Gram hint on the assembly's basis into an exact
+    certificate.
 
     Round entries to the grid (1/den)Z for den in DENOMINATOR_LADDER,
     move exactly back onto the affine constraint slice (minimum-norm
@@ -582,10 +561,6 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
     certificate is used (``ncsos sos`` runs it before writing).  Raises
     ProjectionError with a margin report when every attempt fails.
     """
-    if assembly is None:
-        assembly = GramAssembly(b.spec, basis if basis is not None
-                                else gram_basis(b, mode), mode)
-    asm = assembly
     beta = asm.beta(b)
     report = {}
     for den in DENOMINATOR_LADDER:
@@ -606,7 +581,7 @@ def round_and_project(gram: np.ndarray, b: AlgebraElement, basis=None,
                 raise RuntimeError("exact projection missed the slice")
         ok, d, L, fail = exactla.ldlt_psd_qc(_gaussian(R, I))
         if ok:
-            return SosCertificate(target=b, mode=mode,
+            return SosCertificate(target=b, mode=asm.mode,
                                   squares=_squares_from_ldlt(asm, d, L))
         report[den] = {"fail_at": fail}
     raise ProjectionError("projected matrix not positive semidefinite",
@@ -675,8 +650,9 @@ def _check_functional(asm: GramAssembly, beta, y, require_negative: bool):
     return value, M, None if ok else fail
 
 
-def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
-    """Rationalize the numeric separating functional and certify it.
+def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
+                       res: sdp.SdpResult) -> DualWitness:
+    """Rationalize the numeric separating functional res.y and certify it.
 
     y is rounded to the grid (1/den)Z for den in DENOMINATOR_LADDER and
     mixed with mu times the coordinates of the reference functional
@@ -685,13 +661,12 @@ def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
     exact PSD moment matrix and exact negative value beta . y at the
     target -- are verified over rationals.
     """
-    asm = feas.assembly
     beta = asm.beta(b)
     y_ref = _y_from_word_values(asm, {w: asm.ref_value(w)
                                       for w in asm.covered_words})
 
     for den in DENOMINATOR_LADDER:
-        y = [_grid(float(v), den) for v in feas.y]
+        y = [_grid(float(v), den) for v in res.y]
         R, I = asm.moment(y)
         Mf = np.array(R, dtype=float) + 1j * np.array(I, dtype=float)
         est = float(np.linalg.eigvalsh((Mf + Mf.conj().T) / 2)[0])
@@ -708,7 +683,7 @@ def exact_dual_witness(b: AlgebraElement, feas: Feasibility) -> DualWitness:
                                word_values=_word_values_from_y(asm, y_mix),
                                moment=M, value_at_target=value)
     raise ProjectionError("could not certify a separating functional",
-                          {"margin": feas.margin})
+                          {"margin": res.lam})
 
 
 def witness_from_word_values(b: AlgebraElement, values: dict, basis=None,
@@ -767,41 +742,40 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
             verdict="certified", mode=mode, radius=radius, margin=None,
             certificate=SosCertificate(target=b, squares=[], mode=mode))
     try:
-        basis = gram_basis(b, mode, radius)
+        asm = GramAssembly(b.spec, gram_basis(b, mode, radius), mode)
     except OversizeError as err:
         return MembershipOutcome(verdict="undecided", mode=mode,
                                  radius=radius, margin=None,
                                  diagnostics={"refused": str(err),
                                               **err.report})
     try:
-        feas = sos_feasibility(b, basis, mode=mode)
+        res = sos_feasibility(b, asm)
     except sdp.SolverError as err:
         return MembershipOutcome(verdict="undecided", mode=mode,
                                  radius=radius, margin=None,
                                  diagnostics={"solver": err.info})
-    diag = {"iterations": feas.iterations, "gap": feas.gap,
-            "basis_size": feas.assembly.n, "constraints": feas.assembly.m}
+    diag = {"iterations": res.iterations, "gap": res.gap,
+            "basis_size": asm.n, "constraints": asm.m}
     # the boundary band [-TOL, TOL] tries both: a clean rational Gram may
     # still round, and a slightly negative margin may still refute
-    if feas.margin >= -TOL:
+    if res.lam >= -TOL:
         try:
-            cert = round_and_project(feas.gram, b, assembly=feas.assembly,
-                                     mode=mode)
+            cert = round_and_project(asm, b, res.gram)
             return MembershipOutcome(verdict="certified", mode=mode,
-                                     radius=radius, margin=feas.margin,
+                                     radius=radius, margin=res.lam,
                                      certificate=cert, diagnostics=diag)
         except ProjectionError as err:
             diag["projection"] = err.report
-    if feas.margin < 0:
+    if res.lam < 0:
         try:
-            wit = exact_dual_witness(b, feas)
+            wit = exact_dual_witness(asm, b, res)
             return MembershipOutcome(verdict="refuted", mode=mode,
-                                     radius=radius, margin=feas.margin,
+                                     radius=radius, margin=res.lam,
                                      witness=wit, diagnostics=diag)
         except ProjectionError as err:
             diag["dual"] = err.report
     return MembershipOutcome(verdict="undecided", mode=mode, radius=radius,
-                             margin=feas.margin, diagnostics=diag)
+                             margin=res.lam, diagnostics=diag)
 
 
 def interior_shift_certificate(b: AlgebraElement, eta) -> SosCertificate:
@@ -999,16 +973,30 @@ def laplacian_bound(b: AlgebraElement, S, radius: int | None = None) -> Fraction
     b is written exactly as sum beta_{gh} c(g)* c(h); diagonal terms are
     bounded by nu(g), cross terms by KAPPA*(nu(g)+nu(h)) (Cauchy-Schwarz
     with the rational constant KAPPA >= 1/sqrt(2)), and coefficient
-    moduli by certified rational upper bounds.
+    moduli by certified rational upper bounds.  A target of nonzero
+    augmentation is refused at once (omega^2 lies in the augmentation
+    ideal); a search that reaches a radius whose dense system exceeds
+    MAX_OMEGA_CELLS raises OversizeError before building it.
     """
     spec = b.spec
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
     if not b:
         return Fraction(0)
+    if b.augmentation():
+        raise ValueError("target has nonzero augmentation, so it is not "
+                         "in the ideal-squared span")
     beta = None
     max_r = radius if radius is not None else max(1, b.degree())
     for r in range(1, max_r + 1):
+        rows, unknowns = ball_size(spec, 2 * r), (ball_size(spec, r) - 1) ** 2
+        if spec.is_group() and rows * unknowns > MAX_OMEGA_CELLS:
+            raise OversizeError(
+                f"omega^2 system too large at radius {r}: {rows} rows times "
+                f"{unknowns} pair unknowns, above the limit of "
+                f"{MAX_OMEGA_CELLS} cells",
+                {"rows": rows, "pair_unknowns": unknowns,
+                 "largest_radius_that_fits": r - 1 or None})
         beta = omega_squared_decomposition(b, r)
         if beta is not None:
             break

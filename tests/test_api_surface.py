@@ -2,7 +2,8 @@
 
 A public top-level function or class of the package is either used
 inside the package or documented as library API in the README; anything
-else is a helper that only tests call.  Backend word formats live in
+else is a helper that only tests call.  A public method or property is
+read somewhere in the repository's code or named in the README.  Backend word formats live in
 ``groupalg``: no other module names a non-finite backend.
 """
 
@@ -32,6 +33,31 @@ def test_every_public_name_is_used_or_documented():
     assert not orphans, (
         "public names used nowhere in src/ncsos and not in README.md: "
         + ", ".join(orphans))
+
+
+def test_every_public_method_is_used_or_documented():
+    # a method or property counts as used where some file of src/, tests/
+    # or bench/ reads it as an attribute, or where README names it
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    orphans = []
+    for path in sorted((ROOT / "src" / "ncsos").glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            orphans += [f"{path.stem}.{cls.name}.{node.name}"
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")
+                        and node.name not in read
+                        and not re.search(rf"\b{node.name}\b", readme)]
+    assert not orphans, (
+        "public methods read nowhere in src/, tests/ or bench/ and not in "
+        "README.md: " + ", ".join(orphans))
 
 
 def _kind_comparisons(tree):

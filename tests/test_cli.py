@@ -99,6 +99,24 @@ def test_separate_matches_golden_functional(tmp_path, capsys):
     assert report["diagnostics"]["value_at_point"] == "-1"
 
 
+def test_separate_widens_the_truncation_window_for_a_long_functional(
+        tmp_path, capsys):
+    # a staircase e_i - 2 e_{i+1} separates in 9 stages, and stage 9
+    # weighs by eps^255, beyond the default window of 63
+    gens = [[int(k == i) - 2 * int(k == i + 1) for k in range(9)]
+            for i in range(8)] + [[0] * 8 + [1]]
+    cone = tmp_path / "staircase.json"
+    cone.write_text(cone_to_json(ConeV(9, gens)), encoding="utf-8")
+    code, out, _ = run(capsys, "separate", str(cone),
+                       "--point=-1,2,0,0,0,0,0,0,0",
+                       "--out", str(tmp_path / "f.json"))
+    assert code == 0
+    report = reports(out)[0]
+    assert report["diagnostics"]["stages"] == 9
+    assert report["diagnostics"]["value_at_point"] == "-1 + 2*e^1"
+    assert report["disclosures"]["truncation_order"] == 255
+
+
 def test_separate_help_shows_the_equals_form_of_a_negative_point(
         tmp_path, capsys):
     with pytest.raises(SystemExit):
@@ -627,6 +645,34 @@ def test_sos_discloses_the_radius_of_a_re_solved_witness(tmp_path, capsys):
     assert report["diagnostics"]["max_digits"] == 1
 
 
+@pytest.mark.parametrize("spec, radius, resolved", [
+    (F1, None, 2), (F1, 2, None), (F1, 3, None),
+    (F2, 2, 3), (F2, 3, None),
+], ids=["free1-default", "free1-r2", "free1-r3", "free2-r2", "free2-r3"])
+def test_sos_refutations_of_degree_two_and_three_write_unitary_witnesses(
+        tmp_path, capsys, spec, radius, resolved):
+    # the representation space is the ball of radius ceil(deg/2), so only
+    # the default radius is too short for the dilation and is re-solved
+    a = gen(spec, 1)
+    if spec is F1:
+        b = unit(F1) - a * a - a.star() * a.star()
+    else:
+        c = gen(F2, 2)
+        b = unit(F2) - a * c * a - (a * c * a).star() + \
+            (c + c.star()) * Fraction(1, 2)
+    path = write_element(tmp_path, "b.json", b)
+    argv = ["sos", path] + ([] if radius is None else ["--radius",
+                                                        str(radius)])
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    report = reports(out)[0]
+    assert report["diagnostics"]["witness_kind"] == "unitary_representation"
+    assert report["diagnostics"].get("witness_radius") == resolved
+    assert "dilation_fallback" not in report["diagnostics"]
+    vcode, _, _ = run(capsys, "verify", report["artifact"])
+    assert vcode == 0
+
+
 def test_sos_refuses_an_artifact_too_large_to_write(tmp_path, capsys,
                                                    monkeypatch):
     # 1 = (1/2 + t) 1*1 + (1/2 - t) 1*1 with t = 10^-4100 is an exact,
@@ -937,6 +983,17 @@ def test_target_beyond_float_range_is_undecided(tmp_path, capsys):
     assert "float range" in report["diagnostics"]["solver"]["reason"]
 
 
+def test_solver_failure_advice_suggests_no_radius(tmp_path, capsys):
+    a = gen(F1, 1)
+    path = write_element(tmp_path, "big.json",
+                         unit(F1) * Fraction(10) ** 400 + a + a.star())
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 4
+    advice = reports(out)[0]["diagnostics"]["advice"]
+    assert advice == ("the SDP solver failed: a constraint value is beyond "
+                      "float range")
+
+
 # ---------------------------------------------------------------------------
 # lap-bound / kazhdan
 # ---------------------------------------------------------------------------
@@ -949,6 +1006,54 @@ def test_lap_bound_of_a_generator_square(tmp_path, capsys):
     report = reports(out)[0]
     assert report["verdict"] == "bounded"
     assert report["diagnostics"]["bound"] == "2"
+
+
+def test_lap_bound_fails_a_nonzero_augmentation_target_at_once(tmp_path,
+                                                              capsys):
+    # no radius decomposes it; free(2) at radius 3 is also oversize
+    a = gen(F2, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(F2) + a + a.star())
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B",
+                       "--radius", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    report = reports(out)[0]
+    assert report["verdict"] == "failed"
+    assert "nonzero augmentation" in report["diagnostics"]["reason"]
+
+
+def test_lap_bound_refuses_a_search_that_reaches_an_oversize_radius(
+        tmp_path, capsys):
+    # i(a - A) is outside the span at radius 1; free(4) at radius 2 has
+    # 3201 rows times 64^2 pair unknowns
+    F4 = AlgebraSpec.free(4)
+    a = gen(F4, 1)
+    path = write_element(tmp_path, "b.json",
+                         QC(0, 1) * a - QC(0, 1) * a.star())
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B",
+                       "--radius", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    report = reports(out)[0]
+    assert report["verdict"] == "undecided"
+    diag = report["diagnostics"]
+    assert (diag["rows"], diag["pair_unknowns"]) == (3201, 64 ** 2)
+    assert diag["largest_radius_that_fits"] == 1
+    assert diag["advice"] == "retry with --radius 1 or less"
+
+
+def test_lap_bound_stops_below_an_oversize_default_radius(tmp_path, capsys):
+    # degree 3, so the search may go to radius 3 (oversize on free(2)),
+    # but c(a)* c(bb) + c(bb)* c(a) is found at radius 2
+    a, bb = gen(F2, 1), gen(F2, 2) * gen(F2, 2)
+    ca, cbb = a - unit(F2), bb - unit(F2)
+    path = write_element(tmp_path, "b.json",
+                         ca.star() * cbb + cbb.star() * ca)
+    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B")
+    assert code == 0
+    assert reports(out)[0]["verdict"] == "bounded"
 
 
 def test_lap_bound_failure_for_elements_outside_the_span(tmp_path, capsys):

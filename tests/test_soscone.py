@@ -26,6 +26,7 @@ from ncsos.groupalg import (
     c_of,
     l1_norm_bound,
     laplacian,
+    star_product,
 )
 from ncsos.qc import QC, max_digits
 from ncsos import sdp, soscone
@@ -78,6 +79,18 @@ def reread(artifact):
 
 def gen(spec, i):
     return AlgebraElement.generator(spec, i)
+
+
+def assembly(b, mode="full", basis=None):
+    """The Gram assembly of target b, on the default basis unless given."""
+    return GramAssembly(b.spec, gram_basis(b, mode) if basis is None
+                        else basis, mode)
+
+
+def products(asm):
+    """col_i* col_j for every pair of the assembly's columns."""
+    return [[star_product(asm.spec, ci, cj) for cj in asm.columns]
+            for ci in asm.columns]
 
 
 def char_min(b, samples=360):
@@ -253,15 +266,16 @@ def test_identity_gram_rounds_immediately():
     # with G = I the target is sum_w w*w = |basis| * 1 and rounding is exact
     basis = ball(FREE1, 1)
     b = unit(FREE1) * len(basis)
-    cert = round_and_project(np.eye(len(basis)), b, basis=basis)
+    cert = round_and_project(assembly(b, basis=basis), b, np.eye(len(basis)))
     assert verify_certificate(cert)
     assert sum(w for w, _ in cert.squares) == len(basis)
 
 
 def test_round_and_project_failure_reports_margin():
+    b = unit(FREE1) * F(-1)
+    asm = assembly(b, basis=[FREE1.identity_word])
     with pytest.raises(ProjectionError):
-        round_and_project(np.zeros((1, 1)), unit(FREE1) * F(-1),
-                          basis=[FREE1.identity_word])
+        round_and_project(asm, b, np.zeros((1, 1)))
 
 
 # fixed Gram hints, rounded from SDP runs, so the exact layer is pinned
@@ -292,24 +306,25 @@ PINNED_HINTS = {
 @pytest.mark.parametrize("case", sorted(PINNED_HINTS))
 def test_rounding_a_fixed_hint_gives_pinned_certificate_bytes(case):
     b, mode, hint, digest = PINNED_HINTS[case]
-    cert = round_and_project(np.array(hint, dtype=complex), b, mode=mode)
+    cert = round_and_project(assembly(b, mode), b,
+                             np.array(hint, dtype=complex))
     assert verify_certificate(cert)
     assert hashlib.sha256(dump(cert).encode()).hexdigest() == digest
 
 
 def test_feasibility_margin_sign_tracks_membership():
     g = gen(FREE1, 1)
-    inside = sos_feasibility(unit(FREE1) * 3 - g - g.star())
-    outside = sos_feasibility(g + g.star() - unit(FREE1) * 3)
-    assert inside.margin > 1e-6
-    assert outside.margin < -1e-6
+    inside = unit(FREE1) * 3 - g - g.star()
+    outside = g + g.star() - unit(FREE1) * 3
+    assert sos_feasibility(inside, assembly(inside)).lam > 1e-6
+    assert sos_feasibility(outside, assembly(outside)).lam < -1e-6
 
 
 def test_dual_witness_from_feasibility_run():
     g = gen(FREE1, 1)
     b = g + g.star() - unit(FREE1) * 3
-    feas = sos_feasibility(b)
-    wit = exact_dual_witness(b, feas)
+    asm = assembly(b)
+    wit = exact_dual_witness(asm, b, sos_feasibility(b, asm))
     assert wit.value_at_target < 0
     assert verify_witness(wit)
 
@@ -331,9 +346,9 @@ def dense_constraints(asm):
     """H = (E + E*)/2 and K = (E - E*)/(2i) per class, from the products."""
     n, spec = asm.n, asm.spec
     half, minus_half_i = QC(F(1, 2)), QC(0, F(-1, 2))
-    order, mats = [], []
+    prods, order, mats = products(asm), [], []
     for k, w in enumerate(asm.class_reps):
-        E = [[QC(*asm.products[i][j].get(w, (0, 0))) for j in range(n)]
+        E = [[QC(*prods[i][j].get(w, (0, 0))) for j in range(n)]
              for i in range(n)]
         order.append((k, "H"))
         mats.append([[(E[i][j] + E[j][i].conjugate()) * half
@@ -397,7 +412,8 @@ def test_sdp_operators_match_dense_einsum(case):
     asm = GramAssembly(spec, basis, mode)
     A = np.array([[[complex(z) for z in row] for row in M]
                   for M in dense_constraints(asm)])
-    ops = sdp.SparseConstraints(asm.sdp_entries(), asm.n, asm.m)
+    ops = sdp.SparseConstraints(
+        asm.entries, [part for _, part in asm.constraint_class], asm.n)
     rng = np.random.default_rng(5)
     X, Zi = random_hermitian(asm.n, rng), random_hermitian(asm.n, rng)
     y = rng.standard_normal(asm.m)
@@ -421,9 +437,9 @@ def moment_of_values(asm, values):
     """[phi(column_i* column_j)] from the products, phi(e) = 0 in
     augmentation mode."""
     skip = asm.spec.identity_word if asm.mode == "augmentation" else None
-    return [[sum((QC(*cw) * values[w] for w, cw in asm.products[i][j].items()
-                  if w != skip), QC(0))
-             for j in range(asm.n)] for i in range(asm.n)]
+    return [[sum((QC(*cw) * values[w] for w, cw in prod.items()
+                  if w != skip), QC(0)) for prod in row]
+            for row in products(asm)]
 
 
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
@@ -471,12 +487,12 @@ def test_integer_products_match_element_products(spec, radius):
     for mode in ("full", "augmentation") if spec.is_group() else ("full",):
         basis = [w for w in ball(spec, radius)
                  if mode == "full" or w != spec.identity_word]
-        asm = GramAssembly(spec, basis, mode)
+        prods = products(GramAssembly(spec, basis, mode))
         cols = [AlgebraElement.from_word(spec, w) if mode == "full"
                 else c_of(spec, w) for w in basis]
         for i, ci in enumerate(cols):
             for j, cj in enumerate(cols):
-                got = asm.products[i][j]
+                got = prods[i][j]
                 assert got == {w: (c.re, c.im)
                                for w, c in (ci.star() * cj).terms.items()}
                 assert all(type(x) is int for c in got.values() for x in c)
@@ -624,8 +640,8 @@ def test_certificate_defect_matches_element_arithmetic(spec, mode):
 @pytest.mark.parametrize("field", ["re", "im", "w"])
 def test_tampered_certificate_fails_verification(case, field):
     b, mode, hint, _ = PINNED_HINTS[case]
-    d = round_and_project(np.array(hint, dtype=complex), b,
-                          mode=mode).to_dict()
+    d = round_and_project(assembly(b, mode), b,
+                          np.array(hint, dtype=complex)).to_dict()
     square = d["squares"][1]
     spot = square if field == "w" else square["a"]["terms"][0]
     spot[field] = str(F(spot[field]) + F(1, 10 ** 9))
@@ -636,7 +652,8 @@ def test_verify_certificate_needs_no_qc_product(monkeypatch):
     z2 = AlgebraSpec.cyclic(2)
     b, mode, hint, _ = PINNED_HINTS["z5-augmentation"]
     certs = [certify_membership(unit(z2) * 3 + gen(z2, 1)).certificate,
-             round_and_project(np.array(hint, dtype=complex), b, mode=mode)]
+             round_and_project(assembly(b, mode), b,
+                               np.array(hint, dtype=complex))]
     assert [c.mode for c in certs] == ["full", "augmentation"]
 
     def no_product(self, other):
