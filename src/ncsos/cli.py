@@ -306,6 +306,8 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     report.disclosures["radius"] = outcome.radius
     if outcome.margin is not None:
         report.diagnostics["sdp_margin"] = outcome.margin
+    if "gram_hint" in outcome.diagnostics:
+        report.diagnostics["gram_hint"] = outcome.diagnostics["gram_hint"]
     if outcome.verdict == "refuted":
         return _sos_refuted(report, target, mode, outcome,
                             _artifact_path(path, out, "witness", multi))
@@ -372,7 +374,9 @@ def _sos_refuted(report: JobReport, b, mode: str, outcome, apath: str):
     if kind == "dual_functional":
         if not _write_artifact(report, apath, kind, wit):
             return report, EXIT_UNDECIDED
-        report.diagnostics["witness_value"] = float(wit.value_at_target)
+        value = wit.value_at_target
+        report.diagnostics["witness_value"] = \
+            float(value) if abs(value) <= sys.float_info.max else str(value)
     report.diagnostics["witness_kind"] = kind
     return report, EXIT_WITNESS
 

@@ -185,7 +185,8 @@ def _bareiss_ldlt(R, I):
     Returns ``(pivots, fail)``: ``pivots[k]`` is p_k, or 0 for a skipped
     column, and column k of R (and I) below the diagonal holds the
     integer column a_ik with L[i][k] = a_ik / p_k; ``fail`` is
-    ``(row, col_or_None)`` of the first violation, with pivots None.
+    ``(row, col_or_None)`` of the first violation, the columns before it
+    in place (:func:`negative_vector` reads them).
     """
     n = len(R)
     level = [1] * n            # pivot that row i's live entries carry
@@ -194,11 +195,11 @@ def _bareiss_ldlt(R, I):
     for k in range(n):
         p = R[k][k] * prev // level[k]
         if p < 0:
-            return None, (k, None)
+            return pivots, (k, None)
         if p == 0:
             for j in range(k + 1, n):
                 if R[j][k] or (I is not None and I[j][k]):
-                    return None, (j, k)
+                    return pivots, (j, k)
             continue
         R[k][k] = p
         pivots[k] = p
@@ -233,15 +234,15 @@ def _bareiss_ldlt(R, I):
     return pivots, None
 
 
-def _ldlt_psd(re_rows, im_rows, unit):
-    """LDL* with the zero-pivot rule on a rational lower triangle.
+def _integer_lower(M):
+    """The lower triangle of a hermitian QC matrix over the lcm of its
+    denominators: integer real and imaginary parts, and that lcm."""
+    im_rows = [[z.im for z in row[:i + 1]] for i, row in enumerate(M)]
+    return _integers([[z.re for z in row[:i + 1]] for i, row in enumerate(M)],
+                     im_rows if any(map(any, im_rows)) else None)
 
-    Scales by the lcm of all denominators into integers, runs
-    :func:`_bareiss_ldlt` and converts to Fractions only at the output:
-    d_k = p_k / (p_prev * scale) and L[i][k] = a_ik / p_k.  ``unit(re,
-    im)`` builds an output entry.
-    """
-    n = len(re_rows)
+
+def _integers(re_rows, im_rows):
     scale = math.lcm(*(x.denominator for rows in (re_rows, im_rows or ())
                        for row in rows for x in row if x))
 
@@ -249,8 +250,15 @@ def _ldlt_psd(re_rows, im_rows, unit):
         return [[x.numerator * (scale // x.denominator) if x else 0
                  for x in row] for row in rows]
 
-    R = integers(re_rows)
-    I = integers(im_rows) if im_rows else None
+    return integers(re_rows), im_rows and integers(im_rows), scale
+
+
+def _ldlt_psd(R, I, scale, unit):
+    """LDL* with the zero-pivot rule on the integer lower triangle (R, I)
+    of a rational one times ``scale``, by :func:`_bareiss_ldlt`, with
+    Fractions only at the output: d_k = p_k / (p_prev * scale) and
+    L[i][k] = a_ik / p_k, each entry built by ``unit(re, im)``."""
+    n = len(R)
     pivots, fail = _bareiss_ldlt(R, I)
     if fail is not None:
         return False, None, None, fail
@@ -283,19 +291,42 @@ def ldlt_psd_qc(M: Sequence[Sequence[QC]]):
     """
     if not is_hermitian_qc(M):
         raise ValueError("ldlt_psd_qc: matrix is not hermitian")
-    re_rows = [[z.re for z in row[:i + 1]] for i, row in enumerate(M)]
-    im_rows = [[z.im for z in row[:i + 1]] for i, row in enumerate(M)]
-    if not any(x for row in im_rows for x in row):
-        im_rows = None
-    return _ldlt_psd(re_rows, im_rows, QC)
+    return _ldlt_psd(*_integer_lower(M), QC)
+
+
+def negative_vector(M):
+    """(re, im) integer pairs of a v with v* M v < 0 for a hermitian QC
+    matrix M that is not PSD, else None.  Rerunning :func:`ldlt_psd_qc`'s
+    elimination to its first violation leaves M = L diag(d) L* + (0 + S),
+    S the Schur complement; v solves L* v = y for y = e_k at a negative
+    pivot k, or at a zero pivot k with S_jk = a != 0 for y = e_j + x e_k,
+    x = m (i sgn Im a - sgn Re a), so y* S y = S_jj - 2m(|Re a| + |Im a|),
+    negative for a large enough power of two m."""
+    R, I, _ = _integer_lower(M)
+    pivots, fail = _bareiss_ldlt(R, I)
+    if fail is None:
+        return None
+    j, k = fail
+    v = [QC(int(i == j)) for i in range(len(M))]
+    if k is not None:
+        re, im = R[j][k], I[j][k] if I else 0
+        m = 1 << (max(R[j][j], 0) // (abs(re) + abs(im))).bit_length()
+        v[k] = QC(-m * ((re > 0) - (re < 0)), m * ((im > 0) - (im < 0)))
+    for c in reversed(range(j if k is None else k)):
+        if pivots[c]:
+            v[c] = -sum((QC(R[i][c], -I[i][c] if I else 0) * v[i]
+                         for i in range(c + 1, j + 1) if v[i]),
+                        QC(0)) / pivots[c]
+    den = math.lcm(*(x.denominator for z in v for x in (z.re, z.im)))
+    return [(int(z.re * den), int(z.im * den)) for z in v]
 
 
 def ldlt_psd(M):
     """:func:`ldlt_psd_qc` for a real symmetric matrix of Fractions (or
     integers); ``d`` and ``L`` are Fractions.  Only the lower triangle
     is read."""
-    return _ldlt_psd([row[:i + 1] for i, row in enumerate(M)], None,
-                     lambda re, im: Fraction(re))
+    return _ldlt_psd(*_integers([row[:i + 1] for i, row in enumerate(M)],
+                                None), lambda re, im: Fraction(re))
 
 
 def ldlt_solve(d, rows, b):

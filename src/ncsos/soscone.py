@@ -8,31 +8,30 @@ Two cones are handled over every algebra backend:
   augmentation-ideal columns c(g) = g - 1, so every combination lands in
   the ideal-squared cone automatically.
 
-The pipeline is hybrid: an interior-point SDP over sparse constraint
-entries produces floating hints (a Gram matrix or a separating
-functional), and everything the caller can trust is then rebuilt in
-exact rational arithmetic from the same entries, whose weights are real
-half-integers -- rounding plus exact affine projection on the real and
-imaginary parts of the Gram matrix, then exact LDL*, on the primal
-side; on the dual side a functional is its constraint coordinates y,
-rounded and mixed with a reference functional's, its moment matrix is
-the conjugate of sum_k y_k A_k and its value at the target is beta . y.
-No verdict other than ``undecided`` ever rests on floating point.
+The pipeline is hybrid: a Gram hint on sparse constraint entries, whose
+weights are real half-integers, becomes an exact certificate by exact
+LDL*.  When the basis ball is a whole finite group the hint is the Gram
+matrix of the regular representation in closed form, exact already, and
+a failing LDL* yields a vector state as the witness.  Elsewhere an
+interior-point SDP proposes the hint or a separating functional: the
+Gram matrix is rounded to the grid (1/den)Z (Peyrl & Parrilo, TCS 2008)
+and projected exactly onto the constraint slice through an LDL^T of the
+constraint Gram system computed once per assembly; a functional is its
+constraint coordinates y, rounded and mixed with a reference
+functional's, its moment matrix is the conjugate of sum_k y_k A_k and
+its value at the target is beta . y.  The PSD decision is the
+fraction-free (Bareiss) LDL* of :mod:`ncsos.exactla`, and no verdict
+other than ``undecided`` ever rests on floating point.
 :func:`certify_membership` is the one path from a target to a
 certificate or witness: the epsilon shift and the Laplacian bisection
-only change the target they ask it about.
-
-Rounding puts every entry on the grid (1/den)Z (Peyrl & Parrilo, TCS
-2008), so a rounded matrix has the one denominator den rather than the
-lcm of per-entry approximations.  The projection solves the constraint
-Gram system through an LDL^T computed once per assembly, and the PSD
-decision is the fraction-free (Bareiss) LDL* of :mod:`ncsos.exactla`.
-Gram systems above MAX_CONDITIONS real conditions are refused from the
-ball sizes, before any product table is built.
+only change the target they ask it about.  Gram systems above
+MAX_CONDITIONS real conditions are refused from the ball sizes, before
+any product table is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -524,10 +523,11 @@ def _gaussian(R, I):
     return [[QC(r, i) for r, i in zip(rr, ir)] for rr, ir in zip(R, I)]
 
 
-def _squares_from_ldlt(asm: GramAssembly, d, L):
-    """One square per positive pivot, d_k (L_k* c)* (L_k* c), with the
-    column's common denominator and content moved into the weight: each
-    square root has coprime Gaussian-integer coefficients."""
+def _certificate_from_ldlt(asm: GramAssembly, b: AlgebraElement, d, L):
+    """The certificate of b with one square d_k (L_k* c)* (L_k* c) per
+    positive pivot, the column's common denominator and content moved into
+    the weight: each square root has coprime Gaussian-integer coefficients.
+    """
     squares = []
     for k in range(asm.n):
         if d[k] == 0:
@@ -543,7 +543,7 @@ def _squares_from_ldlt(asm: GramAssembly, d, L):
                 terms[w] = terms.get(w, 0) + QC(c * f * coef.re,
                                                 c * f * coef.im)
         squares.append((d[k] / (f * f), AlgebraElement(asm.spec, terms)))
-    return squares
+    return SosCertificate(target=b, squares=squares, mode=asm.mode)
 
 
 def round_and_project(asm: GramAssembly, b: AlgebraElement,
@@ -581,8 +581,7 @@ def round_and_project(asm: GramAssembly, b: AlgebraElement,
                 raise RuntimeError("exact projection missed the slice")
         ok, d, L, fail = exactla.ldlt_psd_qc(_gaussian(R, I))
         if ok:
-            return SosCertificate(target=b, mode=asm.mode,
-                                  squares=_squares_from_ldlt(asm, d, L))
+            return _certificate_from_ldlt(asm, b, d, L)
         report[den] = {"fail_at": fail}
     raise ProjectionError("projected matrix not positive semidefinite",
                           {"attempts": report})
@@ -692,15 +691,20 @@ def witness_from_word_values(b: AlgebraElement, values: dict, basis=None,
     """Build and exactly validate a witness from given word values."""
     if basis is None:
         basis = gram_basis(b, mode)
-    asm = GramAssembly(b.spec, basis, mode)
-    beta = asm.beta(b)
+    return _witness(GramAssembly(b.spec, basis, mode), b, values,
+                    require_negative)
+
+
+def _witness(asm: GramAssembly, b: AlgebraElement, values: dict,
+             require_negative: bool = True) -> DualWitness:
+    """:func:`witness_from_word_values` on an assembly already built."""
     y = _y_from_word_values(asm, values)
-    value, M, fail = _check_functional(asm, beta, y, False)
+    value, M, fail = _check_functional(asm, asm.beta(b), y, False)
     if fail is not None:
         raise ValueError(f"moment matrix is not PSD (pivot failure {fail})")
     if require_negative and value >= 0:
         raise ValueError("witness value at target is not negative")
-    return DualWitness(target=b, mode=mode, basis=list(basis),
+    return DualWitness(target=b, mode=asm.mode, basis=asm.basis,
                        word_values=_word_values_from_y(asm, y), moment=M,
                        value_at_target=value)
 
@@ -709,12 +713,66 @@ def witness_from_word_values(b: AlgebraElement, values: dict, basis=None,
 # decision pipeline
 # ---------------------------------------------------------------------------
 
+def _regular_gram(asm: GramAssembly, b: AlgebraElement):
+    """Q_{g,h} = b(g* h)/|G| over the basis, a QC matrix, when the basis
+    is a whole finite group G (less e in augmentation mode); else None.
+    Q is b in the regular representation over |G|, PSD exactly when b is
+    a sum of squares; each u is g* h for |G| pairs, so sum Q_{g,h} g* h
+    = b, and in augmentation mode the row sums epsilon(b)/|G| vanish, so
+    sum Q_{g,h} c(g)* c(h) = b."""
+    spec, order = asm.spec, asm.spec.order
+    if asm.n + (asm.mode == "augmentation") != order:
+        return None
+    at = {w: c * Fraction(1, order) for w, c in b.terms.items()}
+    Q = [[at.get(spec.word_mul(spec.word_star(g), h), QC(0))
+          for h in asm.basis] for g in asm.basis]
+    R = [[z.re for z in row] for row in Q]
+    if asm.apply(R, [[z.im for z in row] for row in Q]) != asm.beta(b):
+        raise RuntimeError("closed-form Gram matrix misses the slice")
+    return Q
+
+
+def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q) -> DualWitness:
+    """Dual witness against b from a vector v over the basis with
+    v* Q v < 0 (Q from :func:`_regular_gram`).  The state phi(u) =
+    sum_g conj(v_g) v_{gu}, the coefficient of u in v* v, is positive with
+    phi(b) = |G| v* Q v; in augmentation mode the word values are
+    phi(w) - phi(e).  v is the first with phi(b) < 0 exactly among Q's
+    least eigenvector, scaled to largest entry 1, on the grids 1/10 ...
+    10^-6 (coarsest, so shortest, first); else, or when Q has no float
+    form, the exact vector of the failing LDL* pivot, with larger numbers
+    (:func:`exactla.negative_vector`)."""
+    def state(v):
+        terms = [(w, x, y) for w, (x, y) in zip(asm.basis, v) if x or y]
+        return star_product(asm.spec, terms, terms)
+
+    try:
+        least = np.linalg.eigh(np.array([[complex(z.re, z.im) for z in row]
+                                         for row in Q]))[1][:, 0]
+        least = least / least[np.argmax(abs(least))]
+        proposals = [[(round(z.real * 10 ** k), round(z.imag * 10 ** k))
+                      for z in least] for k in range(1, 7)]
+    except (OverflowError, ValueError):     # no float form
+        proposals = []
+    for v in proposals:
+        phi = state(v)
+        if sum(c.re * x - c.im * y for w, c in b.terms.items()
+               for x, y in [phi.get(w, (0, 0))]) < 0:
+            break
+    else:
+        phi = state(exactla.negative_vector(Q))
+    at_e = phi.get(asm.spec.identity_word, (0, 0))[0] \
+        if asm.mode == "augmentation" else 0
+    return _witness(asm, b, {w: QC(re - at_e, im) for w in asm.covered_words
+                             for re, im in [phi.get(w, (0, 0))]})
+
+
 @dataclass
 class MembershipOutcome:
     verdict: str                   # 'certified' | 'refuted' | 'undecided'
     mode: str
     radius: int
-    margin: Optional[float]
+    margin: Optional[float] = None
     certificate: Optional[SosCertificate] = None
     witness: Optional[DualWitness] = None
     diagnostics: dict = field(default_factory=dict)
@@ -725,57 +783,64 @@ def certify_membership(b: AlgebraElement, mode: str = "full",
     """Decide degree-bounded cone membership with an exact artifact.
 
     'certified' carries an SosCertificate that is exact by construction
-    (an exact projection onto the constraint slice and an exact LDL*);
+    (an exact LDL* of a Gram matrix on the constraint slice);
     :func:`verify_certificate` is the check of its identity.  'refuted'
     carries a DualWitness whose moment matrix passed an exact LDL*.
-    Anything the exact layer cannot pin down is returned as 'undecided'
-    with diagnostics (never silently).
+    A finite group's exact Gram hint decides by itself (``gram_hint:
+    "exact"``); elsewhere the SDP proposes it.  What the exact layer
+    cannot pin down is 'undecided' with diagnostics (never silently).
     """
-    if not b.is_hermitian():
-        raise ValueError("target must be hermitian")
+    return _certify(b, mode, radius, refute=True)
+
+
+def _certify(b: AlgebraElement, mode: str, radius: int | None,
+             refute: bool) -> MembershipOutcome:
+    """:func:`certify_membership`; without ``refute`` no dual witness is
+    built, and a target outside the cone is 'undecided'."""
     if mode == "augmentation" and b.augmentation():
         raise ValueError("augmentation-mode target must lie in the ideal")
     if radius is None:
         radius = default_radius(b, mode)
+    done = functools.partial(MembershipOutcome, mode=mode, radius=radius)
     if not b:
-        return MembershipOutcome(
-            verdict="certified", mode=mode, radius=radius, margin=None,
-            certificate=SosCertificate(target=b, squares=[], mode=mode))
+        return done("certified", certificate=SosCertificate(b, [], mode))
     try:
         asm = GramAssembly(b.spec, gram_basis(b, mode, radius), mode)
     except OversizeError as err:
-        return MembershipOutcome(verdict="undecided", mode=mode,
-                                 radius=radius, margin=None,
-                                 diagnostics={"refused": str(err),
+        return done("undecided", diagnostics={"refused": str(err),
                                               **err.report})
+    diag = {"basis_size": asm.n, "constraints": asm.m}
+    gram = _regular_gram(asm, b)
+    if gram is not None:
+        done = functools.partial(done, diagnostics=diag)
+        diag["gram_hint"] = "exact"
+        ok, d, L, fail = exactla.ldlt_psd_qc(gram)
+        if ok:
+            return done("certified",
+                        certificate=_certificate_from_ldlt(asm, b, d, L))
+        diag["fail_at"] = fail
+        return done("refuted", witness=_regular_witness(asm, b, gram)) \
+            if refute else done("undecided")
     try:
         res = sos_feasibility(b, asm)
     except sdp.SolverError as err:
-        return MembershipOutcome(verdict="undecided", mode=mode,
-                                 radius=radius, margin=None,
-                                 diagnostics={"solver": err.info})
-    diag = {"iterations": res.iterations, "gap": res.gap,
-            "basis_size": asm.n, "constraints": asm.m}
+        return done("undecided", diagnostics={"solver": err.info})
+    diag.update(iterations=res.iterations, gap=res.gap)
+    done = functools.partial(done, margin=res.lam, diagnostics=diag)
     # the boundary band [-TOL, TOL] tries both: a clean rational Gram may
     # still round, and a slightly negative margin may still refute
     if res.lam >= -TOL:
         try:
-            cert = round_and_project(asm, b, res.gram)
-            return MembershipOutcome(verdict="certified", mode=mode,
-                                     radius=radius, margin=res.lam,
-                                     certificate=cert, diagnostics=diag)
+            return done("certified",
+                        certificate=round_and_project(asm, b, res.gram))
         except ProjectionError as err:
             diag["projection"] = err.report
-    if res.lam < 0:
+    if res.lam < 0 and refute:
         try:
-            wit = exact_dual_witness(asm, b, res)
-            return MembershipOutcome(verdict="refuted", mode=mode,
-                                     radius=radius, margin=res.lam,
-                                     witness=wit, diagnostics=diag)
+            return done("refuted", witness=exact_dual_witness(asm, b, res))
         except ProjectionError as err:
             diag["dual"] = err.report
-    return MembershipOutcome(verdict="undecided", mode=mode, radius=radius,
-                             margin=res.lam, diagnostics=diag)
+    return done("undecided")
 
 
 def interior_shift_certificate(b: AlgebraElement, eta) -> SosCertificate:
@@ -1028,8 +1093,8 @@ def delta_interior_shift(b: AlgebraElement, S):
     cap = laplacian_bound(b, S)
     delta = laplacian(spec, S)
 
-    def attempt(c):
-        out = certify_membership(delta * Fraction(c) + b, "augmentation")
+    def attempt(c):                    # the primal side only
+        out = _certify(delta * Fraction(c) + b, "augmentation", None, False)
         return out.certificate if out.verdict == "certified" else None
 
     cert = attempt(Fraction(0))

@@ -994,6 +994,46 @@ def test_solver_failure_advice_suggests_no_radius(tmp_path, capsys):
                       "float range")
 
 
+def test_finite_target_beyond_float_range_certifies_exactly(tmp_path,
+                                                           capsys):
+    # the regular representation gives the Gram matrix without floats
+    z6 = AlgebraSpec.cyclic(6)
+    g = gen(z6, 1)
+    path = write_element(tmp_path, "big.json",
+                         unit(z6) * Fraction(10) ** 400 + g + g.star())
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 0
+    report = reports(out)[0]
+    assert report["diagnostics"]["gram_hint"] == "exact"
+    assert run(capsys, "verify", report["artifact"])[0] == 0
+
+
+def test_finite_target_beyond_float_range_refutes_by_its_pivot(
+        tmp_path, capsys, monkeypatch):
+    # no float form means no eigenvector to round: the witness comes from
+    # the exact vector of the failing LDL* pivot
+    from ncsos import exactla
+
+    negative_vector, calls = exactla.negative_vector, []
+
+    def counted(M):
+        calls.append(len(M))
+        return negative_vector(M)
+
+    monkeypatch.setattr(exactla, "negative_vector", counted)
+    z6 = AlgebraSpec.cyclic(6)
+    g = gen(z6, 1)
+    path = write_element(tmp_path, "big.json",
+                         (unit(z6) - g - g.star()) * Fraction(10) ** 400)
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 3
+    assert calls == [6]
+    report = reports(out)[0]
+    assert report["diagnostics"]["witness_kind"] == "dual_functional"
+    assert Fraction(report["diagnostics"]["witness_value"]) < -10 ** 400
+    assert run(capsys, "verify", report["artifact"])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # lap-bound / kazhdan
 # ---------------------------------------------------------------------------

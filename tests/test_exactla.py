@@ -108,32 +108,49 @@ def _hermitian(rng, n, rank, complex_entries, kind):
     if kind == "indefinite":
         i = rng.randrange(n)
         M[i][i] = M[i][i] - QC(F(rng.randint(1, 5), 3))
-    elif kind == "zero row":
+    elif kind in ("zero row", "zero pivot"):
         i = rng.randrange(n)
         for j in range(n):
             M[i][j] = M[j][i] = QC(0)
+        if kind == "zero pivot":    # a zero diagonal entry, its row not
+            j = (i + rng.randrange(1, n)) % n
+            M[i][j] = QC(1, 1 if complex_entries else 0)
+            M[j][i] = M[i][j].conjugate()
     return M
+
+
+def _quadratic_form(M, v):
+    """v* M v for v given as (re, im) pairs."""
+    v = [QC(*z) for z in v]
+    return sum((a.conjugate() * M[i][j] * b for i, a in enumerate(v)
+                for j, b in enumerate(v)), QC(0))
 
 
 @pytest.mark.parametrize("complex_entries", [False, True],
                          ids=["real", "complex"])
 @pytest.mark.parametrize("kind", ["definite", "semidefinite", "zero row",
-                                  "indefinite"])
+                                  "indefinite", "zero pivot"])
 def test_ldlt_matches_textbook_elimination(complex_entries, kind):
     rng = random.Random(f"{kind}-{complex_entries}")
     outcomes, zero_pivots = set(), 0
     for _ in range(40):
-        n = rng.randint(1, 8)
+        n = rng.randint(1 + (kind == "zero pivot"), 8)
         rank = n if kind == "definite" else rng.randint(0, n - 1)
         M = _hermitian(rng, n, rank, complex_entries, kind)
         got = exactla.ldlt_psd_qc(M)
         assert got == _textbook_ldlt(M)
+        v = exactla.negative_vector(M)
+        assert (v is None) == got[0]
+        if v is not None:
+            value = _quadratic_form(M, v)
+            assert value.im == 0 and value.re < 0
         outcomes.add(got[0])
         if got[0]:          # one positive pivot per unit of rank
             positive = sum(1 for x in got[1] if x)
             assert positive == len(exactla.rref(M)[1])
             zero_pivots += positive < n
-    assert outcomes == ({False, True} if kind == "indefinite" else {True})
+    assert outcomes == ({False, True} if kind == "indefinite" else
+                        {False} if kind == "zero pivot" else {True})
     if kind in ("semidefinite", "zero row"):
         assert zero_pivots >= 20
 

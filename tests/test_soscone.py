@@ -1171,6 +1171,107 @@ def test_s4_gap_target_certifies_with_short_numbers():
     assert verify_certificate(reread(out.certificate))
 
 
+# ---------------------------------------------------------------------------
+# finite groups in the regular representation
+# ---------------------------------------------------------------------------
+
+def _gap_target(spec, S, lam):
+    delta = laplacian(spec, S)
+    return delta * delta - delta * lam
+
+
+@pytest.mark.parametrize("case, gap", [
+    pytest.param(_cyclic(6, 1), F(1), id="Z6"),
+    pytest.param(_perm_case(_D6, _D6), F(2), id="D6"),
+])
+def test_targets_at_a_rational_gap_certify_on_the_boundary(case, gap):
+    # Delta^2 - gap * Delta vanishes on the eigenvectors of the gap, so it
+    # sits on the cone's boundary, where a rounded SDP hint fails LDL*
+    spec, S = case
+    out = certify_membership(_gap_target(spec, S, gap), mode="augmentation")
+    assert out.verdict == "certified"
+    assert out.diagnostics["gram_hint"] == "exact"
+    assert verify_certificate(reread(out.certificate))
+
+
+@pytest.mark.parametrize("perms", [_S4, _A5, _S5], ids=["S4", "A5", "S5"])
+def test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms):
+    # certified at half the gap, refuted at 1.1 times it, and ncsos verify
+    # accepts both artifacts; the witness comes from a rounded eigenvector
+    from ncsos import cli
+    from ncsos.groupalg import element_to_json
+
+    spec, S = _perm_case(perms, perms)
+    lo, hi, _ = kazhdan_constant_finite(spec, S)
+    path = tmp_path / "b.json"
+    for lam, code in ((F(math.floor(50 * lo), 100), 0),
+                      (F(math.ceil(110 * hi), 100), 3)):
+        path.write_text(element_to_json(_gap_target(spec, S, lam)),
+                        encoding="utf-8")
+        assert cli.main(["sos", str(path), "--mode", "augmentation"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostics"]["gram_hint"] == "exact"
+        assert "sdp_margin" not in report["diagnostics"]
+        if code == 3:
+            assert report["diagnostics"]["max_digits"] < 10
+        assert cli.main(["verify", report["artifact"]]) == 0
+        capsys.readouterr()
+
+
+def test_finite_sos_jobs_decide_without_the_sdp(monkeypatch, tmp_path,
+                                                capsys):
+    # every test of the suite that runs a finite-group sos job, rerun
+    # with the interior-point solver unreachable
+    import test_acceptance
+    import test_cli
+
+    def no_sdp(*args):
+        raise AssertionError("the SDP ran on a finite group")
+
+    monkeypatch.setattr(sdp, "solve_margin_sdp", no_sdp)
+    test_acceptance.test_criterion_09_finite_group_spectral_gap_pipeline()
+    capsys.readouterr()                     # its acceptance line
+    test_cli.test_sos_refutation_on_finite_groups_uses_dual_functional(
+        tmp_path, capsys)
+    test_cli.test_finite_target_beyond_float_range_certifies_exactly(
+        tmp_path, capsys)
+    test_cli.test_finite_target_beyond_float_range_refutes_by_its_pivot(
+        tmp_path, capsys, monkeypatch)
+    test_s4_gap_target_certifies_with_short_numbers()
+    test_targets_at_a_rational_gap_certify_on_the_boundary(_cyclic(6, 1),
+                                                           F(1))
+    test_targets_at_a_rational_gap_certify_on_the_boundary(
+        _perm_case(_D6, _D6), F(2))
+    for perms in (_S4, _A5, _S5):
+        test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms)
+    test_delta_shift_builds_no_dual_witness(monkeypatch, "S4")
+
+
+@pytest.mark.parametrize("group", ["free2", "S4"])
+def test_delta_shift_builds_no_dual_witness(monkeypatch, group):
+    # the bisection asks for the primal side only: a failed step builds
+    # neither an SDP dual witness nor a regular-representation one
+    def no_witness(*args):
+        raise AssertionError("a dual witness was built")
+
+    monkeypatch.setattr(soscone, "exact_dual_witness", no_witness)
+    monkeypatch.setattr(soscone, "_regular_witness", no_witness)
+    if group == "free2":                            # criterion 8, both signs
+        ca, cb = c_of(FREE2, (1,)), c_of(FREE2, (2,))
+        cross = ca.star() * cb + cb.star() * ca
+        cases = [(cross, GENS2), (-cross, GENS2)]
+    else:                       # -Delta of S4's generators, over all swaps
+        spec, T = _perm_case(_S4, _S4)
+        swaps = [tuple(j if k == i else i if k == j else k for k in range(4))
+                 for i in range(4) for j in range(i + 1, 4)]
+        cases = [(-laplacian(spec, T), _perm_case(_S4, swaps)[1])]
+    for b, gens in cases:
+        C, cert = delta_interior_shift(b, gens)
+        assert 0 < C <= laplacian_bound(b, gens)
+        assert cert.target == laplacian(b.spec, gens) * C + b
+        assert verify_certificate(cert)
+
+
 def test_free2_delta_squared_factors_the_constraint_system_once(
         monkeypatch):
     # augmentation mode, r=2: m=160 conditions on a boundary target
