@@ -207,7 +207,7 @@ def _write_artifact(report: JobReport, path: str, kind: str, obj) -> bool:
             f"exact artifact found but not written: a number in it has "
             f"{digits} digits, above the limit of {MAX_ARTIFACT_DIGITS}")
         return False
-    report.artifact = _write(path, json.dumps(obj.to_dict(), indent=1))
+    report.artifact = _write(path, json.dumps(obj.to_dict()))
     return True
 
 

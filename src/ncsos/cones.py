@@ -11,13 +11,14 @@ satisfies, with phi the stacked functional:
 * ``phi(g) > 0`` for every generator outside the lineality space,
 * ``phi == 0`` on the lineality space.
 
-Everything is Fraction arithmetic; verdicts are exact.
+Arithmetic is exact: a value is an ``int`` when integral (the exact LP
+pivots in integers) and a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import exactla, linprog
@@ -27,12 +28,23 @@ from .rcf import RcfScalar, default_order, level_infinitesimal
 Vec = tuple
 
 
+def _num(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:      # "1/2", "0.5", "1e2"
+            pass
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _vec(xs) -> Vec:
-    return tuple(_frac(x) for x in xs)
+    return tuple(_num(x) for x in xs)
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 class ConeV:
@@ -87,7 +99,7 @@ def membership(C: ConeV, x) -> MembershipResult:
             return MembershipResult(False, certificate=cert)
         return MembershipResult(True, coefficients=[])
     A = [[C.generators[j][i] for j in range(k)] for i in range(C.dim)]
-    res = linprog.solve_lp(A, list(x), [Fraction(0)] * k)
+    res = linprog.solve_lp(A, list(x), [0] * k)
     if res.status == linprog.OPTIMAL:
         return MembershipResult(True, coefficients=res.x)
     if res.status != linprog.INFEASIBLE:
@@ -195,38 +207,38 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
         coeffs = [_dot(h, vec) for h in h_basis]
         return coeffs + [-c for c in coeffs]
 
+    pad = [0] * ng if cover else []
     for idx, g in enumerate(gens):
         if cover:
-            row = phi_row(g) + [Fraction(0)] * ng
-            row[2 * k + idx] = Fraction(-1)
+            row = phi_row(g) + pad
+            row[2 * k + idx] = -1
             add(row, 0, -1)                 # phi(g) - s_g - u = 0
-            row = [Fraction(0)] * ncore
-            row[2 * k + idx] = Fraction(1)
+            row = [0] * ncore
+            row[2 * k + idx] = 1
             add(row, 1, 1)                  # s_g + v = 1
         else:
             # nonnegativity on the residual generators
             add(phi_row(g), 0, -1)          # phi(g) - u = 0
     if x is not None:
-        add(phi_row(x) + ([Fraction(0)] * ng if cover else []), 0, 1)
+        add(phi_row(x) + pad, 0, 1)
     for c in range(n):
-        unit = tuple(Fraction(1) if i == c else Fraction(0) for i in range(n))
-        base = phi_row(unit) + ([Fraction(0)] * ng if cover else [])
-        add(list(base), 1, 1)               # coord + p = 1
-        add([-v for v in base], 1, 1)       # -coord + q = 1
+        coord = [h[c] for h in h_basis]     # phi's coordinate c
+        add(coord + [-v for v in coord] + pad, 1, 1)    # coord + p = 1
+        add([-v for v in coord] + coord + pad, 1, 1)    # -coord + q = 1
 
     # slack columns follow the core ones: one per row, with its sign
     m = len(rows)
     for i in range(m):
         rows[i] = rows[i] + [signs[i] if j == i else 0 for j in range(m)]
     if cover:
-        cost = [Fraction(0)] * (2 * k) + [Fraction(-1)] * ng + [Fraction(0)] * m
+        cost = [0] * (2 * k) + [-1] * ng + [0] * m
     else:
-        cost = phi_row(x) + [Fraction(0)] * m  # minimize phi(x)
+        cost = phi_row(x) + [0] * m  # minimize phi(x)
     res = linprog.solve_lp(rows, rhs, cost)
     if res.status != linprog.OPTIMAL:
         raise RuntimeError(f"stage LP ended {res.status}")
     lam = [res.x[j] - res.x[k + j] for j in range(k)]
-    phi = tuple(sum((lam[j] * h_basis[j][i] for j in range(k)), Fraction(0))
+    phi = tuple(sum(lam[j] * h_basis[j][i] for j in range(k))
                 for i in range(n))
     return phi, -res.obj
 
@@ -246,8 +258,7 @@ def separate_point(C: ConeV, x) -> LexFunctional:
     if inside:
         raise PointInsideCone(inside.coefficients)
     n = C.dim
-    h_basis = [tuple(Fraction(1) if i == c else Fraction(0) for i in range(n))
-               for c in range(n)]
+    h_basis = [tuple(int(i == c) for i in range(n)) for c in range(n)]
     active = list(range(len(C.generators)))
     x_active = True
     stages = []
@@ -274,17 +285,18 @@ def separate_point(C: ConeV, x) -> LexFunctional:
 
 
 def _restrict(h_basis, phi):
-    """Basis of {v in span(h_basis) : phi(v) = 0}."""
+    """Basis of {v in span(h_basis) : phi(v) = 0} in primitive integer
+    vectors: a stage LP's pivots and covector do not see their scale."""
     row = [_dot(phi, h) for h in h_basis]
     if not any(row):
         return list(h_basis)
-    null = exactla.nullspace([row])
     out = []
-    for lam in null:
-        v = tuple(sum((lam[j] * h_basis[j][i] for j in range(len(h_basis))),
-                      Fraction(0))
-                  for i in range(len(h_basis[0])))
-        out.append(v)
+    for lam in exactla.nullspace([row]):
+        d = lcm(*(c.denominator for c in lam))
+        lam = [c.numerator * (d // c.denominator) for c in lam]
+        g = gcd(*lam)
+        out.append(tuple(sum(c // g * h[i] for c, h in zip(lam, h_basis))
+                         for i in range(len(h_basis[0]))))
     return out
 
 
@@ -299,7 +311,7 @@ def extend_functional(C: ConeV, h_basis: Sequence[Sequence],
     level 0; the strictness stages live strictly below them.
     """
     h_basis = [_vec(h) for h in h_basis]
-    phi_h = [_frac(v) for v in phi_h]
+    phi_h = _vec(phi_h)
     if len(phi_h) != len(h_basis):
         raise ValueError("one value per H-basis vector required")
     n = C.dim
@@ -323,8 +335,7 @@ def extend_functional(C: ConeV, h_basis: Sequence[Sequence],
         ext = _nonneg_extension(h_basis, phi_h, C.generators, n)
     # strictness stages: flag on C+H without a point constraint
     psi_stages = []
-    hb = [tuple(Fraction(1) if i == c else Fraction(0) for i in range(n))
-          for c in range(n)]
+    hb = [tuple(int(i == c) for i in range(n)) for c in range(n)]
     active = list(range(len(ext_gens)))
     while active and len(psi_stages) < n:
         gens = [ext_gens[j] for j in active]
@@ -351,13 +362,13 @@ def _same_span(b1, b2) -> bool:
 def _min_norm_extension(h_basis, phi_h, n):
     """The covector inside span(H) taking the given values on the basis."""
     if not h_basis:
-        return tuple(Fraction(0) for _ in range(n))
+        return (0,) * n
     k = len(h_basis)
     gram = [[_dot(h_basis[i], h_basis[j]) for j in range(k)] for i in range(k)]
     mu = exactla.solve_linear(gram, list(phi_h))
     if mu is None:
         raise RuntimeError("H basis must be linearly independent")
-    return tuple(sum((mu[j] * h_basis[j][i] for j in range(k)), Fraction(0))
+    return tuple(sum(mu[j] * h_basis[j][i] for j in range(k))
                  for i in range(n))
 
 
@@ -371,19 +382,19 @@ def _nonneg_extension(h_basis, phi_h, gens, n):
     ng = len(gens)
     rows, rhs = [], []
     for h, val in zip(h_basis, phi_h):
-        rows.append(list(h) + [-c for c in h] + [Fraction(0)] * ng)
+        rows.append(list(h) + [-c for c in h] + [0] * ng)
         rhs.append(val)
     for i, g in enumerate(gens):
-        row = list(g) + [-c for c in g] + [Fraction(0)] * ng
-        row[2 * n + i] = Fraction(-1)
+        row = list(g) + [-c for c in g] + [0] * ng
+        row[2 * n + i] = -1
         rows.append(row)
-        rhs.append(Fraction(0))
-    cost_core = [Fraction(0)] * (2 * n)
+        rhs.append(0)
+    cost_core = [0] * (2 * n)
     for g in gens:
         for i in range(n):
             cost_core[i] += g[i]
             cost_core[n + i] -= g[i]
-    cost = cost_core + [Fraction(0)] * ng
+    cost = cost_core + [0] * ng
     res = linprog.solve_lp(rows, rhs, cost)
     if res.status != linprog.OPTIMAL:
         raise ValueError("no nonnegative extension exists; precondition violated")

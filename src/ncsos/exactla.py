@@ -3,8 +3,8 @@
 Every routine works on lists of lists of scalars supporting ``+ - * /``,
 unary ``-`` and truthiness (``bool(x)`` false exactly when ``x == 0``).
 ``fractions.Fraction`` and :class:`ncsos.qc.QC` both qualify, as do the
-truncated infinitesimal scalars from :mod:`ncsos.rcf`.  Nothing here ever
-touches floating point.
+truncated infinitesimal scalars from :mod:`ncsos.rcf`; ``int`` entries are
+divided as Fractions.  Nothing here ever touches floating point.
 
 The LDL* routines that decide positive semidefiniteness are the
 exception to duck typing: they scale a rational hermitian matrix by the
@@ -51,6 +51,8 @@ def rref(A, augment=None):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pr = rows[r]
         pv = pr[c]
+        if isinstance(pv, int):     # so that / divides exactly
+            pv = Fraction(pv)
         support = [j for j, x in enumerate(pr) if x]
         for j in support:
             pr[j] = pr[j] / pv
@@ -66,6 +68,11 @@ def rref(A, augment=None):
     return rows, pivots
 
 
+def _field_zero(x):
+    """The zero of the field of ``x``: a Fraction for an int."""
+    return Fraction(0) if isinstance(x, int) else x - x
+
+
 def solve_linear(A, b):
     """A particular solution x of ``A x = b`` or ``None`` if inconsistent.
 
@@ -76,10 +83,10 @@ def solve_linear(A, b):
         return [] if not any(bool(x) for x in b) else None
     n = len(A[0])
     rows, pivots = rref(A, augment=[[x] for x in b])
-    zero = A[0][0] - A[0][0]
+    zero = _field_zero(A[0][0])
     x = [zero] * n
     for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
+        x[c] = rows[i][n] + zero
     # consistency: rows past the pivots must have zero rhs
     for i in range(len(pivots), len(rows)):
         if rows[i][n]:
@@ -97,25 +104,19 @@ def nullspace(A):
     rows, pivots = rref(A)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
-    zero = A[0][0] - A[0][0]
-    one = None
-    for row in A:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
+    x = next((x for row in A for x in row if x), None)
+    if x is None:
         # zero map: kernel is everything; caller supplies field via entries
         raise ValueError("nullspace of identically-zero matrix needs a field hint; "
                          "pass at least one nonzero entry or handle upstream")
+    zero = _field_zero(x)
+    one = zero + 1
     basis = []
     for fc in free_cols:
         v = [zero] * n
         v[fc] = one
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+            v[pc] = zero - rows[i][fc]
         basis.append(v)
     return basis
 

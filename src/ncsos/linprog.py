@@ -104,7 +104,8 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     """min c.x s.t. A x = b, x >= 0 -- exact, deterministic.
 
     Every entry is an ``int`` or a ``Fraction``: the tableau reads its
-    numerator and denominator as they are.
+    numerator and denominator as they are, and the answer holds an ``int``
+    wherever a value is integral.
 
     On INFEASIBLE the returned ``y`` is a Farkas certificate:
     ``y.A <= 0`` componentwise and ``y.b > 0``.
@@ -164,10 +165,10 @@ def solve_lp(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     status, D = _run_simplex(M, D, basis, cost2, range(n))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
-    x = [Fraction(0)] * n
+    x = [0] * n
     for bi, row in zip(basis, M):
         if bi < n:
-            x[bi] = Fraction(row[-1], D)
+            x[bi] = _ratio(row[-1], D)
     obj = sum(ci * xi for ci, xi in zip(c, x))
     y = _duals(M, D, basis, cost2, scale, n, sign)
     return _checked(A, b, LpResult(OPTIMAL, x=x, obj=obj, y=y))
@@ -179,28 +180,42 @@ def _duals(M, D, basis, cost, scale, n, sign):
     ``cost`` is the objective times ``scale``, so y is the sum over D*scale.
     """
     costed = [(cost[bi], row) for bi, row in zip(basis, M) if cost[bi]]
-    return [Fraction(s * sum(cb * row[n + i] for cb, row in costed),
-                     D * scale)
+    return [_ratio(s * sum(cb * row[n + i] for cb, row in costed), D * scale)
             for i, s in enumerate(sign)]
+
+
+def _ratio(num, den):
+    """num / den: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _over_lcm(vs):
+    """``(d, [v * d for v in vs])``, with d the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in vs))
+    return d, [v.numerator * (d // v.denominator) for v in vs]
 
 
 def _checked(A, b, res):
     """``res`` after an exact check against the original ``A`` and ``b``.
 
     OPTIMAL: ``A x = b`` and ``x >= 0``.  INFEASIBLE: ``y.A <= 0`` and
-    ``y.b > 0``.  A failure means the tableau arithmetic is broken, so it
-    raises rather than letting a wrong verdict through.
+    ``y.b > 0``.  Both run on ``d x`` or ``d y``, integers over the lcm d of
+    the denominators.  A failure means the tableau arithmetic is broken, so
+    it raises rather than letting a wrong verdict through.
     """
     if res.status == OPTIMAL:
-        support = [(j, v) for j, v in enumerate(res.x) if v]
+        d, X = _over_lcm(res.x)
+        support = [(j, v) for j, v in enumerate(X) if v]
         ok = all(v > 0 for _, v in support) and all(
-            sum((row[j] * v for j, v in support if row[j]), Fraction(0)) == bi
+            sum(row[j] * v for j, v in support if row[j]) == d * bi
             for row, bi in zip(A, b))
     else:
-        rows = [(yi, row, bi) for yi, row, bi in zip(res.y, A, b) if yi]
-        ok = sum((yi * bi for yi, _, bi in rows), Fraction(0)) > 0 and all(
-            sum((yi * row[j] for yi, row, _ in rows if row[j]), Fraction(0))
-            <= 0 for j in range(len(A[0])))
+        _, Y = _over_lcm(res.y)
+        rows = [(yi, row, bi) for yi, row, bi in zip(Y, A, b) if yi]
+        ok = sum(yi * bi for yi, _, bi in rows) > 0 and all(
+            sum(yi * row[j] for yi, row, _ in rows if row[j]) <= 0
+            for j in range(len(A[0])))
     if not ok:
         raise RuntimeError(f"LP result fails its exact {res.status} check")
     return res

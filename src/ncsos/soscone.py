@@ -987,7 +987,9 @@ def nu_table(spec: AlgebraSpec, S, words):
 
     Distances are word lengths over S (breadth-first search); only
     distance-additive splits are admissible, which keeps the recursion
-    well-founded.
+    well-founded.  The search stops when every target is reached, when S
+    generates nothing more, or on an infinite group at depth 2 * (longest
+    target) + 2.
     """
     S = [spec.validate_word(s) for s in S]
     sset = set(S)
@@ -1002,7 +1004,7 @@ def nu_table(spec: AlgebraSpec, S, words):
     for depth, sphere in enumerate(spheres(spec, S)):
         by_depth.append(sphere)
         dist.update(dict.fromkeys(sphere, depth))
-        if targets <= dist.keys() or depth == max_depth:
+        if targets <= dist.keys() or (not spec.order and depth == max_depth):
             break
     missing = targets - dist.keys()
     if missing:

@@ -265,7 +265,7 @@ def test_criterion_08_laplacian_domination_both_signs():
             assert verify_certificate(lifted)
 
 
-def test_criterion_09_finite_group_spectral_gap_pipeline():
+def test_criterion_09_finite_group_spectral_gap_pipeline(no_sdp):
     # Z/3 with both nontrivial elements: gap exactly 3, margin 3/2; random
     # ideal elements with certified l1 bound exactly 1 stay certifiable at
     # shift coefficient 7/5 < 3/2.

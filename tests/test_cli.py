@@ -272,7 +272,7 @@ def test_sos_refutation_emits_replayable_unitary_witness(tmp_path, capsys):
 
 
 def test_sos_refutation_on_finite_groups_uses_dual_functional(tmp_path,
-                                                              capsys):
+                                                              capsys, no_sdp):
     path = write_element(tmp_path, "b.json", -laplacian(C3, [1, 2]))
     code, out, _ = run(capsys, "sos", path, "--mode", "augmentation")
     assert code == 3
@@ -995,7 +995,7 @@ def test_solver_failure_advice_suggests_no_radius(tmp_path, capsys):
 
 
 def test_finite_target_beyond_float_range_certifies_exactly(tmp_path,
-                                                           capsys):
+                                                           capsys, no_sdp):
     # the regular representation gives the Gram matrix without floats
     z6 = AlgebraSpec.cyclic(6)
     g = gen(z6, 1)
@@ -1009,7 +1009,7 @@ def test_finite_target_beyond_float_range_certifies_exactly(tmp_path,
 
 
 def test_finite_target_beyond_float_range_refutes_by_its_pivot(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, no_sdp):
     # no float form means no eigenvector to round: the witness comes from
     # the exact vector of the failing LDL* pivot
     from ncsos import exactla

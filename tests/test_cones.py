@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from ncsos.cones import (
 from ncsos.rcf import RcfScalar
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden" / "cone_answers.json"
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,12 @@ def _random_lp(rng):
             [_rational(rng) for _ in range(n)])
 
 
+def _as_fractions(vs):
+    """An LP's x or y with every entry a Fraction: an int entry and the
+    equal Fraction then print alike."""
+    return None if vs is None else [F(v) for v in vs]
+
+
 def test_lp_results_match_recorded_digest():
     # 500 seeded LPs.  (status, obj) does not depend on the pivot path;
     # (status, x, obj, y) pins it, so any change of a pivot choice changes
@@ -131,7 +139,8 @@ def test_lp_results_match_recorded_digest():
         res = linprog.solve_lp(*_random_lp(rng))
         counts[res.status] = counts.get(res.status, 0) + 1
         values.update(repr((res.status, res.obj)).encode())
-        path.update(repr((res.status, res.x, res.obj, res.y)).encode())
+        path.update(repr((res.status, _as_fractions(res.x), res.obj,
+                          _as_fractions(res.y))).encode())
     assert counts == {linprog.OPTIMAL: 205, linprog.INFEASIBLE: 110,
                       linprog.UNBOUNDED: 185}
     assert values.hexdigest() == ("0cf2970273df455bf92c4a1f6c336205"
@@ -431,6 +440,51 @@ def test_separation_scale_invariance():
         assert not membership(C2, x2).inside
         f2 = separate_point(C2, x2)
         _check_separation_contract(C2, x2, f2)
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()),
+                         ids=lambda case: case["name"])
+def test_cone_answers_match_golden(case):
+    # recorded when the cone layer computed in Fractions throughout:
+    # integer cones of dim 2-6 (one with a plane of lineality) and a cone
+    # written with "1/2", "0.5", "1e2" and "-3/4"
+    C = ConeV(case["dim"], case["generators"])
+    res = membership(C, case["point"])
+    if "coefficients" in case:
+        assert res.inside
+        assert [str(c) for c in res.coefficients] == case["coefficients"]
+    else:
+        f = separate_point(C, case["point"])
+        assert f.to_json() == json.dumps({"dim": case["dim"],
+                                          "stages": case["stages"]})
+    assert [[str(c) for c in v] for v in lineality(C)] == case["lineality"]
+
+
+def _values(obj):
+    """The scalars in a result: nested tuples, lists and stages."""
+    if isinstance(obj, LexFunctional):
+        return _values(obj.stages)
+    if isinstance(obj, (tuple, list)):
+        return [v for item in obj for v in _values(item)]
+    return [obj]
+
+
+def test_no_cone_result_is_a_float():
+    for case in json.loads(GOLDEN.read_text()):
+        C = ConeV(case["dim"], case["generators"])
+        res = membership(C, case["point"])
+        out = [C.generators,
+               res.coefficients if res.inside else res.certificate]
+        if not res.inside:
+            out.append(separate_point(C, case["point"]))
+        for v in _values(out):      # an int wherever the value is integral
+            assert type(v) is int or type(v) is Fraction and v.denominator > 1
+        assert all(type(v) in (int, Fraction) for v in _values(lineality(C)))
+    C = ConeV(2, [(1, 0), (-1, 1)])
+    for f in (extend_functional(C, [(1, 0)], [1]),
+              extend_functional(C, [("1/2", "0")], ["0.5"]),
+              extend_functional(C, [], [])):
+        assert all(type(v) in (int, Fraction) for v in _values(f))
 
 
 # ---------------------------------------------------------------------------

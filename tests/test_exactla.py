@@ -66,6 +66,25 @@ def test_rref_matches_dense_elimination(kind):
         assert exactla.rref(A, augment=b) == _dense_rref(A, augment=b)
 
 
+def test_integer_input_gives_fractions():
+    # an int pivot divides as a Fraction, never as a float
+    rows, pivots = exactla.rref([[2, 1]])
+    kernel = exactla.nullspace([[2, 1]])
+    x = exactla.solve_linear([[2]], [1])
+    assert rows == [[1, F(1, 2)]] and pivots == [0]
+    assert kernel == [[F(-1, 2), 1]] and x == [F(1, 2)]
+    results = [rows[0], x] + kernel + exactla.nullspace([[1, 0, 3]])
+    results.append(exactla.solve_linear([[1, 0, 2], [0, 0, 0]], [0, 0]))
+    assert all(type(v) is F for vec in results for v in vec)
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        assert exactla.rref(A) == _dense_rref([[F(a) for a in r] for r in A])
+        assert not any(type(v) is float for r in exactla.rref(A)[0]
+                       for v in r)
+
+
 # ---------------------------------------------------------------------------
 # LDL* with the zero-pivot rule
 # ---------------------------------------------------------------------------

@@ -1045,6 +1045,8 @@ def _cyclic(n, *steps):
 
 
 _S4 = [(1, 0, 2, 3), _rotation(4)]
+_SWAPS4 = [tuple(j if k == i else i if k == j else k for k in range(4))
+           for i in range(4) for j in range(i + 1, 4)]
 _D6 = [_rotation(3), _reflection(3)]
 _D24 = [_rotation(12), _reflection(12)]
 _A5 = [(1, 2, 0, 3, 4), _rotation(5)]
@@ -1157,7 +1159,7 @@ def test_kazhdan_enclosure_contains_eigvalsh_gap(perms):
     assert float(lo) - 1e-12 <= gap <= float(hi) + 1e-12
 
 
-def test_s4_gap_target_certifies_with_short_numbers():
+def test_s4_gap_target_certifies_with_short_numbers(no_sdp):
     # Delta^2 - (29/100) Delta on S4, about half the spectral gap 2 - sqrt 2:
     # per-entry best approximations gave a 2.9 MB certificate whose
     # largest integer had 24,687 digits; on the 1/den grid it stays short
@@ -1184,7 +1186,8 @@ def _gap_target(spec, S, lam):
     pytest.param(_cyclic(6, 1), F(1), id="Z6"),
     pytest.param(_perm_case(_D6, _D6), F(2), id="D6"),
 ])
-def test_targets_at_a_rational_gap_certify_on_the_boundary(case, gap):
+def test_targets_at_a_rational_gap_certify_on_the_boundary(case, gap,
+                                                           no_sdp):
     # Delta^2 - gap * Delta vanishes on the eigenvectors of the gap, so it
     # sits on the cone's boundary, where a rounded SDP hint fails LDL*
     spec, S = case
@@ -1195,7 +1198,8 @@ def test_targets_at_a_rational_gap_certify_on_the_boundary(case, gap):
 
 
 @pytest.mark.parametrize("perms", [_S4, _A5, _S5], ids=["S4", "A5", "S5"])
-def test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms):
+def test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms,
+                                              no_sdp):
     # certified at half the gap, refuted at 1.1 times it, and ncsos verify
     # accepts both artifacts; the witness comes from a rounded eigenvector
     from ncsos import cli
@@ -1218,39 +1222,11 @@ def test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms):
         capsys.readouterr()
 
 
-def test_finite_sos_jobs_decide_without_the_sdp(monkeypatch, tmp_path,
-                                                capsys):
-    # every test of the suite that runs a finite-group sos job, rerun
-    # with the interior-point solver unreachable
-    import test_acceptance
-    import test_cli
-
-    def no_sdp(*args):
-        raise AssertionError("the SDP ran on a finite group")
-
-    monkeypatch.setattr(sdp, "solve_margin_sdp", no_sdp)
-    test_acceptance.test_criterion_09_finite_group_spectral_gap_pipeline()
-    capsys.readouterr()                     # its acceptance line
-    test_cli.test_sos_refutation_on_finite_groups_uses_dual_functional(
-        tmp_path, capsys)
-    test_cli.test_finite_target_beyond_float_range_certifies_exactly(
-        tmp_path, capsys)
-    test_cli.test_finite_target_beyond_float_range_refutes_by_its_pivot(
-        tmp_path, capsys, monkeypatch)
-    test_s4_gap_target_certifies_with_short_numbers()
-    test_targets_at_a_rational_gap_certify_on_the_boundary(_cyclic(6, 1),
-                                                           F(1))
-    test_targets_at_a_rational_gap_certify_on_the_boundary(
-        _perm_case(_D6, _D6), F(2))
-    for perms in (_S4, _A5, _S5):
-        test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms)
-    test_delta_shift_builds_no_dual_witness(monkeypatch, "S4")
-
-
 @pytest.mark.parametrize("group", ["free2", "S4"])
-def test_delta_shift_builds_no_dual_witness(monkeypatch, group):
+def test_delta_shift_builds_no_dual_witness(monkeypatch, request, group):
     # the bisection asks for the primal side only: a failed step builds
-    # neither an SDP dual witness nor a regular-representation one
+    # neither an SDP dual witness nor a regular-representation one (nor,
+    # on S4, runs the SDP)
     def no_witness(*args):
         raise AssertionError("a dual witness was built")
 
@@ -1261,15 +1237,32 @@ def test_delta_shift_builds_no_dual_witness(monkeypatch, group):
         cross = ca.star() * cb + cb.star() * ca
         cases = [(cross, GENS2), (-cross, GENS2)]
     else:                       # -Delta of S4's generators, over all swaps
+        request.getfixturevalue("no_sdp")
         spec, T = _perm_case(_S4, _S4)
-        swaps = [tuple(j if k == i else i if k == j else k for k in range(4))
-                 for i in range(4) for j in range(i + 1, 4)]
-        cases = [(-laplacian(spec, T), _perm_case(_S4, swaps)[1])]
+        cases = [(-laplacian(spec, T), _perm_case(_S4, _SWAPS4)[1])]
     for b, gens in cases:
         C, cert = delta_interior_shift(b, gens)
         assert 0 < C <= laplacian_bound(b, gens)
         assert cert.target == laplacian(b.spec, gens) * C + b
         assert verify_certificate(cert)
+
+
+def test_nu_table_searches_a_finite_group_to_its_diameter(no_sdp):
+    # every element of a finite group has word length 1, so a depth bound
+    # from word lengths stops at 4; S = {(0 1), (0 1 2 3)^+-1} reaches
+    # some transpositions of S4 only further out
+    spec, S = _perm_case(_S4, _S4)
+    T = _perm_case(_S4, _SWAPS4)[1]
+    delta_T = laplacian(spec, T)
+    assert set(nu_table(spec, S, T)) == set(T)
+    C, cert = delta_interior_shift(-delta_T, S)
+    assert 0 < C <= laplacian_bound(delta_T, S)
+    assert cert.target == laplacian(spec, S) * C - delta_T
+    assert verify_certificate(cert)
+    # a target outside the generated subgroup ends the search when the
+    # spheres run out
+    with pytest.raises(ValueError, match="not generated"):
+        nu_table(spec, _perm_case(_S4, [(1, 0, 2, 3)])[1], S)
 
 
 def test_free2_delta_squared_factors_the_constraint_system_once(
