@@ -243,8 +243,7 @@ def _cmd_separate(args):
         report.diagnostics["membership"] = str(exc)
         return report, EXIT_INSIDE
     val_x = evaluate_lex(functional, point)
-    gens_ok = all(evaluate_lex(functional, g).sign() >= 0
-                  for g in cone.generators)
+    gens_ok = all(functional.sign_at(g) >= 0 for g in cone.generators)
     if not (gens_ok and val_x.sign() < 0):
         raise RuntimeError(
             "separating functional fails its sign contract: value at the "

@@ -154,6 +154,13 @@ class LexFunctional:
         data = json.loads(text)
         return LexFunctional(data["dim"], data["stages"])
 
+    def sign_at(self, v) -> int:
+        """The sign of :func:`evaluate_lex` at v, without the jet: each
+        level is infinitesimal against the one before, so the first
+        nonzero stage value decides."""
+        val = next((x for x in (_dot(s, v) for s in self.stages) if x), 0)
+        return (val > 0) - (val < 0)
+
 
 def evaluate_lex(f: LexFunctional, v, order: int | None = None) -> RcfScalar:
     """phi(v) as a jet: stage i carries weight level_infinitesimal(i-1).
@@ -349,8 +356,8 @@ def extend_functional(C: ConeV, h_basis: Sequence[Sequence],
             break
     f = LexFunctional(n, [ext] + psi_stages)
     for g in C.generators:
-        val = evaluate_lex(f, g)
-        if val < 0 or (not _in_span(h_basis, g) and not val > 0):
+        sign = f.sign_at(g)
+        if sign < 0 or (not _in_span(h_basis, g) and sign <= 0):
             raise RuntimeError("extension failed its contract on a generator")
     return f
 

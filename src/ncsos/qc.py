@@ -131,9 +131,6 @@ class QC:
     def modulus_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

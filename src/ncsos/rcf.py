@@ -242,13 +242,6 @@ class RcfScalar:
     def __bool__(self):
         return bool(self.terms)
 
-    def standard_part(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
-
-    def is_infinitesimal(self) -> bool:
-        """True when the jet lies in the maximal ideal (zero standard part)."""
-        return not self.terms.get(0, Fraction(0))
-
     # -- text ------------------------------------------------------------------
 
     def render(self) -> str:
@@ -491,9 +484,6 @@ class UniPoly:
         for j in range(2, k + 1):
             f *= j
         return self.coeffs[k] * f
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs

@@ -47,7 +47,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SdpResult:
-    lam: float                 # optimal margin
+    lam: float                 # optimal margin (b . y on an early stop)
     X: np.ndarray              # primal slack (Gram for the shifted target)
     y: np.ndarray              # dual multipliers (moment functional coords)
     iterations: int
@@ -144,11 +144,16 @@ class SparseConstraints:
         return (S + S.T) / 2
 
 
-def solve_margin_sdp(entries, parts, n: int, b) -> SdpResult:
+def solve_margin_sdp(entries, parts, n: int, b, accept=None) -> SdpResult:
     """Run the predictor-corrector iteration on the margin problem.
 
     entries, parts : the m constraint matrices (:class:`SparseConstraints`)
     b              : length-m real vector of constraint values
+    accept         : optional check of a refuting iterate; called once, on
+                     the first iterate whose y is dual feasible with
+                     b . y < -TOL.  When it returns true that iterate is
+                     the result, with lam = b . y (by weak duality an
+                     upper bound on the margin); else the solve goes on.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -180,10 +185,17 @@ def solve_margin_sdp(entries, parts, n: int, b) -> SdpResult:
         dinf = float(np.linalg.norm(R_d)) / anorm
         info = {"iterations": it, "gap": gap, "mu": mu, "pinf": pinf,
                 "dinf": dinf, "r_t": abs(r_t), "lam": lam}
-        rel_gap = gap / (1.0 + abs(lam) + abs(float(b @ y)))
+        by = float(b @ y)
+        rel_gap = gap / (1.0 + abs(lam) + abs(by))
         info["rel_gap"] = rel_gap
         if rel_gap < TOL and pinf < TOL and dinf < TOL and abs(r_t) < TOL:
             return SdpResult(lam=lam, X=X, y=y, iterations=it, gap=gap)
+        if accept is not None and by < -TOL and dinf < TOL \
+                and abs(r_t) < TOL:
+            early = SdpResult(lam=by, X=X, y=y, iterations=it, gap=gap)
+            if accept(early):
+                return early
+            accept = None
         if stalls >= 3 or it == MAX_ITER - 1:
             if rel_gap < LOOSE and pinf < LOOSE and dinf < LOOSE \
                     and abs(r_t) < LOOSE:

@@ -471,13 +471,14 @@ class GramAssembly:
 # numeric feasibility
 # ---------------------------------------------------------------------------
 
-def sos_feasibility(b: AlgebraElement,
-                    asm: GramAssembly) -> sdp.SdpResult:
+def sos_feasibility(b: AlgebraElement, asm: GramAssembly,
+                    accept=None) -> sdp.SdpResult:
     """Margin SDP for membership of b in the cone of the assembly.
 
     A margin ``lam`` >= -TOL means b is inside or on the boundary of the
     degree-bounded cone, numerically; below that y carries a separating
-    functional hint.
+    functional hint.  ``accept`` may stop the solve at an earlier
+    refuting iterate (:func:`sdp.solve_margin_sdp`).
     """
     try:
         beta = [float(x) for x in asm.beta(b)]
@@ -485,7 +486,8 @@ def sos_feasibility(b: AlgebraElement,
         raise sdp.SolverError("no float form", {
             "reason": "a constraint value is beyond float range"}) from None
     return sdp.solve_margin_sdp(
-        asm.entries, [part for _, part in asm.constraint_class], asm.n, beta)
+        asm.entries, [part for _, part in asm.constraint_class], asm.n, beta,
+        accept)
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +823,23 @@ def _certify(b: AlgebraElement, mode: str, radius: int | None,
         diag["fail_at"] = fail
         return done("refuted", witness=_regular_witness(asm, b, gram)) \
             if refute else done("undecided")
+    found = []
+
+    def early(res):                    # a refuting iterate, checked exactly
+        try:
+            found.append(exact_dual_witness(asm, b, res))
+        except ProjectionError:
+            return False
+        return True
+
     try:
-        res = sos_feasibility(b, asm)
+        res = sos_feasibility(b, asm, early if refute else None)
     except sdp.SolverError as err:
         return done("undecided", diagnostics={"solver": err.info})
     diag.update(iterations=res.iterations, gap=res.gap)
     done = functools.partial(done, margin=res.lam, diagnostics=diag)
+    if found:
+        return done("refuted", witness=found[0])
     # the boundary band [-TOL, TOL] tries both: a clean rational Gram may
     # still round, and a slightly negative margin may still refute
     if res.lam >= -TOL:

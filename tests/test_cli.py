@@ -645,6 +645,25 @@ def test_sos_discloses_the_radius_of_a_re_solved_witness(tmp_path, capsys):
     assert report["diagnostics"]["max_digits"] == 1
 
 
+def test_minus_laplacian_of_free2_at_radius_three_is_refuted(tmp_path,
+                                                             capsys):
+    # 53 basis words and 1457 conditions; the SDP stops at its first
+    # dual iterate that refutes exactly, so this takes about a second
+    path = write_element(tmp_path, "b.json",
+                         -laplacian(F2, [(1,), (-1,), (2,), (-2,)]))
+    code, out, _ = run(capsys, "sos", path, "--radius", "3")
+    assert code == 3
+    report = reports(out)[0]
+    assert report["disclosures"]["radius"] == 3
+    assert report["diagnostics"]["witness_kind"] == "unitary_representation"
+    assert "witness_radius" not in report["diagnostics"]
+    assert report["diagnostics"]["sdp_margin"] < 0
+    vcode, vout, _ = run(capsys, "verify", report["artifact"])
+    assert vcode == 0
+    assert reports(vout)[0]["diagnostics"]["artifact_kind"] == \
+        "unitary_representation"
+
+
 @pytest.mark.parametrize("spec, radius, resolved", [
     (F1, None, 2), (F1, 2, None), (F1, 3, None),
     (F2, 2, 3), (F2, 3, None),

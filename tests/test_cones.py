@@ -501,6 +501,16 @@ def test_evaluate_lex_levels():
     assert evaluate_lex(f3, (0, 0, 5)) == RcfScalar.parse("5*e^3")
 
 
+def test_sign_at_matches_the_sign_of_the_jet():
+    rng = random.Random(2027)
+    for _ in range(200):
+        dim, k = rng.randint(1, 4), rng.randint(1, 5)
+        f = LexFunctional(dim, [[F(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(dim)] for _ in range(k)])
+        v = tuple(rng.randint(-2, 2) for _ in range(dim))
+        assert f.sign_at(v) == evaluate_lex(f, v).sign()
+
+
 # ---------------------------------------------------------------------------
 # extension from a subspace
 # ---------------------------------------------------------------------------
@@ -510,7 +520,7 @@ def test_extend_functional_basic():
     f = extend_functional(C, [(1, 0)], [1])
     assert evaluate_lex(f, (1, 0)) == 1          # agrees on H
     v = evaluate_lex(f, (0, 1))
-    assert v > 0 and v.is_infinitesimal()        # strictly positive below H
+    assert v > 0 and not v.terms.get(0)         # strictly positive below H
 
 
 def test_extend_functional_trivial_subspace():

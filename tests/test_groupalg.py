@@ -261,7 +261,7 @@ def test_trace_and_augmentation_random():
             else:
                 expect = x.trace().modulus_sq()
             assert t == QC(expect)
-            assert t.is_real() and t.re >= 0
+            assert t.im == 0 and t.re >= 0
 
 
 def test_hermitian_detection():

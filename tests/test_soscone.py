@@ -330,6 +330,78 @@ def test_dual_witness_from_feasibility_run():
 
 
 # ---------------------------------------------------------------------------
+# early stop at a refuting dual iterate
+# ---------------------------------------------------------------------------
+
+def early_attempts(monkeypatch):
+    """The iteration of every refuting iterate the solver hands to its
+    ``accept`` callback, recorded as the solves run."""
+    attempts, solve = [], sdp.solve_margin_sdp
+
+    def spying(entries, parts, n, b, accept=None):
+        def counted(res):
+            attempts.append(res.iterations)
+            return accept(res)
+        return solve(entries, parts, n, b, counted if accept else None)
+
+    monkeypatch.setattr(sdp, "solve_margin_sdp", spying)
+    return attempts
+
+
+def test_refutation_stops_at_the_first_exactly_refuting_iterate(monkeypatch):
+    b = -laplacian(FREE2, GENS2)
+    asm = assembly(b, basis=gram_basis(b, "full", 2))
+    full = sos_feasibility(b, asm)                  # no callback: converges
+    attempts = early_attempts(monkeypatch)
+    out = certify_membership(b, radius=2)
+    assert out.verdict == "refuted"
+    assert attempts == [out.diagnostics["iterations"]]
+    assert out.diagnostics["iterations"] < full.iterations
+    # the reported margin is the dual bound b . y, above the optimum
+    assert full.lam - 1e-9 <= out.margin < -sdp.TOL
+    assert verify_witness(out.witness)
+    assert verify_witness(reread(out.witness))
+
+
+def test_a_failed_early_attempt_leaves_the_solve_as_before(monkeypatch):
+    b = -laplacian(FREE2, GENS2)
+    asm = assembly(b, basis=gram_basis(b, "full", 2))
+    full = sos_feasibility(b, asm)
+    dual, calls = soscone.exact_dual_witness, []
+
+    def fail_first(asm, b, res):
+        calls.append(res.iterations)
+        if len(calls) == 1:
+            raise ProjectionError("forced", {})
+        return dual(asm, b, res)
+
+    monkeypatch.setattr(soscone, "exact_dual_witness", fail_first)
+    attempts = early_attempts(monkeypatch)
+    out = certify_membership(b, radius=2)
+    assert out.verdict == "refuted"
+    assert len(attempts) == 1
+    # the second witness comes from the converged iterate, as without
+    # the early stop
+    assert calls == [attempts[0], full.iterations]
+    assert out.diagnostics["iterations"] == full.iterations
+    assert out.margin == full.lam
+    assert verify_witness(out.witness)
+
+
+@pytest.mark.parametrize("case", ["ca-square-r2", "laplacian-r2", "interior"])
+def test_inside_and_boundary_targets_make_no_early_attempt(monkeypatch,
+                                                           case):
+    ca, g = c_of(FREE2, (1,)), gen(FREE2, 1)
+    b = {"ca-square-r2": ca.star() * ca,
+         "laplacian-r2": laplacian(FREE2, GENS2),
+         "interior": unit(FREE2) * 3 - g - g.star()}[case]
+    attempts = early_attempts(monkeypatch)
+    out = certify_membership(b, radius=2)
+    assert out.verdict in ("certified", "undecided")
+    assert attempts == []
+
+
+# ---------------------------------------------------------------------------
 # sparse constraint entries against the dense definitions
 # ---------------------------------------------------------------------------
 
