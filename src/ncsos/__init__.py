@@ -2,8 +2,8 @@
 
 Subpackages / modules:
 
-- ``rcf``        -- truncated infinitesimal scalars, polynomial functionals,
-                    square-root-free PSD testing
+- ``rcf``        -- exact polynomials in a positive infinitesimal,
+                    polynomial functionals, square-root-free PSD testing
 - ``cones``      -- finitely generated rational cones and lexicographic
                     separating functionals
 - ``groupalg``   -- exact group-algebra / free *-algebra arithmetic

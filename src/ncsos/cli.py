@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import BLAS_THREADS, rcf
+from . import BLAS_THREADS
 from .cones import (
     PointInsideCone,
     cone_from_json,
@@ -216,10 +216,6 @@ def _write_artifact(report: JobReport, path: str, kind: str, obj) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_separate(args):
-    try:
-        order = rcf.default_order()
-    except ValueError as exc:
-        raise _BadInput(str(exc)) from exc
     cone_text, digest = _read(args.cone)
     try:
         cone = cone_from_json(cone_text)
@@ -233,8 +229,7 @@ def _cmd_separate(args):
     report = JobReport(command="separate", inputs=digest,
                        verdict="",
                        disclosures={"dim": cone.dim,
-                                    "generators": len(cone.generators),
-                                    "truncation_order": order})
+                                    "generators": len(cone.generators)})
     report.diagnostics["point"] = [str(p) for p in point]
     try:
         functional = separate_point(cone, point)
@@ -248,9 +243,6 @@ def _cmd_separate(args):
         raise RuntimeError(
             "separating functional fails its sign contract: value at the "
             f"point {val_x.render()}, generators nonnegative: {gens_ok}")
-    # the order the evaluation used: widened for a functional whose last
-    # level lies beyond the configured one
-    report.disclosures["truncation_order"] = val_x.order
     path = _write(_artifact_path(args.cone, args.out, "functional"),
                   functional.to_json())
     report.verdict = "separated"

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import exactla, linprog
 from .qc import _frac
-from .rcf import RcfScalar, default_order, level_infinitesimal
+from .rcf import RcfScalar, level_infinitesimal
 
 Vec = tuple
 
@@ -162,22 +162,16 @@ class LexFunctional:
         return (val > 0) - (val < 0)
 
 
-def evaluate_lex(f: LexFunctional, v, order: int | None = None) -> RcfScalar:
-    """phi(v) as a jet: stage i carries weight level_infinitesimal(i-1).
-
-    Without an explicit order the jet's order is the configured one,
-    widened to 2^(k-1) - 1 for k stages, the exponent of the last level.
-    """
+def evaluate_lex(f: LexFunctional, v) -> RcfScalar:
+    """phi(v) as a jet: stage i carries weight level_infinitesimal(i-1)."""
     v = _vec(v)
     if len(v) != f.dim:
         raise ValueError("vector dimension mismatch")
-    if order is None:
-        order = max(default_order(), 2 ** len(f.stages) // 2 - 1)
-    acc = RcfScalar.zero(order)
+    acc = RcfScalar.zero()
     for i, stage in enumerate(f.stages):
         val = _dot(stage, v)
         if val:
-            acc = acc + level_infinitesimal(i, acc.order) * val
+            acc = acc + level_infinitesimal(i) * val
     return acc
 
 

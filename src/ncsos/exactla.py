@@ -2,9 +2,10 @@
 
 Every routine works on lists of lists of scalars supporting ``+ - * /``,
 unary ``-`` and truthiness (``bool(x)`` false exactly when ``x == 0``).
-``fractions.Fraction`` and :class:`ncsos.qc.QC` both qualify, as do the
-truncated infinitesimal scalars from :mod:`ncsos.rcf`; ``int`` entries are
-divided as Fractions.  Nothing here ever touches floating point.
+``fractions.Fraction`` and :class:`ncsos.qc.QC` both qualify; ``int``
+entries are divided as Fractions.  :func:`char_poly` divides only by
+integers, so it also runs over the rings of :mod:`ncsos.rcf`, whose jets
+are not a field.  Nothing here ever touches floating point.
 
 The LDL* routines that decide positive semidefiniteness are the
 exception to duck typing: they scale a rational hermitian matrix by the
@@ -125,8 +126,8 @@ def char_poly(M, one):
     """Coefficients of ``det(lambda*I - M)`` by Faddeev-LeVerrier.
 
     Returns ``[c_0, c_1, ..., c_{n-1}, c_n]`` with ``c_n == 1`` (as the
-    supplied ``one``); only exact divisions by integers occur, so any field
-    of characteristic zero works.
+    supplied ``one``); only exact divisions by integers occur, so any
+    commutative ring containing the rationals works.
     """
     n = len(M)
     zero = one - one

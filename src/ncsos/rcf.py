@@ -1,11 +1,12 @@
-"""Truncated infinitesimal scalars and derivative functionals.
+"""Exact infinitesimal scalars and derivative functionals.
 
-The scalar type models the real closed field R(eps) by jets: finitely many
-terms ``sum_e c_e * eps^e`` with rational ``c_e`` and exponents ``0 <= e <=
-T`` for a truncation order ``T`` (63 unless overridden, or the env var
-``NCSOS_TRUNCATION``).  Order comparisons are lexicographic in the exponent:
-the sign of a nonzero jet is the sign of its lowest-order coefficient, which
-makes eps a positive element smaller than every positive rational.
+The scalar type models the real closed field R(eps) by its subring Q[eps]:
+polynomials ``sum_e c_e * eps^e`` with rational ``c_e`` and exponents
+``e >= 0``.  Every term is kept, so arithmetic is exact.  Order comparisons
+are lexicographic in the exponent: the sign of a nonzero polynomial is the
+sign of its lowest-order coefficient, which makes eps a positive element
+smaller than every positive rational.  The units of Q[eps] are the nonzero
+rationals, and they are the only divisors accepted.
 
 Level schedule: ``level_infinitesimal(i) = eps**(2**i - 1)``.  These satisfy
 ``k * eps_i < eps_{i-1}`` for every integer k and ``r * eps_2 < eps_1**2``
@@ -20,102 +21,66 @@ coefficient signs.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
 from .qc import QC, _frac
 
-DEFAULT_ORDER = 63
-
-
-class TruncationOverflow(ArithmeticError):
-    """An exponent left the representable window [0, T]."""
-
-
-class OrderMismatch(ValueError):
-    """Arithmetic mixed two scalars with different truncation orders."""
-
 
 def default_order() -> int:
-    env = os.environ.get("NCSOS_TRUNCATION")
-    if env is None:
-        return DEFAULT_ORDER
-    try:
-        val = int(env)
-    except ValueError as exc:
-        raise ValueError(f"NCSOS_TRUNCATION must be an integer, got {env!r}") from exc
-    if val < 0:
-        raise ValueError("NCSOS_TRUNCATION must be nonnegative")
-    return val
+    """The truncation order of releases whose jets dropped terms above it."""
+    return 63
 
 
 class RcfScalar:
-    """A jet ``sum c_e eps^e``, 0 <= e <= order, with Fraction coefficients.
+    """A polynomial ``sum c_e eps^e``, e >= 0, with Fraction coefficients."""
 
-    ``truncated`` records that some term beyond the window was dropped while
-    producing this value (directly, or inherited from an operand), i.e. the
-    jet may not equal the exact field element it came from.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("terms", "order", "truncated")
-
-    def __init__(self, terms=None, order: int | None = None, truncated: bool = False):
-        if order is None:
-            order = default_order()
+    def __init__(self, terms=None):
         clean: dict[int, Fraction] = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
                 if not isinstance(e, int) or e < 0:
                     raise ValueError(f"bad exponent {e!r}")
-                if e > order:
-                    raise TruncationOverflow(
-                        f"exponent {e} exceeds truncation order {order}")
                 c = _frac(c)
                 if c:
                     clean[e] = clean.get(e, Fraction(0)) + c
                     if not clean[e]:
                         del clean[e]
         self.terms = clean
-        self.order = order
-        self.truncated = truncated
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rational(x, order: int | None = None) -> "RcfScalar":
-        return RcfScalar({0: _frac(x)}, order=order)
+    def from_rational(x) -> "RcfScalar":
+        return RcfScalar({0: _frac(x)})
 
     @staticmethod
-    def zero(order: int | None = None) -> "RcfScalar":
-        return RcfScalar({}, order=order)
+    def zero() -> "RcfScalar":
+        return RcfScalar({})
 
     @staticmethod
-    def one(order: int | None = None) -> "RcfScalar":
-        return RcfScalar({0: Fraction(1)}, order=order)
+    def one() -> "RcfScalar":
+        return RcfScalar({0: Fraction(1)})
 
     @staticmethod
-    def eps(exponent: int = 1, order: int | None = None) -> "RcfScalar":
-        return RcfScalar({exponent: Fraction(1)}, order=order)
+    def eps(exponent: int = 1) -> "RcfScalar":
+        return RcfScalar({exponent: Fraction(1)})
 
     # -- plumbing ----------------------------------------------------------
 
     def _coerce(self, other) -> "RcfScalar | None":
         if isinstance(other, RcfScalar):
-            if other.order != self.order:
-                raise OrderMismatch(
-                    f"mixed truncation orders {self.order} and {other.order}")
             return other
         if isinstance(other, (int, Fraction)):
-            return RcfScalar({0: _frac(other)}, order=self.order)
+            return RcfScalar({0: _frac(other)})
         return None
 
-    def copy_with(self, terms, truncated):
+    def copy_with(self, terms):
         out = RcfScalar.__new__(RcfScalar)
         out.terms = terms
-        out.order = self.order
-        out.truncated = truncated
         return out
 
     # -- ring ops ------------------------------------------------------------
@@ -131,12 +96,12 @@ class RcfScalar:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return self.copy_with(terms, self.truncated or o.truncated)
+        return self.copy_with(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.copy_with({e: -c for e, c in self.terms.items()}, self.truncated)
+        return self.copy_with({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -155,19 +120,15 @@ class RcfScalar:
         if o is None:
             return NotImplemented
         terms: dict[int, Fraction] = {}
-        dropped = False
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = e1 + e2
-                if e > self.order:
-                    dropped = True
-                    continue
                 s = terms.get(e, Fraction(0)) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return self.copy_with(terms, self.truncated or o.truncated or dropped)
+        return self.copy_with(terms)
 
     __rmul__ = __mul__
 
@@ -184,25 +145,12 @@ class RcfScalar:
         return o * self.inverse()
 
     def inverse(self) -> "RcfScalar":
-        """Inverse of a unit (nonzero standard part) via geometric series."""
-        c0 = self.terms.get(0, Fraction(0))
-        if not c0:
+        """Inverse of a unit of Q[eps], that is of a nonzero rational."""
+        if self.terms.keys() != {0}:
             raise ZeroDivisionError(
-                "division by a non-unit jet (zero standard part)")
-        # self = c0 (1 + u), u infinitesimal; 1/self = (1/c0) sum (-u)^k
-        u = self.copy_with({e: c / c0 for e, c in self.terms.items() if e != 0},
-                           False)
-        acc = RcfScalar.one(self.order)
-        pw = RcfScalar.one(self.order)
-        neg_u = -u
-        for _ in range(self.order):
-            pw = pw * neg_u
-            if not pw.terms:
-                break
-            acc = acc + pw
-        # the true inverse is an infinite series whenever u != 0
-        inexact = self.truncated or bool(u.terms)
-        return acc.copy_with({e: c / c0 for e, c in acc.terms.items()}, inexact)
+                f"{self.render()} is not a nonzero rational, so it has no "
+                "inverse among polynomials in eps")
+        return self.copy_with({0: 1 / self.terms[0]})
 
     # -- order structure -----------------------------------------------------
 
@@ -225,7 +173,7 @@ class RcfScalar:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted(self.terms.items()))))
+        return hash(tuple(sorted(self.terms.items())))
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -262,13 +210,13 @@ class RcfScalar:
         return f"RcfScalar({self.render()!r})"
 
     @staticmethod
-    def parse(text: str, order: int | None = None) -> "RcfScalar":
+    def parse(text: str) -> "RcfScalar":
         """Inverse of :meth:`render`; accepts e.g. ``"1 + 4*e^1 - 4*e^2"``."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty scalar text")
         if s == "0":
-            return RcfScalar.zero(order)
+            return RcfScalar.zero()
         # split into signed chunks
         chunks = []
         cur = ""
@@ -297,10 +245,10 @@ class RcfScalar:
                 coeff = Fraction(chunk)
                 exp = 0
             terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
-        return RcfScalar(terms, order=order)
+        return RcfScalar(terms)
 
 
-def level_infinitesimal(i: int, order: int | None = None) -> RcfScalar:
+def level_infinitesimal(i: int) -> RcfScalar:
     """The i-th level ``eps**(2**i - 1)``; level 0 is the unit 1.
 
     Each level is infinitesimal relative to every rational multiple of the
@@ -308,46 +256,30 @@ def level_infinitesimal(i: int, order: int | None = None) -> RcfScalar:
     """
     if i < 0:
         raise ValueError("level index must be nonnegative")
-    if order is None:
-        order = default_order()
-    e = 2 ** i - 1
-    if e > order:
-        raise TruncationOverflow(
-            f"level {i} needs exponent {e} > truncation order {order}")
-    return RcfScalar.eps(e, order=order) if e else RcfScalar.one(order=order)
-
-
-def require_exact(x: RcfScalar) -> RcfScalar:
-    if x.truncated:
-        raise TruncationOverflow("value lost terms beyond the truncation window")
-    return x
+    return RcfScalar.eps(2 ** i - 1)
 
 
 class RcfComplex:
-    """A complex jet: pair of :class:`RcfScalar` with matching orders."""
+    """A complex jet: a pair of :class:`RcfScalar`."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RcfScalar, im: RcfScalar | None = None):
-        if im is None:
-            im = RcfScalar.zero(re.order)
-        if re.order != im.order:
-            raise OrderMismatch("real/imag parts with different orders")
         self.re = re
-        self.im = im
+        self.im = RcfScalar.zero() if im is None else im
 
     @staticmethod
-    def from_qc(z: QC, order: int | None = None) -> "RcfComplex":
-        return RcfComplex(RcfScalar.from_rational(z.re, order),
-                          RcfScalar.from_rational(z.im, order))
+    def from_qc(z: QC) -> "RcfComplex":
+        return RcfComplex(RcfScalar.from_rational(z.re),
+                          RcfScalar.from_rational(z.im))
 
     @staticmethod
-    def zero(order: int | None = None) -> "RcfComplex":
-        return RcfComplex(RcfScalar.zero(order))
+    def zero() -> "RcfComplex":
+        return RcfComplex(RcfScalar.zero())
 
     @staticmethod
-    def one(order: int | None = None) -> "RcfComplex":
-        return RcfComplex(RcfScalar.one(order))
+    def one() -> "RcfComplex":
+        return RcfComplex(RcfScalar.one())
 
     def _coerce(self, other) -> "RcfComplex | None":
         if isinstance(other, RcfComplex):
@@ -355,9 +287,9 @@ class RcfComplex:
         if isinstance(other, RcfScalar):
             return RcfComplex(other)
         if isinstance(other, (int, Fraction)):
-            return RcfComplex(RcfScalar.from_rational(other, self.re.order))
+            return RcfComplex(RcfScalar.from_rational(other))
         if isinstance(other, QC):
-            return RcfComplex.from_qc(other, self.re.order)
+            return RcfComplex.from_qc(other)
         return None
 
     def __add__(self, other):
@@ -502,8 +434,7 @@ class UniPoly:
 MODES = ("single_level", "full_series")
 
 
-def eval_derivative_functional(p: UniPoly, mode: str,
-                               order: int | None = None) -> RcfComplex:
+def eval_derivative_functional(p: UniPoly, mode: str) -> RcfComplex:
     """Apply the chosen derivative-at-zero functional to p.
 
     ``single_level``: p(0) + eps * p''(0).
@@ -514,8 +445,6 @@ def eval_derivative_functional(p: UniPoly, mode: str,
     """
     if mode not in MODES:
         raise ValueError(f"unknown functional mode {mode!r}")
-    if order is None:
-        order = default_order()
     re_terms: dict[int, Fraction] = {}
     im_terms: dict[int, Fraction] = {}
 
@@ -533,15 +462,9 @@ def eval_derivative_functional(p: UniPoly, mode: str,
         while 2 * i <= max(p.degree(), 0):
             z = p.derivative_at_zero(2 * i)
             if z:
-                e = 2 ** i - 1
-                if e > order:
-                    raise TruncationOverflow(
-                        f"full_series functional needs level {i} "
-                        f"(exponent {e} > order {order})")
-                put(e, z)
+                put(2 ** i - 1, z)
             i += 1
-    return RcfComplex(RcfScalar(re_terms, order=order),
-                      RcfScalar(im_terms, order=order))
+    return RcfComplex(RcfScalar(re_terms), RcfScalar(im_terms))
 
 
 class CauchySchwarzResult:
@@ -558,18 +481,17 @@ class CauchySchwarzResult:
         return f"CauchySchwarzResult({tag})"
 
 
-def cauchy_schwarz_check(mode: str, a: UniPoly, b: UniPoly,
-                         order: int | None = None) -> CauchySchwarzResult:
+def cauchy_schwarz_check(mode: str, a: UniPoly, b: UniPoly) -> CauchySchwarzResult:
     """Test |phi(a* b)|^2 <= phi(a* a) phi(b* b) for the chosen functional.
 
     Returns the exact excess jet when the inequality fails; a failure is a
     certificate that the functional, while positive, is not a state coming
     from any inner-product representation.
     """
-    phi_ab = eval_derivative_functional(a.star() * b, mode, order)
+    phi_ab = eval_derivative_functional(a.star() * b, mode)
     lhs = phi_ab.modulus_sq()
-    qa = eval_derivative_functional(a.star() * a, mode, order)
-    qb = eval_derivative_functional(b.star() * b, mode, order)
+    qa = eval_derivative_functional(a.star() * a, mode)
+    qb = eval_derivative_functional(b.star() * b, mode)
     if qa.im or qb.im:
         raise AssertionError("hermitian squares must have real functional values")
     rhs = qa.re * qb.re
@@ -589,14 +511,13 @@ def hermitian_psd_check(M: Sequence[Sequence[RcfComplex]]) -> bool:
     n = len(M)
     if n == 0:
         return True
-    order = M[0][0].re.order
     for i in range(n):
         if len(M[i]) != n:
             raise ValueError("matrix is not square")
         for j in range(n):
             if M[i][j] != M[j][i].conjugate():
                 raise ValueError(f"matrix is not hermitian at ({i},{j})")
-    coeffs = exactla.char_poly([list(row) for row in M], RcfComplex.one(order))
+    coeffs = exactla.char_poly([list(row) for row in M], RcfComplex.one())
     for k in range(1, n + 1):
         c = coeffs[n - k]
         if c.im:
@@ -606,8 +527,7 @@ def hermitian_psd_check(M: Sequence[Sequence[RcfComplex]]) -> bool:
     return True
 
 
-def cp_level_check(mode: str, rows: Sequence[UniPoly],
-                   order: int | None = None) -> bool:
+def cp_level_check(mode: str, rows: Sequence[UniPoly]) -> bool:
     """PSD test of the moment matrix (phi(a_i* a_j))_ij for given rows.
 
     A functional extending to a completely positive map must pass this for
@@ -615,6 +535,6 @@ def cp_level_check(mode: str, rows: Sequence[UniPoly],
     complete positivity of the functional.
     """
     n = len(rows)
-    M = [[eval_derivative_functional(rows[i].star() * rows[j], mode, order)
+    M = [[eval_derivative_functional(rows[i].star() * rows[j], mode)
           for j in range(n)] for i in range(n)]
     return hermitian_psd_check(M)

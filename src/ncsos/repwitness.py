@@ -59,7 +59,7 @@ def _orthonormal_frame(Kq, K):
     representable frames, coordinates and states.  Nearly degenerate
     moments fall back to an eigendecomposition with a relative cutoff.
 
-    Returns ``(frame, coords, null_dim, null_vectors)``.
+    Returns ``(frame, coords)``.
     """
     try:
         ok, dvec, L, _ = ldlt_psd_qc(Kq)
@@ -81,21 +81,15 @@ def _orthonormal_frame(Kq, K):
             for j in range(n):
                 frame[j, c] = complex(Y[k][j].conjugate()) / r
                 coords[c, j] = r * complex(L[j][k].conjugate())
-        null = [k for k in range(n) if dvec[k] == 0]
-        null_vectors = np.zeros((n, len(null)), dtype=complex)
-        for c, k in enumerate(null):
-            for j in range(n):
-                null_vectors[j, c] = complex(Y[k][j].conjugate())
-        return frame, coords, len(null), null_vectors
+        return frame, coords
     lam, Q = np.linalg.eigh((K + K.conj().T) / 2.0)
     top = max(1.0, float(lam.max(initial=0.0)))
     keep = lam > NULL_TOL * top
     if not keep.any():
-        return (np.zeros((n, 0), dtype=complex),
-                np.zeros((0, n), dtype=complex), n, Q)
+        return np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex)
     frame = Q[:, keep] / np.sqrt(lam[keep])
     coords = frame.conj().T @ K
-    return frame, coords, int((~keep).sum()), Q[:, ~keep]
+    return frame, coords
 
 
 @dataclass
@@ -105,8 +99,8 @@ class GnsSpace:
     moment[i, j] is the normalized value at basis_words[i]* basis_words[j];
     frame maps orthonormal coordinates back to word coefficients, and
     word_coords holds the coordinate vector of each basis word's class.
-    Null directions (zero-length vectors) are split off, so
-    null_dim + dim equals the basis size.
+    Null directions (zero-length vectors) are split off, so dim can fall
+    below the basis size.
     """
 
     spec: AlgebraSpec
@@ -114,8 +108,6 @@ class GnsSpace:
     moment: np.ndarray
     frame: np.ndarray
     word_coords: np.ndarray
-    null_dim: int
-    null_vectors: np.ndarray
     word_values: dict
 
     @property
@@ -164,13 +156,11 @@ def gns_from_moment(phi: DualWitness, d: int) -> GnsSpace:
             Kq[i][j] = z
     K = np.array([[complex(Kq[i][j]) for j in range(n)] for i in range(n)])
 
-    frame, coords, null_dim, null_vectors = _orthonormal_frame(Kq, K)
+    frame, coords = _orthonormal_frame(Kq, K)
     if frame.shape[1] == 0:
         raise ValueError("trivial space: functional vanishes on the ball")
     space = GnsSpace(spec=spec, basis_words=list(basis), moment=K,
                      frame=frame, word_coords=coords,
-                     null_dim=null_dim,
-                     null_vectors=null_vectors,
                      word_values={w: complex(z) for w, z in values.items()})
     gram = coords.conj().T @ coords
     if np.abs(gram - K).max() > 1e-8 * max(1.0, float(np.abs(K).max())):

@@ -60,6 +60,19 @@ def test_every_public_method_is_used_or_documented():
         "README.md: " + ", ".join(orphans))
 
 
+def test_environment_variables_match_the_readme():
+    # every NCSOS_* name the package reads is documented in README's
+    # Environment section, and that section documents no other
+    read = {node.value
+            for path in sorted((ROOT / "src" / "ncsos").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"NCSOS_\w+", node.value)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Environment\n", 1)[1].split("\n## ", 1)[0]
+    assert read == set(re.findall(r"\bNCSOS_\w+", section))
+
+
 def _kind_comparisons(tree):
     """Operand lists of every comparison that has a ``kind`` name or
     ``.kind`` attribute among its operands."""

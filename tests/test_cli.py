@@ -99,10 +99,9 @@ def test_separate_matches_golden_functional(tmp_path, capsys):
     assert report["diagnostics"]["value_at_point"] == "-1"
 
 
-def test_separate_widens_the_truncation_window_for_a_long_functional(
-        tmp_path, capsys):
+def test_separate_evaluates_a_long_functional_exactly(tmp_path, capsys):
     # a staircase e_i - 2 e_{i+1} separates in 9 stages, and stage 9
-    # weighs by eps^255, beyond the default window of 63
+    # weighs by eps^255
     gens = [[int(k == i) - 2 * int(k == i + 1) for k in range(9)]
             for i in range(8)] + [[0] * 8 + [1]]
     cone = tmp_path / "staircase.json"
@@ -114,7 +113,6 @@ def test_separate_widens_the_truncation_window_for_a_long_functional(
     report = reports(out)[0]
     assert report["diagnostics"]["stages"] == 9
     assert report["diagnostics"]["value_at_point"] == "-1 + 2*e^1"
-    assert report["disclosures"]["truncation_order"] == 255
 
 
 def test_separate_help_shows_the_equals_form_of_a_negative_point(
@@ -819,24 +817,27 @@ def test_sos_reports_no_truncation_order(tmp_path, capsys, monkeypatch):
     assert "truncation_order" not in reports(out)[0]["disclosures"]
 
 
-def test_separate_rejects_a_malformed_truncation_order(tmp_path, capsys,
-                                                      monkeypatch):
+def test_separate_ignores_a_malformed_truncation_variable(tmp_path, capsys,
+                                                        monkeypatch):
+    # jets are exact, so separate no longer reads NCSOS_TRUNCATION at all
     monkeypatch.setenv("NCSOS_TRUNCATION", "abc")
     cone = write_quadrant(tmp_path)
-    code, _, err = run(capsys, "separate", cone, "--point=-1,0")
-    assert code == 64
-    assert "NCSOS_TRUNCATION" in err
-    assert not list(tmp_path.glob("*.functional.json"))
+    out_file = tmp_path / "f.json"
+    code, _, err = run(capsys, "separate", cone, "--point=-1,0",
+                       "--out", str(out_file))
+    assert code == 0
+    assert "NCSOS_TRUNCATION" not in err
+    assert out_file.exists()
 
 
-def test_truncation_order_is_disclosed_from_environment(tmp_path, capsys,
-                                                        monkeypatch):
+def test_separate_discloses_no_truncation_order(tmp_path, capsys,
+                                                monkeypatch):
     monkeypatch.setenv("NCSOS_TRUNCATION", "9")
     cone = write_quadrant(tmp_path)
     code, out, _ = run(capsys, "separate", cone, "--point=-1,0",
                        "--out", str(tmp_path / "f.json"))
     assert code == 0
-    assert reports(out)[0]["disclosures"]["truncation_order"] == 9
+    assert "truncation_order" not in reports(out)[0]["disclosures"]
 
 
 # ---------------------------------------------------------------------------

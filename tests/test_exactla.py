@@ -9,7 +9,6 @@ import pytest
 
 from ncsos import exactla
 from ncsos.qc import QC
-from ncsos.rcf import RcfScalar
 
 
 def _dense_rref(A, augment=None):
@@ -45,10 +44,6 @@ def _fraction(rng):
 SCALARS = {
     "fraction": _fraction,
     "qc": lambda rng: QC(_fraction(rng), _fraction(rng)),
-    # mostly jets with a nonzero standard part: the others have no inverse
-    "rcf": lambda rng: RcfScalar(
-        {0: F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)),
-         1: _fraction(rng)} if rng.random() < 0.6 else {}, order=4),
 }
 
 

@@ -9,26 +9,23 @@ import pytest
 from ncsos.qc import QC
 from ncsos.rcf import (
     MODES,
-    OrderMismatch,
     RcfComplex,
     RcfScalar,
-    TruncationOverflow,
     UniPoly,
     cauchy_schwarz_check,
     cp_level_check,
     eval_derivative_functional,
     hermitian_psd_check,
     level_infinitesimal,
-    require_exact,
 )
 
 
-def _rand_scalar(rng: random.Random, order=63, max_exp=6) -> RcfScalar:
+def _rand_scalar(rng: random.Random, max_exp=6) -> RcfScalar:
     terms = {}
     for _ in range(rng.randint(0, 4)):
         e = rng.randint(0, max_exp)
         terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-    return RcfScalar(terms, order=order)
+    return RcfScalar(terms)
 
 
 def test_eps_is_positive_infinitesimal():
@@ -51,10 +48,10 @@ def test_level_schedule_inequalities():
         assert r * e2 < e1 * e1
 
 
-def test_level_overflow():
-    with pytest.raises(TruncationOverflow):
-        level_infinitesimal(7)  # exponent 127 > 63
+def test_levels_are_exact_powers_of_eps():
+    assert level_infinitesimal(0) == 1
     assert level_infinitesimal(6).terms == {63: Fraction(1)}
+    assert level_infinitesimal(7).terms == {127: Fraction(1)}
 
 
 def test_field_axioms_random():
@@ -83,37 +80,28 @@ def test_order_axioms_random():
 
 
 def test_division_by_unit():
+    # the units of Q[eps] are the nonzero rationals, and dividing by one
+    # is exact; the inverse of 1 + eps is an infinite series
     rng = random.Random(7)
     for _ in range(100):
         a = _rand_scalar(rng)
-        b = _rand_scalar(rng)
-        if not b.terms.get(0):
-            b = b + Fraction(rng.randint(1, 5))
-        q = a / b
-        # q * b agrees with a to the truncation window
-        assert q * b == a
-    with pytest.raises(ZeroDivisionError):
-        (RcfScalar.one() / RcfScalar.eps())
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        assert (a / b) * b == a
+        assert (a / b).terms == {e: c / b for e, c in a.terms.items()}
+    x = RcfScalar.parse("1 + 4*e^1 - 4*e^2")
+    assert x / Fraction(3, 2) == RcfScalar.parse("2/3 + 8/3*e^1 - 8/3*e^2")
+    for divisor in (RcfScalar.eps(), RcfScalar.one() + RcfScalar.eps(),
+                    RcfScalar.zero()):
+        with pytest.raises(ZeroDivisionError):
+            RcfScalar.one() / divisor
 
 
-def test_mixed_order_rejected():
-    a = RcfScalar.one(order=63)
-    b = RcfScalar.one(order=31)
-    with pytest.raises(OrderMismatch):
-        _ = a + b
-
-
-def test_truncation_flag():
-    e = RcfScalar.eps(40)
-    prod = e * e  # exponent 80 > 63 drops away
-    assert prod == 0 and prod.truncated
-    with pytest.raises(TruncationOverflow):
-        require_exact(prod)
-    exact = RcfScalar.eps(1) * RcfScalar.eps(2)
-    assert not exact.truncated
-    # inversion of a genuine unit-plus-infinitesimal is flagged inexact
-    assert (RcfScalar.one() + RcfScalar.eps()).inverse().truncated
-    assert not RcfScalar.from_rational(Fraction(3, 2)).inverse().truncated
+def test_products_keep_every_term():
+    prod = RcfScalar.eps(40) * RcfScalar.eps(40)
+    assert prod == RcfScalar.eps(80)
+    assert prod > 0
+    x = RcfScalar.parse("1 - e^50")
+    assert x * x == RcfScalar.parse("1 - 2*e^50 + e^100")
 
 
 def test_render_parse_roundtrip():
@@ -157,6 +145,15 @@ def test_cauchy_schwarz_violation_exact():
     assert res.rhs == RcfScalar.parse("1 + 4*e^1")
     assert res.excess == RcfScalar.parse("4*e^2")
     assert res.excess > 0 and not res.excess.terms.get(0)
+
+
+def test_cauchy_schwarz_ignores_the_old_truncation_variable(monkeypatch):
+    # a window of order 1 once dropped the 4 eps^2 excess and reported
+    # that the inequality holds
+    monkeypatch.setenv("NCSOS_TRUNCATION", "1")
+    res = cauchy_schwarz_check("single_level", _poly(1, 0, 1), _poly(1))
+    assert not res.holds
+    assert res.excess == RcfScalar.parse("4*e^2")
 
 
 def test_cauchy_schwarz_violation_full_series():
@@ -214,6 +211,14 @@ def test_hermitian_psd_check_basics():
     assert not hermitian_psd_check([[eps, one], [one, eps]])
     with pytest.raises(ValueError):
         hermitian_psd_check([[one, one], [zero, one]])
+
+
+def test_psd_check_sees_a_high_order_negative_eigenvalue():
+    # the determinant -eps^80 once fell out of a window of order 63
+    e40 = RcfComplex(RcfScalar.eps(40))
+    zero = RcfComplex.zero()
+    assert not hermitian_psd_check([[e40, zero], [zero, -e40]])
+    assert hermitian_psd_check([[e40, zero], [zero, e40]])
 
 
 def _rand_herm_jet_matrix(rng: random.Random, n: int):

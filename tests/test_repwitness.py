@@ -82,18 +82,9 @@ def test_gns_trivial_character_is_one_dimensional():
     wit = trivial_character_witness(unit(F1))
     space = gns_from_moment(wit, 1)
     assert space.dim == 1
-    assert space.null_dim == 2
+    assert len(space.basis_words) - space.dim == 2
     assert space.state.shape == (1,)
     assert space.state[0] == 1.0 + 0j
-
-
-def test_gns_null_vectors_are_exact_kernel_vectors():
-    # the sign character on a radius-1 ball has a rank-one moment; the
-    # factorization exposes the two null directions exactly
-    wit = sign_character_witness(neg_laplacian_free1())
-    space = gns_from_moment(wit, 1)
-    assert space.null_vectors.shape == (3, 2)
-    assert np.abs(space.moment @ space.null_vectors).max() == 0.0
 
 
 def test_gns_coordinates_reproduce_the_moment():
@@ -125,7 +116,8 @@ def test_gns_nearly_degenerate_moment_takes_the_eigh_frame(monkeypatch):
                                    require_negative=False)
     space = gns_from_moment(wit, 1)
     assert calls == [1]
-    assert space.dim + space.null_dim == 3
+    # every LDL* pivot is positive, so no direction is cut as null
+    assert len(space.basis_words) - space.dim == 0
     gram = space.word_coords.conj().T @ space.word_coords
     assert np.abs(gram - space.moment).max() <= 1e-12
     assert abs(np.vdot(space.state, space.state) - 1) <= 1e-12
