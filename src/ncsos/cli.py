@@ -6,11 +6,12 @@ feasibility verdict is reached, leaves behind either an exactly
 verifiable certificate file or a replayable witness file.  Rationals
 travel as "p/q" strings end to end.
 
-Exit codes: 0 success/certificate/separation, 1 failed verification,
+Exit codes: 0 success/certificate/separation/bound, 1 failed
+verification (also: a lap-bound target outside the ideal-squared span),
 2 point inside the cone, 3 refutation witness, 4 undecided at the given
-radius (also: a Gram system or a lap-bound search refused as too large,
-or an artifact whose numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed
-input, 70 internal error (with NCSOS_DEBUG=1 its traceback goes to stderr).
+radius (also: a Gram system refused as too large, or an artifact whose
+numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed input, 70 internal
+error (with NCSOS_DEBUG=1 its traceback goes to stderr).
 """
 
 import argparse
@@ -34,6 +35,7 @@ from .groupalg import (
     AlgebraElement,
     AlgebraSpec,
     element_from_json,
+    laplacian,
 )
 from .qc import max_digits, rational
 from .repwitness import (
@@ -45,7 +47,6 @@ from .soscone import (
     TOL,
     CoverageError,
     DualWitness,
-    OversizeError,
     SosCertificate,
     certificate_defect,
     certify_membership,
@@ -305,7 +306,9 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     if outcome.verdict == "undecided":
         diag, r = outcome.diagnostics, outcome.radius
         if "refused" in diag:
-            advice = _refusal_advice(diag)
+            fits = diag["largest_radius_that_fits"]
+            advice = f"retry with --radius {fits} or less" if fits else \
+                "no radius fits this backend"
         elif "solver" in diag:
             advice = ("the SDP solver failed: " + diag["solver"].get(
                 "reason", "see diagnostics.solver"))
@@ -322,13 +325,6 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     report.verdict = "certified"
     report.diagnostics["squares"] = len(cert.squares)
     return report, EXIT_OK
-
-
-def _refusal_advice(diag: dict) -> str:
-    """Advice after a size refusal (diagnostics of an OversizeError)."""
-    fits = diag["largest_radius_that_fits"]
-    return f"retry with --radius {fits} or less" if fits else \
-        "no radius fits this backend"
 
 
 def _sos_refuted(report: JobReport, b, mode: str, outcome, apath: str):
@@ -482,17 +478,16 @@ def _cmd_lap_bound(args):
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad element: {exc}") from exc
     S = _parse_words(b.spec, args.gens)
+    try:
+        laplacian(b.spec, S)
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from exc
     report = JobReport(command="lap-bound", inputs=digest,
                        verdict="",
                        disclosures={"generators": [b.spec.word_to_str(s)
                                                    for s in S]})
     try:
-        bound = laplacian_bound(b, S, radius=args.radius)
-    except OversizeError as exc:
-        report.verdict = "undecided"
-        report.diagnostics.update(exc.report, refused=str(exc),
-                                  advice=_refusal_advice(exc.report))
-        return report, EXIT_UNDECIDED
+        bound = laplacian_bound(b, S)
     except ValueError as exc:
         report.verdict = "failed"
         report.diagnostics["reason"] = str(exc)
@@ -576,7 +571,6 @@ def build_parser() -> _Parser:
     p.add_argument("element", help="element JSON file")
     p.add_argument("--gens", required=True,
                    help="comma-separated generators, e.g. a,A or 1,2")
-    p.add_argument("--radius", type=int, default=None)
     p.set_defaults(func=_cmd_lap_bound)
 
     p = sub.add_parser("kazhdan", help="spectral gap of a finite-group "

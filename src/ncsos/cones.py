@@ -258,31 +258,34 @@ def separate_point(C: ConeV, x) -> LexFunctional:
     inside = membership(C, x)
     if inside:
         raise PointInsideCone(inside.coefficients)
-    n = C.dim
-    h_basis = [tuple(int(i == c) for i in range(n)) for c in range(n)]
-    active = list(range(len(C.generators)))
-    x_active = True
-    stages = []
-    while active and len(stages) < n:
-        gens = [C.generators[j] for j in active]
-        phi, opt = _stage_lp(h_basis, gens, x if x_active else None, "cover")
-        if opt == 0:
-            break  # active generators span a subspace: the lineality
-        stages.append(phi)
-        if x_active and _dot(phi, x) < 0:
-            x_active = False
-        active = [j for j in active if _dot(phi, C.generators[j]) == 0]
-        h_basis = _restrict(h_basis, phi)
-        if not h_basis:
-            break
-    if x_active:
-        gens = [C.generators[j] for j in active]
+    stages, gens, h_basis, x = _cover_stages(C.dim, C.generators, x)
+    if x is not None:
         phi, opt = _stage_lp(h_basis, gens, x, "repel")
         if not opt > 0:
             raise RuntimeError(
                 "point outside the cone must admit a repelling stage")
         stages.append(phi)
-    return LexFunctional(n, stages)
+    return LexFunctional(C.dim, stages)
+
+
+def _cover_stages(n, gens, x=None):
+    """The flag's cover stages in Q^n, until no generator scores; x stays
+    nonpositive until a stage is negative at it.  Returns the stages, the
+    unscored generators, the last subspace and x, or None once separated."""
+    h_basis = [tuple(int(i == c) for i in range(n)) for c in range(n)]
+    stages = []
+    while gens and len(stages) < n:
+        phi, opt = _stage_lp(h_basis, gens, x, "cover")
+        if opt == 0:
+            break  # the generators left span a subspace: the lineality
+        stages.append(phi)
+        if x is not None and _dot(phi, x) < 0:
+            x = None
+        gens = [g for g in gens if _dot(phi, g) == 0]
+        h_basis = _restrict(h_basis, phi)
+        if not h_basis:
+            break
+    return stages, gens, h_basis, x
 
 
 def _restrict(h_basis, phi):
@@ -335,19 +338,7 @@ def extend_functional(C: ConeV, h_basis: Sequence[Sequence],
     if any(_dot(ext, g) < 0 for g in outside):
         ext = _nonneg_extension(h_basis, phi_h, C.generators, n)
     # strictness stages: flag on C+H without a point constraint
-    psi_stages = []
-    hb = [tuple(int(i == c) for i in range(n)) for c in range(n)]
-    active = list(range(len(ext_gens)))
-    while active and len(psi_stages) < n:
-        gens = [ext_gens[j] for j in active]
-        phi, opt = _stage_lp(hb, gens, None, "cover")
-        if opt == 0:
-            break
-        psi_stages.append(phi)
-        active = [j for j in active if _dot(phi, ext_gens[j]) == 0]
-        hb = _restrict(hb, phi)
-        if not hb:
-            break
+    psi_stages = _cover_stages(n, ext_gens)[0]
     f = LexFunctional(n, [ext] + psi_stages)
     for g in C.generators:
         sign = f.sign_at(g)

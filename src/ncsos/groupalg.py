@@ -13,6 +13,8 @@ they test for is FINITE.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 import math
@@ -20,7 +22,6 @@ import string
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import exactla
 from .qc import BOUND_DENOMINATOR, QC, _frac, _limit_up, abs_upper, rational
 
 FREE = "free"
@@ -137,6 +138,10 @@ class _Lettered(AlgebraSpec):
 
     def _spelling(self, w):
         return map(self.letter, w)
+
+    def _letters(self, w):
+        return [self._letter_word(i, starred)
+                for i, starred in self._spelling(w)]
 
     def validate_word(self, w):
         if not isinstance(w, tuple) or not self._is_word(w):
@@ -353,6 +358,9 @@ class _Finite(AlgebraSpec):
 
     def word_len(self, w) -> int:
         return 0 if w == 0 else 1
+
+    def _letters(self, w):
+        return [w] if w else []
 
     def word_to_str(self, w) -> str:
         return str(w)
@@ -631,42 +639,63 @@ def l1_norm_sq_bound(a: AlgebraElement) -> Fraction:
     return _limit_up(total * total, BOUND_DENOMINATOR)
 
 
-def omega_squared_decomposition(a: AlgebraElement, radius: int | None = None):
-    """Exact coefficients beta with a = sum beta_{gh} c(g)* c(h), or None.
+def fox_decomposition(a: AlgebraElement):
+    """Exact (beta, leftover) with a = sum beta_{gh} c(g)* c(h) +
+    sum_s leftover_s c(s), for a in the augmentation ideal I, by Fox's
+    closed form (*Free differential calculus I*, 1953).
 
-    Pairs run over the radius-ball minus the identity; the default radius is
-    the longest word in a (so products cover the support).  The RREF
-    particular solution makes the answer deterministic.
+    Each word of a is spelled in letters and split in the middle,
+    recursively: c(uv) = c(u^-1)* c(v) + c(u) + c(v).  The letters' linear
+    parts m_l pair as c(s) + c(s^-1) = -c(s)* c(s).  On a finite group the
+    rest goes through c(g) = -(1/k) sum_{0<j<k} c(g^-1)* c(g^j), k the
+    order of g; elsewhere m_s - m_{s^-1} is the leftover: a's class in
+    I/I^2 paired with the exponent sum of s, so a is in I^2 exactly when
+    none is left.
     """
     spec = a.spec
     if not spec.is_group():
         raise ValueError("omega^2 span needs a group backend")
-    if radius is None:
-        radius = max(1, a.degree())
-    words = [w for w in ball(spec, radius) if w != spec.identity_word]
-    pairs = [(g, h) for g in words for h in words]
-    cols = []
-    support: dict = {}
-    col_elems = []
-    for g, h in pairs:
-        el = c_of(spec, g).star() * c_of(spec, h)
-        col_elems.append(el)
-        for w in el.terms:
-            support.setdefault(w, len(support))
-    for w in a.terms:
-        support.setdefault(w, len(support))
-    nrows = len(support)
-    A = [[QC(0)] * len(pairs) for _ in range(nrows)]
-    for j, el in enumerate(col_elems):
-        for w, c in el.terms.items():
-            A[support[w]][j] = c
-    b = [QC(0)] * nrows
+    if a.augmentation():
+        raise ValueError("target has nonzero augmentation, so it is not "
+                         "in the ideal-squared span")
+    mul, star, e = spec.word_mul, spec.word_star, spec.identity_word
+    beta, lin, leftover = collections.Counter(), collections.Counter(), {}
+
+    def split(letters, c):
+        if len(letters) == 1:
+            lin[letters[0]] += c
+            return
+        u, v = letters[:len(letters) // 2], letters[len(letters) // 2:]
+        beta[star(functools.reduce(mul, u)), functools.reduce(mul, v)] += c
+        split(u, c)
+        split(v, c)
+
     for w, c in a.terms.items():
-        b[support[w]] = c
-    sol = exactla.solve_linear(A, b)
-    if sol is None:
+        if w != e:
+            split(spec._letters(w), c)
+    for s in spec.letter_words():
+        t = star(s)
+        rest, mt = lin.pop(s, 0), lin.pop(t, 0)
+        beta[s, s] -= mt
+        rest -= mt
+        if rest and spec.order:         # k = 2 gives c(s) = -1/2 c(s)* c(s)
+            powers = [s]
+            while (p := mul(powers[-1], s)) != e:
+                powers.append(p)
+            for p in powers:
+                beta[t, p] -= rest / (len(powers) + 1)
+        elif rest:
+            leftover[s] = rest
+    return {k: c for k, c in beta.items() if c}, leftover
+
+
+def omega_squared_decomposition(a: AlgebraElement):
+    """Exact beta with a = sum beta_{gh} c(g)* c(h), or None when a is
+    not in I^2 (see :func:`fox_decomposition`)."""
+    if a.spec.is_group() and a.augmentation():
         return None
-    return {pairs[j]: sol[j] for j in range(len(pairs)) if sol[j]}
+    beta, leftover = fox_decomposition(a)
+    return None if leftover else beta
 
 
 # ---------------------------------------------------------------------------

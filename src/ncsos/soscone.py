@@ -49,10 +49,10 @@ from .groupalg import (
     c_of,
     element_from_dict,
     element_to_dict,
+    fox_decomposition,
     l1_norm_bound,
     l1_norm_sq_bound,
     laplacian,
-    omega_squared_decomposition,
     spheres,
     star_product,
 )
@@ -77,11 +77,6 @@ TOL = 1e-7
 # Schur complement (128 MB of float64 at m = 4000) every iteration, and
 # the exact projection holds the m x m constraint Gram matrix.
 MAX_CONDITIONS = 4000
-
-# Largest dense QC system, |B(2r)| rows times (|B(r)| - 1)^2 pair unknowns,
-# that the omega^2 search of laplacian_bound solves: free_abelian(3) at
-# r = 3 has 1.45e6 cells and took 86 s; free(2) at r = 3 has 3.9e6.
-MAX_OMEGA_CELLS = 2 * 10 ** 6
 
 
 class CoverageError(ValueError):
@@ -1004,11 +999,8 @@ def nu_table(spec: AlgebraSpec, S, words):
     generates nothing more, or on an infinite group at depth 2 * (longest
     target) + 2.
     """
-    S = [spec.validate_word(s) for s in S]
-    sset = set(S)
+    laplacian(spec, S)                  # S must define a Laplacian
     e = spec.identity_word
-    if e in sset:
-        raise ValueError("S must not contain the identity")
     targets = {spec.validate_word(w) for w in words}
     if e in targets:
         raise ValueError("nu is undefined at the identity")
@@ -1025,11 +1017,7 @@ def nu_table(spec: AlgebraSpec, S, words):
             "words not generated by S within the search depth: "
             + ", ".join(spec.word_to_str(w) for w in sorted(
                 missing, key=spec.word_key)))
-    nu = {}
-    for s in S:
-        if dist.get(s) != 1:
-            raise ValueError("generators must have distance 1")
-        nu[s] = Fraction(2)
+    nu = dict.fromkeys(S, Fraction(2))
     need = max(dist[w] for w in targets)
     for dw in range(2, need + 1):
         for w in by_depth[dw]:
@@ -1047,42 +1035,31 @@ def nu_table(spec: AlgebraSpec, S, words):
     return {w: nu[w] for w in targets}
 
 
-def laplacian_bound(b: AlgebraElement, S, radius: int | None = None) -> Fraction:
+def laplacian_bound(b: AlgebraElement, S) -> Fraction:
     """Rational C with |phi(b)| <= C * phi(Delta(S)) for positive phi.
 
-    b is written exactly as sum beta_{gh} c(g)* c(h); diagonal terms are
-    bounded by nu(g), cross terms by KAPPA*(nu(g)+nu(h)) (Cauchy-Schwarz
-    with the rational constant KAPPA >= 1/sqrt(2)), and coefficient
-    moduli by certified rational upper bounds.  A target of nonzero
-    augmentation is refused at once (omega^2 lies in the augmentation
-    ideal); a search that reaches a radius whose dense system exceeds
-    MAX_OMEGA_CELLS raises OversizeError before building it.
+    b is written as sum beta_{gh} c(g)* c(h) by :func:`fox_decomposition`
+    and the sum is checked exactly (RuntimeError if it is not b); diagonal
+    terms are bounded by nu(g), cross terms by KAPPA*(nu(g)+nu(h))
+    (Cauchy-Schwarz with the rational KAPPA >= 1/sqrt(2)), coefficient
+    moduli by certified rational upper bounds.  A target outside I^2
+    raises ValueError, naming each generator with a nonzero leftover.
     """
     spec = b.spec
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
     if not b:
         return Fraction(0)
-    if b.augmentation():
-        raise ValueError("target has nonzero augmentation, so it is not "
-                         "in the ideal-squared span")
-    beta = None
-    max_r = radius if radius is not None else max(1, b.degree())
-    for r in range(1, max_r + 1):
-        rows, unknowns = ball_size(spec, 2 * r), (ball_size(spec, r) - 1) ** 2
-        if spec.is_group() and rows * unknowns > MAX_OMEGA_CELLS:
-            raise OversizeError(
-                f"omega^2 system too large at radius {r}: {rows} rows times "
-                f"{unknowns} pair unknowns, above the limit of "
-                f"{MAX_OMEGA_CELLS} cells",
-                {"rows": rows, "pair_unknowns": unknowns,
-                 "largest_radius_that_fits": r - 1 or None})
-        beta = omega_squared_decomposition(b, r)
-        if beta is not None:
-            break
-    if beta is None:
+    beta, leftover = fox_decomposition(b)
+    if leftover:
         raise ValueError(
-            f"target is not in the ideal-squared span at radius {max_r}")
+            "target is not in the ideal-squared span: m_s - m_{s^-1} is "
+            + ", ".join(f"{_qc_str(c)} at s = {spec.word_to_str(s)}"
+                        for s, c in leftover.items()))
+    if sum((c_of(spec, g).star() * c_of(spec, h) * coef
+            for (g, h), coef in beta.items()), AlgebraElement(spec, {})) != b:
+        raise RuntimeError("the omega^2 decomposition does not sum to the "
+                           "target")
     words = sorted({g for g, _ in beta} | {h for _, h in beta},
                    key=spec.word_key)
     nu = nu_table(spec, S, words)
@@ -1094,6 +1071,12 @@ def laplacian_bound(b: AlgebraElement, S, radius: int | None = None) -> Fraction
         else:
             total += rho * KAPPA * (nu[g] + nu[h])
     return total
+
+
+def _qc_str(c: QC) -> str:
+    """2, -2i, 1+1/2i: a QC written for a message."""
+    im = f"{'+' if c.re and c.im > 0 else ''}{c.im}i" if c.im else ""
+    return (str(c.re) if c.re or not c.im else "") + im
 
 
 def delta_interior_shift(b: AlgebraElement, S):

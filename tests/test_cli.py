@@ -1070,12 +1070,10 @@ def test_lap_bound_of_a_generator_square(tmp_path, capsys):
 
 def test_lap_bound_fails_a_nonzero_augmentation_target_at_once(tmp_path,
                                                               capsys):
-    # no radius decomposes it; free(2) at radius 3 is also oversize
     a = gen(F2, 1)
     path = write_element(tmp_path, "b.json", 2 * unit(F2) + a + a.star())
     start = time.perf_counter()
-    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B",
-                       "--radius", "3")
+    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B")
     assert time.perf_counter() - start < 1.0
     assert code == 1
     report = reports(out)[0]
@@ -1083,37 +1081,91 @@ def test_lap_bound_fails_a_nonzero_augmentation_target_at_once(tmp_path,
     assert "nonzero augmentation" in report["diagnostics"]["reason"]
 
 
-def test_lap_bound_refuses_a_search_that_reaches_an_oversize_radius(
+def test_lap_bound_names_the_class_of_a_target_outside_i_squared(
         tmp_path, capsys):
-    # i(a - A) is outside the span at radius 1; free(4) at radius 2 has
-    # 3201 rows times 64^2 pair unknowns
+    # i(a - A) has exponent sum 2i in a: its class in I/I^2 is nonzero
     F4 = AlgebraSpec.free(4)
     a = gen(F4, 1)
     path = write_element(tmp_path, "b.json",
                          QC(0, 1) * a - QC(0, 1) * a.star())
     start = time.perf_counter()
-    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B",
-                       "--radius", "2")
-    assert time.perf_counter() - start < 1.0
-    assert code == 4
-    report = reports(out)[0]
-    assert report["verdict"] == "undecided"
-    diag = report["diagnostics"]
-    assert (diag["rows"], diag["pair_unknowns"]) == (3201, 64 ** 2)
-    assert diag["largest_radius_that_fits"] == 1
-    assert diag["advice"] == "retry with --radius 1 or less"
-
-
-def test_lap_bound_stops_below_an_oversize_default_radius(tmp_path, capsys):
-    # degree 3, so the search may go to radius 3 (oversize on free(2)),
-    # but c(a)* c(bb) + c(bb)* c(a) is found at radius 2
-    a, bb = gen(F2, 1), gen(F2, 2) * gen(F2, 2)
-    ca, cbb = a - unit(F2), bb - unit(F2)
-    path = write_element(tmp_path, "b.json",
-                         ca.star() * cbb + cbb.star() * ca)
     code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    report = reports(out)[0]
+    assert report["verdict"] == "failed"
+    assert report["diagnostics"]["reason"].endswith(
+        "m_s - m_{s^-1} is 2i at s = a")
+    code, _, err = run(capsys, "lap-bound", path, "--gens", "a,A,b,B",
+                       "--radius", "2")
+    assert code == 64 and "--radius" in err
+
+
+@pytest.mark.parametrize("spec, g, h", [
+    (F2, "aab", "baa"),
+    (AlgebraSpec.free_abelian(3), "aaa", "bbb"),
+], ids=["free2", "free_abelian3"])
+def test_lap_bound_answers_a_degree_six_target_at_once(tmp_path, capsys,
+                                                      spec, g, h):
+    # c(g)* c(h) + c(h)* c(g): Fox's middle split gives back the pair
+    # itself, and nu(g) = nu(h) = 20, so C = 2 * KAPPA * 40
+    cg, ch = (AlgebraElement.from_word(spec, spec.word_from_str(w)) -
+              unit(spec) for w in (g, h))
+    path = write_element(tmp_path, "b.json",
+                         cg.star() * ch + ch.star() * cg)
+    gens = "a,A,b,B" + (",c,C" if spec.rank == 3 else "")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lap-bound", path, "--gens", gens)
+    assert time.perf_counter() - start < 1.0
     assert code == 0
-    assert reports(out)[0]["verdict"] == "bounded"
+    report = reports(out)[0]
+    assert report["verdict"] == "bounded"
+    assert report["diagnostics"]["bound"] == "7072/125"
+
+
+@pytest.mark.parametrize("gens, message", [
+    ("a", "S must be closed under inverses"),
+    ("a,a,A", "S has repeated elements"),
+    ("a,A,aA", "S must not contain the identity"),
+    ("a,A", None),
+], ids=["asymmetric", "repeated", "identity", "valid"])
+def test_lap_bound_needs_a_generating_set_that_defines_a_laplacian(
+        tmp_path, capsys, gens, message):
+    ca = gen(F1, 1) - unit(F1)
+    path = write_element(tmp_path, "b.json", ca.star() * ca)
+    code, out, err = run(capsys, "lap-bound", path, "--gens", gens)
+    if message is None:
+        assert code == 0 and reports(out)[0]["diagnostics"]["bound"] == "2"
+    else:
+        assert code == 64 and message in err and not out
+
+
+def test_lap_bound_exits_70_on_a_wrong_decomposition_under_O(tmp_path):
+    # a decomposition missing one pair must be caught by the exact check
+    # before any bound is reported, with asserts stripped
+    ca, cb = gen(F2, 1) - unit(F2), gen(F2, 2) - unit(F2)
+    path = write_element(tmp_path, "b.json",
+                         ca.star() * cb + cb.star() * ca)
+    script = ("import sys\n"
+              "from ncsos import cli, soscone\n"
+              "fox = soscone.fox_decomposition\n"
+              "def drop_one(a):\n"
+              "    beta, leftover = fox(a)\n"
+              "    beta.pop(next(iter(beta)))\n"
+              "    return beta, leftover\n"
+              "soscone.fox_decomposition = drop_one\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "lap-bound", path,
+         "--gens", "a,A,b,B"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 70, proc.stderr
+    assert "does not sum to the target" in proc.stderr
+    assert "bound" not in proc.stdout
 
 
 def test_lap_bound_failure_for_elements_outside_the_span(tmp_path, capsys):

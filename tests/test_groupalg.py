@@ -8,6 +8,7 @@ Expected values fall into three buckets:
   * certified bounds, checked against an independent float evaluation.
 """
 
+import itertools
 import json
 import math
 import random
@@ -23,6 +24,7 @@ from ncsos.groupalg import (
     c_of,
     element_from_json,
     element_to_json,
+    fox_decomposition,
     l1_norm_bound,
     l1_norm_sq_bound,
     laplacian,
@@ -360,6 +362,57 @@ def test_omega_squared_products_random():
         x = c_of(spec, g) * c_of(spec, h)
         assert omega_squared_decomposition(x) is not None
         assert omega_squared_decomposition(x + 1) is None
+
+
+def _symmetric4():
+    perms = sorted(itertools.permutations(range(4)))    # identity first
+    index = {p: i for i, p in enumerate(perms)}
+    return AlgebraSpec.finite([[index[tuple(p[x] for x in q)] for q in perms]
+                               for p in perms])
+
+
+def _sum_of_pairs(spec, beta):
+    out = AlgebraElement(spec, {})
+    for (g, h), coef in beta.items():
+        out = out + c_of(spec, g).star() * c_of(spec, h) * coef
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec.free(2), AlgebraSpec.free_abelian(2), AlgebraSpec.cyclic(6),
+    _symmetric4()], ids=["free2", "free_abelian2", "cyclic6", "S4"])
+def test_fox_decomposition_reconstructs_random_ideal_squares(spec):
+    rng = random.Random(29)
+    words = [w for w in ball(spec, 2) if w != spec.identity_word]
+    for trial in range(8):
+        b = AlgebraElement(spec, {})
+        for _ in range(3):
+            g, h = rng.choice(words), rng.choice(words)
+            coef = QC(F(rng.randint(-4, 4), rng.randint(1, 3)),
+                      F(rng.randint(-4, 4), rng.randint(1, 3)))
+            x = c_of(spec, g).star() * c_of(spec, h) * coef
+            b = b + (x + x.star() if trial % 2 else x)
+        beta = omega_squared_decomposition(b)
+        assert beta is not None and _sum_of_pairs(spec, beta) == b
+        assert omega_squared_decomposition(b + 1) is None
+        if not spec.order:
+            a = AlgebraElement.generator(spec, 1)
+            assert omega_squared_decomposition(
+                b + QC(0, 1) * (a - a.star())) is None
+
+
+def test_fox_decomposition_leaves_the_class_in_i_mod_i_squared():
+    # i(a - A) on free(2): m_a - m_A = 2i, and nothing is left at b
+    spec = AlgebraSpec.free(2)
+    a = AlgebraElement.generator(spec, 1)
+    b = QC(0, 1) * (a - a.star())
+    beta, leftover = fox_decomposition(b)
+    assert leftover == {(1,): QC(0, 2)}
+    assert _sum_of_pairs(spec, beta) + c_of(spec, (1,)) * QC(0, 2) == b
+    # a finite group has I = I^2: c(g) alone decomposes
+    spec = AlgebraSpec.cyclic(5)
+    beta, leftover = fox_decomposition(c_of(spec, 2))
+    assert not leftover and _sum_of_pairs(spec, beta) == c_of(spec, 2)
 
 
 # ---------------------------------------------------------------------------

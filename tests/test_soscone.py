@@ -939,6 +939,20 @@ def test_laplacian_bound_outside_span():
         laplacian_bound(bad, [(1,), (-1,)])
 
 
+def test_laplacian_bound_checks_the_decomposition_exactly(monkeypatch):
+    fox = soscone.fox_decomposition
+
+    def drop_one(a):
+        beta, leftover = fox(a)
+        beta.pop(next(iter(beta)))
+        return beta, leftover
+
+    monkeypatch.setattr(soscone, "fox_decomposition", drop_one)
+    ca, cb = c_of(FREE2, (1,)), c_of(FREE2, (2,))
+    with pytest.raises(RuntimeError, match="does not sum to the target"):
+        laplacian_bound(ca.star() * cb + cb.star() * ca, GENS2)
+
+
 def test_kappa_is_a_valid_root_half_bound():
     assert 2 * KAPPA.numerator ** 2 >= KAPPA.denominator ** 2
 
