@@ -7,11 +7,11 @@ verifiable certificate file or a replayable witness file.  Rationals
 travel as "p/q" strings end to end.
 
 Exit codes: 0 success/certificate/separation/bound, 1 failed
-verification (also: a lap-bound target outside the ideal-squared span),
-2 point inside the cone, 3 refutation witness, 4 undecided at the given
-radius (also: a Gram system refused as too large, or an artifact whose
-numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed input, 70 internal
-error (with NCSOS_DEBUG=1 its traceback goes to stderr).
+verification or a lap-bound target outside I^2, 2 point inside the
+cone, 3 refutation witness, 4 undecided at the given radius (also: a
+Gram system or a lap-bound search refused as too large, or an artifact
+whose numbers exceed MAX_ARTIFACT_DIGITS), 64 malformed input, 70
+internal error (with NCSOS_DEBUG=1 its traceback goes to stderr).
 """
 
 import argparse
@@ -47,6 +47,7 @@ from .soscone import (
     TOL,
     CoverageError,
     DualWitness,
+    OversizeError,
     SosCertificate,
     certificate_defect,
     certify_membership,
@@ -488,6 +489,10 @@ def _cmd_lap_bound(args):
                                                    for s in S]})
     try:
         bound = laplacian_bound(b, S)
+    except OversizeError as exc:
+        report.verdict = "undecided"
+        report.diagnostics.update(refused=str(exc), **exc.report)
+        return report, EXIT_UNDECIDED
     except ValueError as exc:
         report.verdict = "failed"
         report.diagnostics["reason"] = str(exc)

@@ -641,16 +641,13 @@ def l1_norm_sq_bound(a: AlgebraElement) -> Fraction:
 
 def fox_decomposition(a: AlgebraElement):
     """Exact (beta, leftover) with a = sum beta_{gh} c(g)* c(h) +
-    sum_s leftover_s c(s), for a in the augmentation ideal I, by Fox's
-    closed form (*Free differential calculus I*, 1953).
-
-    Each word of a is spelled in letters and split in the middle,
-    recursively: c(uv) = c(u^-1)* c(v) + c(u) + c(v).  The letters' linear
-    parts m_l pair as c(s) + c(s^-1) = -c(s)* c(s).  On a finite group the
-    rest goes through c(g) = -(1/k) sum_{0<j<k} c(g^-1)* c(g^j), k the
-    order of g; elsewhere m_s - m_{s^-1} is the leftover: a's class in
-    I/I^2 paired with the exponent sum of s, so a is in I^2 exactly when
-    none is left.
+    sum_s leftover_s c(s) for a in the augmentation ideal, by Fox's closed
+    form (*Free differential calculus I*, 1953): words split in the middle
+    by c(uv) = c(u^-1)* c(v) + c(u) + c(v), letters paired by c(s) +
+    c(s^-1) = -c(s)* c(s), and on a finite group the rest paid by
+    c(g) = -(1/k) sum_{0<j<k} c(g^-1)* c(g^j), k the order of g.  On free
+    and free abelian groups the leftover is a's class in I/I^2: a is in
+    I^2 exactly when it is empty.
     """
     spec = a.spec
     if not spec.is_group():
@@ -687,15 +684,6 @@ def fox_decomposition(a: AlgebraElement):
         elif rest:
             leftover[s] = rest
     return {k: c for k, c in beta.items() if c}, leftover
-
-
-def omega_squared_decomposition(a: AlgebraElement):
-    """Exact beta with a = sum beta_{gh} c(g)* c(h), or None when a is
-    not in I^2 (see :func:`fox_decomposition`)."""
-    if a.spec.is_group() and a.augmentation():
-        return None
-    beta, leftover = fox_decomposition(a)
-    return None if leftover else beta
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,10 @@ TOL = 1e-7
 # the exact projection holds the m x m constraint Gram matrix.
 MAX_CONDITIONS = 4000
 
+# Most words searched plus splits listed by nu_table, a few word products
+# each: free(2) over its letters fits B(9); a^300 on free(1) has 44850.
+MAX_NU_WORK = 50000
+
 
 class CoverageError(ValueError):
     """Target support not expressible with the chosen basis products."""
@@ -991,47 +995,65 @@ def laplacian_sos_certificate(spec: AlgebraSpec, S) -> SosCertificate:
 
 def nu_table(spec: AlgebraSpec, S, words):
     """Split-minimization weights: nu(s) = 2 on S, and
-    nu(w) = min over geodesic splits w = u v of 2 (nu(u) + nu(v)).
+    nu(w) = min over geodesic splits w = u v of 2 (nu(u) + nu(v)),
+    computed for the targets and the pieces of their splits only.
 
     Distances are word lengths over S (breadth-first search); only
     distance-additive splits are admissible, which keeps the recursion
     well-founded.  The search stops when every target is reached, when S
     generates nothing more, or on an infinite group at depth 2 * (longest
-    target) + 2.
+    target) + 2.  OversizeError: a sphere could take the search past
+    MAX_NU_WORK words, or the words plus the splits listed pass it.
     """
     laplacian(spec, S)                  # S must define a Laplacian
-    e = spec.identity_word
+    mul, star, e = spec.word_mul, spec.word_star, spec.identity_word
     targets = {spec.validate_word(w) for w in words}
     if e in targets:
         raise ValueError("nu is undefined at the identity")
     max_depth = 2 * max((spec.word_len(w) for w in targets), default=1) + 2
-    dist, by_depth = {}, []
+    dist = {}
     for depth, sphere in enumerate(spheres(spec, S)):
-        by_depth.append(sphere)
         dist.update(dict.fromkeys(sphere, depth))
         if targets <= dist.keys() or (not spec.order and depth == max_depth):
             break
+        if min(len(dist) + len(sphere) * len(S),
+               spec.order or math.inf) > MAX_NU_WORK:
+            raise OversizeError(
+                f"nu's search over S could pass {MAX_NU_WORK} words at "
+                f"depth {depth + 1}", {"words": len(dist), "depth": depth})
     missing = targets - dist.keys()
     if missing:
         raise ValueError(
             "words not generated by S within the search depth: "
             + ", ".join(spec.word_to_str(w) for w in sorted(
                 missing, key=spec.word_key)))
-    nu = dict.fromkeys(S, Fraction(2))
-    need = max(dist[w] for w in targets)
-    for dw in range(2, need + 1):
-        for w in by_depth[dw]:
-            best = None
-            for u, du in dist.items():
-                if not 1 <= du <= dw - 1:
-                    continue
-                v = spec.word_mul(spec.word_star(u), w)
-                if dist.get(v) == dw - du and u in nu and v in nu:
-                    cand = 2 * (nu[u] + nu[v])
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None:
-                nu[w] = best
+
+    def splits(w):                      # {u: v} with w = u v geodesic
+        found, todo = {}, [(w, e)]
+        while todo:
+            x, y = todo.pop()           # y = x^-1 w
+            for s in S:
+                p = mul(x, star(s))
+                if dist.get(p) == dist[x] - 1 and p not in found:
+                    found[p] = mul(s, y)
+                    todo.append((p, found[p]))
+        del found[e]
+        return found.items()
+
+    nu, need, todo, work = dict.fromkeys(S, 2), set(), list(targets), 0
+    while todo:
+        w = todo.pop()
+        if w not in nu and w not in need:
+            need.add(w)
+            pairs = splits(w)
+            work += len(pairs)
+            if len(dist) + work > MAX_NU_WORK:
+                raise OversizeError(
+                    f"nu's search and splits pass {MAX_NU_WORK} words and "
+                    f"splits", {"words": len(dist), "splits": work})
+            todo.extend(x for pair in pairs for x in pair)
+    for w in sorted(need, key=dist.__getitem__):
+        nu[w] = min(2 * (nu[u] + nu[v]) for u, v in splits(w))
     return {w: nu[w] for w in targets}
 
 
@@ -1048,35 +1070,19 @@ def laplacian_bound(b: AlgebraElement, S) -> Fraction:
     spec = b.spec
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
-    if not b:
-        return Fraction(0)
     beta, leftover = fox_decomposition(b)
     if leftover:
         raise ValueError(
             "target is not in the ideal-squared span: m_s - m_{s^-1} is "
-            + ", ".join(f"{_qc_str(c)} at s = {spec.word_to_str(s)}"
+            + ", ".join(f"{c!r} at s = {spec.word_to_str(s)}"
                         for s, c in leftover.items()))
     if sum((c_of(spec, g).star() * c_of(spec, h) * coef
             for (g, h), coef in beta.items()), AlgebraElement(spec, {})) != b:
         raise RuntimeError("the omega^2 decomposition does not sum to the "
                            "target")
-    words = sorted({g for g, _ in beta} | {h for _, h in beta},
-                   key=spec.word_key)
-    nu = nu_table(spec, S, words)
-    total = Fraction(0)
-    for (g, h), coef in beta.items():
-        rho = abs_upper(coef)
-        if g == h:
-            total += rho * nu[g]
-        else:
-            total += rho * KAPPA * (nu[g] + nu[h])
-    return total
-
-
-def _qc_str(c: QC) -> str:
-    """2, -2i, 1+1/2i: a QC written for a message."""
-    im = f"{'+' if c.re and c.im > 0 else ''}{c.im}i" if c.im else ""
-    return (str(c.re) if c.re or not c.im else "") + im
+    nu = nu_table(spec, S, {w for pair in beta for w in pair})
+    return sum((abs_upper(c) * (nu[g] if g == h else KAPPA * (nu[g] + nu[h]))
+                for (g, h), c in beta.items()), Fraction(0))
 
 
 def delta_interior_shift(b: AlgebraElement, S):

@@ -1095,7 +1095,7 @@ def test_lap_bound_names_the_class_of_a_target_outside_i_squared(
     report = reports(out)[0]
     assert report["verdict"] == "failed"
     assert report["diagnostics"]["reason"].endswith(
-        "m_s - m_{s^-1} is 2i at s = a")
+        "m_s - m_{s^-1} is QC(0, 2) at s = a")
     code, _, err = run(capsys, "lap-bound", path, "--gens", "a,A,b,B",
                        "--radius", "2")
     assert code == 64 and "--radius" in err
@@ -1121,6 +1121,24 @@ def test_lap_bound_answers_a_degree_six_target_at_once(tmp_path, capsys,
     report = reports(out)[0]
     assert report["verdict"] == "bounded"
     assert report["diagnostics"]["bound"] == "7072/125"
+
+
+def test_lap_bound_refuses_a_degree_twenty_target_at_once(tmp_path, capsys):
+    # c(a^5 b^5)* c(b^5 a^5) + h.c.: the weights would need all of B(10)
+    # on free(2), 118097 words; the search stops before building it
+    cg, ch = (AlgebraElement.from_word(F2, F2.word_from_str(w)) - unit(F2)
+              for w in ("aaaaabbbbb", "bbbbbaaaaa"))
+    path = write_element(tmp_path, "b.json",
+                         cg.star() * ch + ch.star() * cg)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lap-bound", path, "--gens", "a,A,b,B")
+    assert time.perf_counter() - start < 2.0
+    assert code == 4
+    report = reports(out)[0]
+    assert report["verdict"] == "undecided"
+    assert report["diagnostics"]["refused"].startswith("nu's search")
+    assert report["diagnostics"]["depth"] == 9
+    assert "bound" not in report["diagnostics"]
 
 
 @pytest.mark.parametrize("gens, message", [

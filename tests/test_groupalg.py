@@ -28,7 +28,6 @@ from ncsos.groupalg import (
     l1_norm_bound,
     l1_norm_sq_bound,
     laplacian,
-    omega_squared_decomposition,
     star_product,
 )
 from ncsos.qc import QC, rational
@@ -335,35 +334,6 @@ def test_augmentation_ideal_membership():
     assert AlgebraElement.unit(spec).augmentation()
 
 
-def test_omega_squared_membership():
-    spec = AlgebraSpec.free(1)
-    ca = c_of(spec, (1,))
-    # c(a)* c(a) is a generator of the span
-    assert omega_squared_decomposition(ca.star() * ca) is not None
-    # c(a) itself is not: omega/omega^2 of Z is infinite cyclic
-    assert omega_squared_decomposition(ca) is None
-    # the word Laplacian lives in omega^2
-    delta = laplacian(spec, [(1,), (-1,)])
-    beta = omega_squared_decomposition(delta)
-    assert beta is not None
-    recon = AlgebraElement(spec, {})
-    for (g, h), coef in beta.items():
-        recon = recon + (c_of(spec, g).star() * c_of(spec, h)) * coef
-    assert recon == delta
-
-
-def test_omega_squared_products_random():
-    rng = random.Random(555)
-    spec = AlgebraSpec.cyclic(4)
-    words = [w for w in ball(spec, 1) if w != 0]
-    for _ in range(6):
-        g = words[rng.randrange(len(words))]
-        h = words[rng.randrange(len(words))]
-        x = c_of(spec, g) * c_of(spec, h)
-        assert omega_squared_decomposition(x) is not None
-        assert omega_squared_decomposition(x + 1) is None
-
-
 def _symmetric4():
     perms = sorted(itertools.permutations(range(4)))    # identity first
     index = {p: i for i, p in enumerate(perms)}
@@ -376,6 +346,33 @@ def _sum_of_pairs(spec, beta):
     for (g, h), coef in beta.items():
         out = out + c_of(spec, g).star() * c_of(spec, h) * coef
     return out
+
+
+def test_omega_squared_membership():
+    spec = AlgebraSpec.free(1)
+    ca = c_of(spec, (1,))
+    # c(a)* c(a) is a generator of the span
+    assert fox_decomposition(ca.star() * ca)[1] == {}
+    # c(a) itself is not: omega/omega^2 of Z is infinite cyclic
+    assert fox_decomposition(ca)[1] == {(1,): QC(1)}
+    # the word Laplacian lives in omega^2
+    delta = laplacian(spec, [(1,), (-1,)])
+    beta, leftover = fox_decomposition(delta)
+    assert not leftover and _sum_of_pairs(spec, beta) == delta
+
+
+def test_omega_squared_products_random():
+    rng = random.Random(555)
+    spec = AlgebraSpec.cyclic(4)
+    words = [w for w in ball(spec, 1) if w != 0]
+    for _ in range(6):
+        g = words[rng.randrange(len(words))]
+        h = words[rng.randrange(len(words))]
+        x = c_of(spec, g) * c_of(spec, h)
+        beta, leftover = fox_decomposition(x)
+        assert not leftover and _sum_of_pairs(spec, beta) == x
+        with pytest.raises(ValueError, match="nonzero augmentation"):
+            fox_decomposition(x + 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -392,13 +389,14 @@ def test_fox_decomposition_reconstructs_random_ideal_squares(spec):
                       F(rng.randint(-4, 4), rng.randint(1, 3)))
             x = c_of(spec, g).star() * c_of(spec, h) * coef
             b = b + (x + x.star() if trial % 2 else x)
-        beta = omega_squared_decomposition(b)
-        assert beta is not None and _sum_of_pairs(spec, beta) == b
-        assert omega_squared_decomposition(b + 1) is None
+        beta, leftover = fox_decomposition(b)
+        assert not leftover and _sum_of_pairs(spec, beta) == b
+        with pytest.raises(ValueError, match="nonzero augmentation"):
+            fox_decomposition(b + 1)
         if not spec.order:
             a = AlgebraElement.generator(spec, 1)
-            assert omega_squared_decomposition(
-                b + QC(0, 1) * (a - a.star())) is None
+            assert fox_decomposition(b + QC(0, 1) * (a - a.star()))[1] == {
+                spec.letter_words()[0]: QC(0, 2)}
 
 
 def test_fox_decomposition_leaves_the_class_in_i_mod_i_squared():

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,14 +27,17 @@ from ncsos.groupalg import (
     c_of,
     l1_norm_bound,
     laplacian,
+    spheres,
     star_product,
 )
 from ncsos.qc import QC, max_digits
 from ncsos import sdp, soscone
 from ncsos.soscone import (
     KAPPA,
+    MAX_NU_WORK,
     CoverageError,
     GramAssembly,
+    OversizeError,
     ProjectionError,
     SosCertificate,
     certificate_defect,
@@ -1349,6 +1353,52 @@ def test_nu_table_searches_a_finite_group_to_its_diameter(no_sdp):
     # spheres run out
     with pytest.raises(ValueError, match="not generated"):
         nu_table(spec, _perm_case(_S4, [(1, 0, 2, 3)])[1], S)
+
+
+def _nu_everywhere(spec, S, depth):
+    """nu on every word within distance depth of e over S, by the
+    definition: the least 2 (nu(u) + nu(v)) over geodesic splits."""
+    dist, nu = {}, {}
+    for d, sphere in zip(range(depth + 1), spheres(spec, S)):
+        dist.update(dict.fromkeys(sphere, d))
+    for w in sorted(dist, key=dist.__getitem__):
+        if dist[w] == 1:
+            nu[w] = 2
+        elif dist[w] > 1:
+            splits = ((u, spec.word_mul(spec.word_star(u), w)) for u in dist
+                      if 0 < dist[u] < dist[w])
+            nu[w] = min(2 * (nu[u] + nu[v]) for u, v in splits
+                        if dist.get(v) == dist[w] - dist[u])
+    return nu
+
+
+@pytest.mark.parametrize("case", [
+    (FREE2, GENS2, 4),
+    (FREE2, [(1,), (-1,), (1, 2), (-2, -1)], 3),
+    (AlgebraSpec.free_abelian(2), [(1, 0), (-1, 0), (0, 1), (0, -1)], 4),
+    (*_perm_case(_S4, _S4), 6),
+], ids=["free2", "free2-odd-S", "free_abelian2", "S4"])
+def test_nu_table_weighs_only_what_its_targets_need(case):
+    # the weights of the targets alone equal those of the whole ball
+    spec, S, depth = case
+    full = _nu_everywhere(spec, S, depth)
+    targets = sorted(full, key=spec.word_key)
+    assert nu_table(spec, S, targets) == full
+
+
+def test_nu_table_refuses_a_search_or_splits_past_its_limit():
+    # a word of length 10 on free(2), as a degree-20 target puts in beta,
+    # needs B(10), 118097 words: refused before that sphere is built
+    start = time.perf_counter()
+    with pytest.raises(OversizeError,
+                       match=f"could pass {MAX_NU_WORK} words"):
+        nu_table(FREE2, GENS2, [(1,) * 5 + (2,) * 5])
+    # a line reaches few words, but a^400 has 79800 splits below it
+    with pytest.raises(OversizeError, match="splits"):
+        nu_table(FREE1, [(1,), (-1,)], [(1,) * 400])
+    assert time.perf_counter() - start < 5.0
+    assert nu_table(FREE1, [(1,), (-1,)], [(1,) * 120]) == {
+        (1,) * 120: 29696}
 
 
 def test_free2_delta_squared_factors_the_constraint_system_once(
