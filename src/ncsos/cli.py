@@ -299,8 +299,9 @@ def _sos_single(path: str, mode: str, radius, shift, out,
     report.disclosures["radius"] = outcome.radius
     if outcome.margin is not None:
         report.diagnostics["sdp_margin"] = outcome.margin
-    if "gram_hint" in outcome.diagnostics:
-        report.diagnostics["gram_hint"] = outcome.diagnostics["gram_hint"]
+    for key in ("gram_hint", "sdp_iterations", "sdp_stop"):
+        if key in outcome.diagnostics:
+            report.diagnostics[key] = outcome.diagnostics[key]
     if outcome.verdict == "refuted":
         return _sos_refuted(report, target, mode, outcome,
                             _artifact_path(path, out, "witness", multi))
@@ -478,6 +479,8 @@ def _cmd_lap_bound(args):
         b = element_from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad element: {exc}") from exc
+    if not b.is_hermitian():
+        raise _BadInput("target element must be hermitian")
     S = _parse_words(b.spec, args.gens)
     try:
         laplacian(b.spec, S)

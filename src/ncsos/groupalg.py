@@ -14,7 +14,6 @@ they test for is FINITE.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import json
 import math
@@ -658,18 +657,19 @@ def fox_decomposition(a: AlgebraElement):
     mul, star, e = spec.word_mul, spec.word_star, spec.identity_word
     beta, lin, leftover = collections.Counter(), collections.Counter(), {}
 
-    def split(letters, c):
-        if len(letters) == 1:
-            lin[letters[0]] += c
-            return
-        u, v = letters[:len(letters) // 2], letters[len(letters) // 2:]
-        beta[star(functools.reduce(mul, u)), functools.reduce(mul, v)] += c
-        split(u, c)
-        split(v, c)
+    def split(letters, lo, hi, c):     # returns letters[lo] ... letters[hi-1]
+        if hi - lo == 1:
+            lin[letters[lo]] += c
+            return letters[lo]
+        mid = (lo + hi) // 2
+        u, v = split(letters, lo, mid, c), split(letters, mid, hi, c)
+        beta[star(u), v] += c
+        return mul(u, v)
 
     for w, c in a.terms.items():
         if w != e:
-            split(spec._letters(w), c)
+            letters = spec._letters(w)
+            split(letters, 0, len(letters), c)
     for s in spec.letter_words():
         t = star(s)
         rest, mt = lin.pop(s, 0), lin.pop(t, 0)

@@ -47,7 +47,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SdpResult:
-    lam: float                 # optimal margin (b . y on an early stop)
+    lam: float                 # optimal margin, or an early iterate's bound
     X: np.ndarray              # primal slack (Gram for the shifted target)
     y: np.ndarray              # dual multipliers (moment functional coords)
     iterations: int
@@ -149,11 +149,14 @@ def solve_margin_sdp(entries, parts, n: int, b, accept=None) -> SdpResult:
 
     entries, parts : the m constraint matrices (:class:`SparseConstraints`)
     b              : length-m real vector of constraint values
-    accept         : optional check of a refuting iterate; called once, on
-                     the first iterate whose y is dual feasible with
-                     b . y < -TOL.  When it returns true that iterate is
-                     the result, with lam = b . y (by weak duality an
-                     upper bound on the margin); else the solve goes on.
+    accept         : optional exact check of an early iterate, called at
+                     most once per side: on the first iterate whose X is
+                     primal feasible with lam > TOL, handed over with lam
+                     as it stands (a lower bound on the margin), and on
+                     the first whose y is dual feasible with b . y < -TOL,
+                     handed over with lam = b . y (by weak duality an
+                     upper bound).  When it returns true that iterate is
+                     the result; else the solve goes on.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -174,6 +177,7 @@ def solve_margin_sdp(entries, parts, n: int, b, accept=None) -> SdpResult:
     lam = 0.0
 
     stalls = 0
+    tried = set()                   # the sides accept has seen, +1 and -1
     info: dict = {}
     for it in range(MAX_ITER):
         gap = float(np.einsum("ij,ji->", X, Z).real)
@@ -190,12 +194,14 @@ def solve_margin_sdp(entries, parts, n: int, b, accept=None) -> SdpResult:
         info["rel_gap"] = rel_gap
         if rel_gap < TOL and pinf < TOL and dinf < TOL and abs(r_t) < TOL:
             return SdpResult(lam=lam, X=X, y=y, iterations=it, gap=gap)
-        if accept is not None and by < -TOL and dinf < TOL \
-                and abs(r_t) < TOL:
-            early = SdpResult(lam=by, X=X, y=y, iterations=it, gap=gap)
+        side = 1 if lam > TOL and pinf < TOL else \
+            -1 if by < -TOL and dinf < TOL and abs(r_t) < TOL else 0
+        if accept is not None and side and side not in tried:
+            tried.add(side)
+            early = SdpResult(lam=lam if side > 0 else by, X=X, y=y,
+                              iterations=it, gap=gap)
             if accept(early):
                 return early
-            accept = None
         if stalls >= 3 or it == MAX_ITER - 1:
             if rel_gap < LOOSE and pinf < LOOSE and dinf < LOOSE \
                     and abs(r_t) < LOOSE:

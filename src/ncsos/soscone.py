@@ -450,20 +450,18 @@ class GramAssembly:
                     X[i][j] += s * c
         return R, I
 
-    def ref_value(self, w) -> Fraction:
+    def ref_value(self, w) -> int:
         """The reference functional mixed into dual witnesses: on a group
         its moment matrix is the identity, or identity + ones in
         augmentation mode; on a free *-monoid it is 1 on the words s* s."""
         spec = self.spec
         if self.mode == "augmentation":
-            return Fraction(0) if w == spec.identity_word else Fraction(-1)
+            return 0 if w == spec.identity_word else -1
         if spec.is_group():
-            return Fraction(1 if w == spec.identity_word else 0)
+            return int(w == spec.identity_word)
         # free monoid: 1 exactly on words of the shape s* s
-        if len(w) % 2:
-            return Fraction(0)
         half = len(w) // 2
-        return Fraction(1 if spec.word_star(w[half:]) == w[:half] else 0)
+        return int(len(w) % 2 == 0 and spec.word_star(w[half:]) == w[:half])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +475,7 @@ def sos_feasibility(b: AlgebraElement, asm: GramAssembly,
     A margin ``lam`` >= -TOL means b is inside or on the boundary of the
     degree-bounded cone, numerically; below that y carries a separating
     functional hint.  ``accept`` may stop the solve at an earlier
-    refuting iterate (:func:`sdp.solve_margin_sdp`).
+    certifying or refuting iterate (:func:`sdp.solve_margin_sdp`).
     """
     try:
         beta = [float(x) for x in asm.beta(b)]
@@ -661,14 +659,20 @@ def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
     exact PSD moment matrix and exact negative value beta . y at the
     target -- are verified over rationals.
     """
-    beta = asm.beta(b)
-    y_ref = _y_from_word_values(asm, {w: asm.ref_value(w)
-                                      for w in asm.covered_words})
+    beta, spec = asm.beta(b), asm.spec
+    # the reference functional's coordinates (:func:`_y_from_word_values`):
+    # it is real, so 0 on K conditions, and doubled on a class {w, w*}
+    y_ref = [0 if part == "K" else
+             asm.ref_value(w) * (1 if spec.word_star(w) == w else 2)
+             for k, part in asm.constraint_class
+             for w in [asm.class_reps[k]]]
+    # the float moment matrix for the estimate: conj(sum_k y_k A_k)
+    ops = sdp.SparseConstraints(
+        asm.entries, [part for _, part in asm.constraint_class], asm.n)
 
     for den in DENOMINATOR_LADDER:
         y = [_grid(float(v), den) for v in res.y]
-        R, I = asm.moment(y)
-        Mf = np.array(R, dtype=float) + 1j * np.array(I, dtype=float)
+        Mf = ops.adjoint(np.array(y, dtype=float)).conj()
         est = float(np.linalg.eigvalsh((Mf + Mf.conj().T) / 2)[0])
         mu = Fraction(math.ceil(max(0.0, -est) * 2 * den) + 1, den)
         for _ in range(6):
@@ -822,23 +826,31 @@ def _certify(b: AlgebraElement, mode: str, radius: int | None,
         diag["fail_at"] = fail
         return done("refuted", witness=_regular_witness(asm, b, gram)) \
             if refute else done("undecided")
-    found = []
+    found = {}
 
-    def early(res):                    # a refuting iterate, checked exactly
+    def early(res):                    # an iterate the exact layer may take
         try:
-            found.append(exact_dual_witness(asm, b, res))
+            if res.lam > 0:
+                found["certificate"] = round_and_project(asm, b, res.gram)
+            elif refute:
+                found["witness"] = exact_dual_witness(asm, b, res)
         except ProjectionError:
-            return False
-        return True
+            pass
+        return bool(found)
 
     try:
-        res = sos_feasibility(b, asm, early if refute else None)
+        res = sos_feasibility(b, asm, early)
     except sdp.SolverError as err:
         return done("undecided", diagnostics={"solver": err.info})
-    diag.update(iterations=res.iterations, gap=res.gap)
+    diag.update(sdp_iterations=res.iterations, gap=res.gap,
+                sdp_stop="converged")
     done = functools.partial(done, margin=res.lam, diagnostics=diag)
-    if found:
-        return done("refuted", witness=found[0])
+    if "certificate" in found:
+        diag["sdp_stop"] = "early_certificate"
+        return done("certified", **found)
+    if "witness" in found:
+        diag["sdp_stop"] = "early_refutation"
+        return done("refuted", **found)
     # the boundary band [-TOL, TOL] tries both: a clean rational Gram may
     # still round, and a slightly negative margin may still refute
     if res.lam >= -TOL:

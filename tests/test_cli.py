@@ -662,6 +662,29 @@ def test_minus_laplacian_of_free2_at_radius_three_is_refuted(tmp_path,
         "unitary_representation"
 
 
+@pytest.mark.parametrize("case, radius, verdict, stop", [
+    ("inside", 1, "certified", "early_certificate"),
+    ("boundary", 1, "certified", "converged"),
+    ("outside", 1, "refuted", "early_refutation"),
+])
+def test_sos_reports_why_the_sdp_stopped(tmp_path, capsys, case, radius,
+                                         verdict, stop):
+    g = gen(F1, 1)
+    b = {"inside": unit(F1) * 3 - g - g.star(),
+         "boundary": laplacian(F1, [(1,), (-1,)]),
+         "outside": g + g.star() - unit(F1) * 3}[case]
+    path = write_element(tmp_path, "b.json", b)
+    code, out, _ = run(capsys, "sos", path, "--radius", str(radius))
+    report = reports(out)[0]
+    assert report["verdict"] == verdict
+    assert report["diagnostics"]["sdp_stop"] == stop
+    assert report["diagnostics"]["sdp_iterations"] >= 1
+    assert run(capsys, "verify", report["artifact"])[0] == 0
+    # the counters are deterministic, like the rest of the report
+    assert reports(run(capsys, "sos", path, "--radius", str(radius))[1])[0][
+        "diagnostics"] == report["diagnostics"]
+
+
 @pytest.mark.parametrize("spec, radius, resolved", [
     (F1, None, 2), (F1, 2, None), (F1, 3, None),
     (F2, 2, 3), (F2, 3, None),
@@ -1079,6 +1102,16 @@ def test_lap_bound_fails_a_nonzero_augmentation_target_at_once(tmp_path,
     report = reports(out)[0]
     assert report["verdict"] == "failed"
     assert "nonzero augmentation" in report["diagnostics"]["reason"]
+
+
+def test_lap_bound_rejects_a_non_hermitian_target(tmp_path, capsys):
+    # exit 64, as ``sos`` does on the same file
+    path = write_element(tmp_path, "b.json", gen(F2, 1) - unit(F2))
+    code, out, err = run(capsys, "lap-bound", path, "--gens", "a,A,b,B")
+    assert (code, out) == (64, "")
+    assert "hermitian" in err
+    code, out, _ = run(capsys, "sos", path)
+    assert code == 64
 
 
 def test_lap_bound_names_the_class_of_a_target_outside_i_squared(

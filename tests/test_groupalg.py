@@ -8,6 +8,7 @@ Expected values fall into three buckets:
   * certified bounds, checked against an independent float evaluation.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -397,6 +398,63 @@ def test_fox_decomposition_reconstructs_random_ideal_squares(spec):
             a = AlgebraElement.generator(spec, 1)
             assert fox_decomposition(b + QC(0, 1) * (a - a.star()))[1] == {
                 spec.letter_words()[0]: QC(0, 2)}
+
+
+def _fox_top_down(a):
+    """Fox's middle split written out top-down, each half multiplied out
+    letter by letter at every level (quadratic in the word length), with
+    the letter pairing of fox_decomposition on free and free abelian
+    groups: the oracle for its output."""
+    spec = a.spec
+    beta, lin = collections.Counter(), collections.Counter()
+
+    def product(letters):
+        out = spec.identity_word
+        for x in letters:
+            out = spec.word_mul(out, x)
+        return out
+
+    def split(letters, c):
+        if len(letters) == 1:
+            lin[letters[0]] += c
+            return
+        u, v = letters[:len(letters) // 2], letters[len(letters) // 2:]
+        beta[spec.word_star(product(u)), product(v)] += c
+        split(u, c)
+        split(v, c)
+
+    for w, c in a.terms.items():
+        if w != spec.identity_word:
+            split(spec._letters(w), c)
+    leftover = {}
+    for s in spec.letter_words():
+        rest, mt = lin.pop(s, 0), lin.pop(spec.word_star(s), 0)
+        beta[s, s] -= mt
+        if rest - mt:
+            leftover[s] = rest - mt
+    return {k: c for k, c in beta.items() if c}, leftover
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec.free(2),
+                                  AlgebraSpec.free_abelian(2)],
+                         ids=["free2", "free_abelian2"])
+def test_fox_decomposition_of_long_words_matches_the_top_down_split(spec):
+    rng = random.Random(30)
+    letters = spec.letter_words()
+    terms = {}
+    for length in (997, 1000, 4000):
+        w = spec.identity_word          # random letters, none cancelling
+        while spec.word_len(w) < length:
+            x = spec.word_mul(w, rng.choice(letters))
+            if spec.word_len(x) > spec.word_len(w):
+                w = x
+        z = QC(F(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(-4, 4))
+        terms[w] = z
+        terms[spec.word_star(w)] = z.conjugate()
+    terms[spec.identity_word] = QC(-sum(z.re for z in terms.values()))
+    b = AlgebraElement(spec, terms)
+    assert not b.augmentation()
+    assert fox_decomposition(b) == _fox_top_down(b)
 
 
 def test_fox_decomposition_leaves_the_class_in_i_mod_i_squared():

@@ -334,17 +334,19 @@ def test_dual_witness_from_feasibility_run():
 
 
 # ---------------------------------------------------------------------------
-# early stop at a refuting dual iterate
+# early stops: at a certifying primal or a refuting dual iterate
 # ---------------------------------------------------------------------------
 
 def early_attempts(monkeypatch):
-    """The iteration of every refuting iterate the solver hands to its
-    ``accept`` callback, recorded as the solves run."""
+    """(iteration, side) of every early iterate the solver hands to its
+    ``accept`` callback, recorded as the solves run: side is "certify"
+    for a primal feasible iterate with lam > 0, "refute" for a dual one."""
     attempts, solve = [], sdp.solve_margin_sdp
 
     def spying(entries, parts, n, b, accept=None):
         def counted(res):
-            attempts.append(res.iterations)
+            attempts.append((res.iterations,
+                             "certify" if res.lam > 0 else "refute"))
             return accept(res)
         return solve(entries, parts, n, b, counted if accept else None)
 
@@ -359,8 +361,9 @@ def test_refutation_stops_at_the_first_exactly_refuting_iterate(monkeypatch):
     attempts = early_attempts(monkeypatch)
     out = certify_membership(b, radius=2)
     assert out.verdict == "refuted"
-    assert attempts == [out.diagnostics["iterations"]]
-    assert out.diagnostics["iterations"] < full.iterations
+    assert out.diagnostics["sdp_stop"] == "early_refutation"
+    assert attempts == [(out.diagnostics["sdp_iterations"], "refute")]
+    assert out.diagnostics["sdp_iterations"] < full.iterations
     # the reported margin is the dual bound b . y, above the optimum
     assert full.lam - 1e-9 <= out.margin < -sdp.TOL
     assert verify_witness(out.witness)
@@ -383,18 +386,72 @@ def test_a_failed_early_attempt_leaves_the_solve_as_before(monkeypatch):
     attempts = early_attempts(monkeypatch)
     out = certify_membership(b, radius=2)
     assert out.verdict == "refuted"
-    assert len(attempts) == 1
+    assert [side for _, side in attempts] == ["refute"]
     # the second witness comes from the converged iterate, as without
     # the early stop
-    assert calls == [attempts[0], full.iterations]
-    assert out.diagnostics["iterations"] == full.iterations
+    assert calls == [attempts[0][0], full.iterations]
+    assert out.diagnostics["sdp_iterations"] == full.iterations
+    assert out.diagnostics["sdp_stop"] == "converged"
     assert out.margin == full.lam
     assert verify_witness(out.witness)
+
+
+def pp_shift(spec=FREE1):
+    """p* p + 1/2 with p = 1 - 2g + g^2/3: inside the cone at radius 2."""
+    g = gen(spec, 1)
+    p = unit(spec) - g * 2 + g * g * F(1, 3)
+    return p.star() * p + unit(spec) * F(1, 2)
+
+
+def test_inside_target_stops_at_the_first_certifying_iterate(monkeypatch):
+    b = pp_shift()
+    asm = assembly(b, basis=gram_basis(b, "full", 2))
+    full = sos_feasibility(b, asm)                  # no callback: converges
+    attempts = early_attempts(monkeypatch)
+    out = certify_membership(b, radius=2)
+    assert out.verdict == "certified"
+    assert out.diagnostics["sdp_stop"] == "early_certificate"
+    assert attempts == [(out.diagnostics["sdp_iterations"], "certify")]
+    assert out.diagnostics["sdp_iterations"] < full.iterations
+    # the reported margin is the iterate's lam, below the optimum
+    assert sdp.TOL < out.margin <= full.lam + 1e-9
+    assert verify_certificate(out.certificate)
+    assert verify_certificate(reread(out.certificate))
+
+
+def test_a_failed_certifying_attempt_leaves_the_solve_as_before(monkeypatch):
+    b = pp_shift()
+    asm = assembly(b, basis=gram_basis(b, "full", 2))
+    full = sos_feasibility(b, asm)
+    rounding, calls = soscone.round_and_project, []
+
+    def fail_first(asm, b, gram):
+        calls.append(gram)
+        if len(calls) == 1:
+            raise ProjectionError("forced", {})
+        return rounding(asm, b, gram)
+
+    monkeypatch.setattr(soscone, "round_and_project", fail_first)
+    attempts = early_attempts(monkeypatch)
+    out = certify_membership(b, radius=2)
+    assert out.verdict == "certified"
+    assert [side for _, side in attempts] == ["certify"]
+    # the certificate comes from the converged Gram hint, as without the
+    # early stop
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], full.gram)
+    assert out.diagnostics["sdp_iterations"] == full.iterations
+    assert out.diagnostics["sdp_stop"] == "converged"
+    assert out.margin == full.lam
+    assert verify_certificate(out.certificate)
 
 
 @pytest.mark.parametrize("case", ["ca-square-r2", "laplacian-r2", "interior"])
 def test_inside_and_boundary_targets_make_no_early_attempt(monkeypatch,
                                                            case):
+    """No target in the cone makes a refuting attempt.  Boundary targets
+    (margin 0) make no certifying attempt either; a target strictly
+    inside makes exactly one, which certifies."""
     ca, g = c_of(FREE2, (1,)), gen(FREE2, 1)
     b = {"ca-square-r2": ca.star() * ca,
          "laplacian-r2": laplacian(FREE2, GENS2),
@@ -402,7 +459,27 @@ def test_inside_and_boundary_targets_make_no_early_attempt(monkeypatch,
     attempts = early_attempts(monkeypatch)
     out = certify_membership(b, radius=2)
     assert out.verdict in ("certified", "undecided")
-    assert attempts == []
+    if case == "interior":
+        assert out.verdict == "certified"
+        assert attempts == [(out.diagnostics["sdp_iterations"], "certify")]
+    else:
+        assert attempts == []
+        assert out.diagnostics["sdp_stop"] == "converged"
+
+
+def test_shift_certification_stops_early_without_refuting(monkeypatch):
+    """interior_shift_certificate solves with refute=False: it takes the
+    certifying stop, and a target outside the cone tries no witness."""
+    g = gen(FREE1, 1)
+    attempts = early_attempts(monkeypatch)
+    cert = interior_shift_certificate(g + g.star(), 3)
+    assert [side for _, side in attempts] == ["certify"]
+    assert verify_certificate(cert)
+    calls = []
+    monkeypatch.setattr(soscone, "exact_dual_witness",
+                        lambda *args: calls.append(args))
+    out = soscone._certify(g + g.star() - unit(FREE1) * 3, "full", 1, False)
+    assert out.verdict == "undecided" and calls == []
 
 
 # ---------------------------------------------------------------------------
