@@ -8,17 +8,17 @@ integers, so it also runs over the rings of :mod:`ncsos.rcf`, whose jets
 are not a field.  Nothing here ever touches floating point.
 
 The LDL* routines that decide positive semidefiniteness are the
-exception to duck typing: they scale a rational hermitian matrix by the
-lcm of its denominators and eliminate fraction-free on (Gaussian)
-integers with Bareiss's exact division by the previous pivot, turning
-the result into Fractions only at the output.
+exception to duck typing: they take a rational hermitian matrix as
+(Gaussian) integers over one common denominator, eliminate fraction-free
+with Bareiss's exact division by the previous pivot and return that
+integer factor (:class:`IntegerLDL`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Optional
 
 from .qc import QC
 
@@ -160,15 +160,6 @@ def _dot(row, col):
 # hermitian-specific routines over QC
 # ---------------------------------------------------------------------------
 
-def is_hermitian_qc(M: Sequence[Sequence[QC]]) -> bool:
-    n = len(M)
-    for i in range(n):
-        for j in range(i, n):
-            if M[i][j] != M[j][i].conjugate():
-                return False
-    return True
-
-
 def _bareiss_ldlt(R, I):
     """Fraction-free LDL* of an integer hermitian matrix, in place.
 
@@ -255,45 +246,74 @@ def _integers(re_rows, im_rows):
     return integers(re_rows), im_rows and integers(im_rows), scale
 
 
-def _ldlt_psd(R, I, scale, unit):
-    """LDL* with the zero-pivot rule on the integer lower triangle (R, I)
-    of a rational one times ``scale``, by :func:`_bareiss_ldlt`, with
-    Fractions only at the output: d_k = p_k / (p_prev * scale) and
-    L[i][k] = a_ik / p_k, each entry built by ``unit(re, im)``."""
-    n = len(R)
-    pivots, fail = _bareiss_ldlt(R, I)
-    if fail is not None:
-        return False, None, None, fail
-    one, zero = unit(1, 0), unit(0, 0)
-    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    prev = 1
-    for k, p in enumerate(pivots):
-        if not p:
-            continue
-        d[k] = Fraction(p, prev * scale)
-        for i in range(k + 1, n):
-            if R[i][k] or (I is not None and I[i][k]):
-                L[i][k] = unit(Fraction(R[i][k], p),
-                               Fraction(I[i][k], p) if I is not None else 0)
-        prev = p
-    return True, d, L, None
+class IntegerLDL(NamedTuple):
+    """The fraction-free LDL* of a hermitian M that :func:`_bareiss_ldlt`
+    leaves: pivots p_k (0 at a skipped column) and, below each, the
+    integer column a_ik in the lower triangles R and I (None for a real
+    M) of scale * M.  d_k = p_k / (p_prev scale) and L[i][k] = a_ik / p_k,
+    with p_prev the previous nonzero pivot."""
+
+    pivots: list
+    R: list
+    I: Optional[list]
+    scale: int
+
+    def ldl(self, unit):
+        """``(d, L)`` with M = L diag(d) L*: Fractions d_k >= 0 and a unit
+        lower-triangular L whose entries ``unit(re, im)`` builds."""
+        R, I, n = self.R, self.I, len(self.R)
+        one, zero = unit(1, 0), unit(0, 0)
+        L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        d, prev = [Fraction(0)] * n, 1
+        for k, p in enumerate(self.pivots):
+            if p:
+                d[k] = Fraction(p, prev * self.scale)
+                for i in range(k + 1, n):
+                    if R[i][k] or (I and I[i][k]):
+                        L[i][k] = unit(Fraction(R[i][k], p),
+                                       Fraction(I[i][k] if I else 0, p))
+                prev = p
+        return d, L
+
+    def squares(self):
+        """M as rank-one terms with coprime integer roots: one ``(k, weight,
+        root)`` per positive pivot, ``root`` the (re, im) pairs r_k ..
+        r_{n-1} of (p_k, conj a_ik) over their content g, and weight =
+        g^2 / (p_k p_prev scale), so that M_ij = sum weight conj(r_i) r_j."""
+        R, I, out, prev = self.R, self.I, [], 1
+        for k, p in enumerate(self.pivots):
+            if p:
+                root = [(p, 0)] + [(R[i][k], -I[i][k] if I else 0)
+                                   for i in range(k + 1, len(R))]
+                g = math.gcd(*(x for z in root for x in z))
+                out.append((k, Fraction(g * g, p * prev * self.scale),
+                            [(x // g, y // g) for x, y in root]))
+                prev = p
+        return out
 
 
-def ldlt_psd_qc(M: Sequence[Sequence[QC]]):
-    """Exact PSD decision + factorization for a hermitian QC matrix.
+def ldlt_psd_qc(M):
+    """Exact PSD decision + factorization for a hermitian matrix.
 
-    Returns ``(ok, diag, L, fail)``.  On success ``M == L @ diag(d) @ L*``
-    with real rational ``d >= 0`` and unit lower-triangular ``L``.  The
-    classical zero-pivot rule applies: a PSD matrix with a zero diagonal
-    entry must have the whole row zero, so pivot-free LDL* fully decides
-    semidefiniteness.  ``fail`` carries ``(row, col_or_None)`` of the first
-    violation for diagnostics.  The elimination runs fraction-free on
-    Gaussian integers over one common denominator (:func:`_bareiss_ldlt`).
+    ``M`` is a hermitian QC matrix, or the triple ``(R, I, scale)`` of
+    integer matrices with M = (R + iI)/scale, of which only the lower
+    triangles are read.  Returns ``(ok, factor, fail)`` with the
+    :class:`IntegerLDL` ``factor`` of M.  The classical zero-pivot rule
+    applies: a PSD matrix with a zero diagonal entry must have the whole
+    row zero, so pivot-free LDL* fully decides semidefiniteness.
+    ``fail`` carries ``(row, col_or_None)`` of the first violation.
     """
-    if not is_hermitian_qc(M):
+    if isinstance(M, tuple):
+        R, I, scale = M
+        R, I = ([row[:i + 1] for i, row in enumerate(X)] for X in (R, I))
+        I = I if any(map(any, I)) else None
+    elif all(M[i][j] == M[j][i].conjugate() for i in range(len(M))
+             for j in range(i, len(M))):
+        R, I, scale = _integer_lower(M)
+    else:
         raise ValueError("ldlt_psd_qc: matrix is not hermitian")
-    return _ldlt_psd(*_integer_lower(M), QC)
+    pivots, fail = _bareiss_ldlt(R, I)
+    return fail is None, IntegerLDL(pivots, R, I, scale), fail
 
 
 def negative_vector(M):
@@ -324,11 +344,14 @@ def negative_vector(M):
 
 
 def ldlt_psd(M):
-    """:func:`ldlt_psd_qc` for a real symmetric matrix of Fractions (or
-    integers); ``d`` and ``L`` are Fractions.  Only the lower triangle
-    is read."""
-    return _ldlt_psd(*_integers([row[:i + 1] for i, row in enumerate(M)],
-                                None), lambda re, im: Fraction(re))
+    """``(ok, d, L, fail)`` of a real symmetric matrix of Fractions (or
+    integers), as :func:`ldlt_psd_qc` and :meth:`IntegerLDL.ldl` give
+    them, in Fractions.  Only the lower triangle is read."""
+    R, _, scale = _integers([row[:i + 1] for i, row in enumerate(M)], None)
+    pivots, fail = _bareiss_ldlt(R, None)
+    d, L = (None, None) if fail else IntegerLDL(pivots, R, None, scale).ldl(
+        lambda re, im: Fraction(re))
+    return not fail, d, L, fail
 
 
 def ldlt_solve(d, rows, b):

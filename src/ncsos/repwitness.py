@@ -62,11 +62,12 @@ def _orthonormal_frame(Kq, K):
     Returns ``(frame, coords)``.
     """
     try:
-        ok, dvec, L, _ = ldlt_psd_qc(Kq)
+        ok, factor, _ = ldlt_psd_qc(Kq)
     except ValueError as exc:
         raise ValueError(f"moment matrix is not hermitian: {exc}") from exc
     if not ok:
         raise ValueError("moment matrix is not positive semidefinite")
+    dvec, L = factor.ldl(QC)
     n = len(Kq)
     pos = [k for k in range(n) if dvec[k] > 0]
     dmax = max((dvec[k] for k in pos), default=Fraction(0))

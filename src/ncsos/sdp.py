@@ -17,8 +17,9 @@ shapes produced by the Gram pipeline guarantee both -- the two problems
 are strictly feasible, the central path exists, and a Mehrotra-style
 predictor-corrector converges.  Everything is deterministic: fixed
 starting point, no randomization.  The constraint matrices are the Gram
-assembly's weight lists, read as they are (:class:`SparseConstraints`);
-the iterates X, Z and the m x m Schur complement are dense.
+assembly's integer weight lists, halved in floats, which is exact
+(:class:`SparseConstraints`); the iterates X, Z and the m x m Schur
+complement are dense.
 
 This solver produces floating-point hints; all certification happens
 downstream in exact rational arithmetic.
@@ -95,9 +96,10 @@ def _max_step(Li, D: np.ndarray, tau: float = 0.98) -> float:
 class SparseConstraints:
     """Hermitian n x n matrices A_0..A_{m-1} held as entry arrays.
 
-    ``entries[k]`` lists the ``(i, j, weight)`` of A_k sorted by (i, j);
-    A_k[i, j] is the weight when ``parts[k]`` is ``'H'`` and i times it
-    when it is ``'K'``, as :class:`ncsos.soscone.GramAssembly` builds them.
+    ``entries[k]`` lists the ``(i, j, weight)`` of A_k sorted by (i, j),
+    with integer weights; A_k[i, j] is half the weight when ``parts[k]``
+    is ``'H'`` and i times that half when it is ``'K'``, as
+    :class:`ncsos.soscone.GramAssembly` builds them.
     """
 
     def __init__(self, entries, parts, n: int):
@@ -105,7 +107,7 @@ class SparseConstraints:
         counts = [len(ents) for ents in entries]
         i, j, w = zip(*(e for ents in entries for e in ents))
         self.k = np.repeat(np.arange(self.m), counts)
-        self.i, self.j, w = np.array(i), np.array(j), np.array(w, float)
+        self.i, self.j, w = np.array(i), np.array(j), np.array(w, float) / 2
         imag = np.repeat([part == "K" for part in parts], counts)
         self.v = np.where(imag, 0.0, w) + 1j * np.where(imag, w, 0.0)
         # the entries of A_k occupy the slice start[k]:start[k + 1]
@@ -144,10 +146,10 @@ class SparseConstraints:
         return (S + S.T) / 2
 
 
-def solve_margin_sdp(entries, parts, n: int, b, accept=None) -> SdpResult:
+def solve_margin_sdp(A: SparseConstraints, b, accept=None) -> SdpResult:
     """Run the predictor-corrector iteration on the margin problem.
 
-    entries, parts : the m constraint matrices (:class:`SparseConstraints`)
+    A              : the m constraint matrices
     b              : length-m real vector of constraint values
     accept         : optional exact check of an early iterate, called at
                      most once per side: on the first iterate whose X is
@@ -162,8 +164,7 @@ def solve_margin_sdp(entries, parts, n: int, b, accept=None) -> SdpResult:
     m = len(b)
     if m == 0:
         raise ValueError("no constraints; decide trivially upstream")
-    A = SparseConstraints(entries, parts, n)
-    t = A.trace
+    n, t = A.n, A.trace
     if not np.any(np.abs(t) > 1e-14):
         raise ValueError("all constraints are traceless; margin undefined")
     a_of, a_adj = A.apply, A.adjoint

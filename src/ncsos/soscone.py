@@ -8,11 +8,12 @@ Two cones are handled over every algebra backend:
   augmentation-ideal columns c(g) = g - 1, so every combination lands in
   the ideal-squared cone automatically.
 
-The pipeline is hybrid: a Gram hint on sparse constraint entries, whose
-weights are real half-integers, becomes an exact certificate by exact
-LDL*.  When the basis ball is a whole finite group the hint is the Gram
-matrix of the regular representation in closed form, exact already, and
-a failing LDL* yields a vector state as the witness.  Elsewhere an
+The pipeline is hybrid: a Gram hint on sparse integer constraint weights
+becomes an exact certificate read off the integer factor of an exact
+LDL*, every matrix kept as integers over one denominator.  When the
+basis ball is a whole finite group the hint is the Gram matrix of the
+regular representation in closed form, exact already, and a failing
+LDL* yields a vector state as the witness.  Elsewhere an
 interior-point SDP proposes the hint or a separating functional: the
 Gram matrix is rounded to the grid (1/den)Z (Peyrl & Parrilo, TCS 2008)
 and projected exactly onto the constraint slice through an LDL^T of the
@@ -292,9 +293,9 @@ class GramAssembly:
     coefficient of the class representative there, H = (E + E^T)/2 is
     real symmetric and reads only Re Q, and K = i (E^T - E)/2 is
     imaginary antisymmetric and reads only Im Q.  ``entries[k]`` lists
-    the nonzero ``(i, j, weight)`` of condition k, real half-integers:
-    the matrix itself is the weights (H) or i times them (K), as
-    ``constraint_class[k]`` says.  In augmentation mode the identity
+    the nonzero ``(i, j, weight)`` of condition k, the integers of E + E^T
+    (H) or E^T - E (K): the matrix is half the weights (H) or i times
+    that (K), as ``constraint_class[k]`` says.  In augmentation mode the identity
     class is omitted: it is implied by the others because both sides
     have augmentation zero.
     """
@@ -339,14 +340,12 @@ class GramAssembly:
                         H[q, p] = H.get((q, p), 0) + c
                         K[p, q] = K.get((p, q), 0) - c
                         K[q, p] = K.get((q, p), 0) + c
-        half = {c: Fraction(c, 2) for pair in HK for acc in pair
-                for c in acc.values()}
         self.entries = []           # per condition: sorted (i, j, weight)
         self.constraint_class = []  # (class index, 'H' | 'K')
         for k, w in enumerate(reps):
             selfconj = spec.word_star(w) == w
             for part, acc in zip("HK", HK[k][:1] if selfconj else HK[k]):
-                self.entries.append([(i, j, half[c]) for (i, j), c
+                self.entries.append([(i, j, c) for (i, j), c
                                      in sorted(acc.items()) if c])
                 self.constraint_class.append((k, part))
         self.m = len(self.entries)
@@ -361,8 +360,15 @@ class GramAssembly:
         for A, ents, (_, part) in zip(dense, self.entries,
                                       self.constraint_class):
             for i, j, c in ents:
-                A[i][j] = QC(c) if part == "H" else QC(0, c)
+                A[i][j] = QC(Fraction(c, 2)) if part == "H" else \
+                    QC(0, Fraction(c, 2))
         return dense
+
+    @functools.cached_property
+    def operator(self) -> sdp.SparseConstraints:
+        """The conditions as the SDP's float operator, built once."""
+        return sdp.SparseConstraints(
+            self.entries, [part for _, part in self.constraint_class], self.n)
 
     # -- target handling -----------------------------------------------------
 
@@ -394,8 +400,8 @@ class GramAssembly:
     # -- exact evaluation ----------------------------------------------------
 
     def apply(self, R, I):
-        """<A_k, Q> for all k, exactly, for Q = R + iI given by its real
-        (symmetric) and imaginary (antisymmetric) Fraction parts."""
+        """2 <A_k, Q> for all k, exactly, for Q = R + iI given by its real
+        (symmetric) and imaginary (antisymmetric) parts, integers or not."""
         vals = []
         for ents, (_, part) in zip(self.entries, self.constraint_class):
             X = R if part == "H" else I
@@ -411,7 +417,7 @@ class GramAssembly:
             conds = zip(self.entries, self.constraint_class)
             for k, (ents, (_, part)) in enumerate(conds):
                 for i, j, c in ents:
-                    at.setdefault((part, i, j), []).append((k, int(2 * c)))
+                    at.setdefault((part, i, j), []).append((k, c))
             G4 = [[0] * self.m for _ in range(self.m)]     # 4 G, in ints
             for here in at.values():
                 for k, c in here:
@@ -436,12 +442,12 @@ class GramAssembly:
     # -- the dual side: functionals by their constraint coordinates y ---------
 
     def moment(self, y):
-        """Moment matrix of the functional with coordinates y, as its real
-        and imaginary Fraction parts: the conjugate of sum_k y_k A_k,
-        i.e. [phi(column_i* column_j)] for phi = _word_values_from_y(y),
-        and phi(b) = beta(b) . y."""
-        R = [[Fraction(0)] * self.n for _ in range(self.n)]
-        I = [[Fraction(0)] * self.n for _ in range(self.n)]
+        """Twice the moment matrix of the functional with coordinates y, as
+        its real and imaginary parts: 2 conj(sum_k y_k A_k), the moment
+        matrix being [phi(column_i* column_j)] for phi =
+        _word_values_from_y(y), and phi(b) = beta(b) . y."""
+        R = [[0] * self.n for _ in range(self.n)]
+        I = [[0] * self.n for _ in range(self.n)]
         for yk, ents, (_, part) in zip(y, self.entries,
                                        self.constraint_class):
             if yk:
@@ -482,66 +488,46 @@ def sos_feasibility(b: AlgebraElement, asm: GramAssembly,
     except OverflowError:
         raise sdp.SolverError("no float form", {
             "reason": "a constraint value is beyond float range"}) from None
-    return sdp.solve_margin_sdp(
-        asm.entries, [part for _, part in asm.constraint_class], asm.n, beta,
-        accept)
+    return sdp.solve_margin_sdp(asm.operator, beta, accept)
 
 
 # ---------------------------------------------------------------------------
 # exact primal side: rounding and projection
 # ---------------------------------------------------------------------------
 
-def _grid(x: float, den: int) -> Fraction:
-    """x rounded to the grid (1/den)Z.
+def _rationalize_hermitian(G: np.ndarray, den: int):
+    """The hermitian part of G rounded to the grid (1/den)Z, as integer
+    matrices R (symmetric) and I (antisymmetric): (R + iI)/den.
 
     Every rounded entry shares the denominator den (Peyrl & Parrilo, TCS
     2008), so the exact layer works over one small common denominator
     instead of the lcm of per-entry best approximations.
     """
-    return Fraction(round(x * den), den)
+    H = (G + G.conj().T) / 2
+    return [[[round(x) for x in row] for row in (part * den).tolist()]
+            for part in (H.real, H.imag)]
 
 
-def _rationalize_hermitian(G: np.ndarray, den: int):
-    """The hermitian part of G on the grid, as its real (symmetric) and
-    imaginary (antisymmetric) Fraction parts (R, I)."""
-    n = G.shape[0]
-    R = [[Fraction(0)] * n for _ in range(n)]
-    I = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        R[i][i] = _grid(float(G[i, i].real), den)
-        for j in range(i + 1, n):
-            z = (G[i, j] + np.conj(G[j, i])) / 2
-            R[i][j] = R[j][i] = _grid(float(z.real), den)
-            I[i][j] = _grid(float(z.imag), den)
-            I[j][i] = -I[i][j]
-    return R, I
+def _gaussian(R, I, scale):
+    """The QC matrix (R + iI)/scale, as artifacts take it."""
+    return [[QC(Fraction(r, scale), Fraction(i, scale)) for r, i in zip(rr, ir)]
+            for rr, ir in zip(R, I)]
 
 
-def _gaussian(R, I):
-    """The QC matrix R + iI, as the exact LDL* and the witness take it."""
-    return [[QC(r, i) for r, i in zip(rr, ir)] for rr, ir in zip(R, I)]
-
-
-def _certificate_from_ldlt(asm: GramAssembly, b: AlgebraElement, d, L):
-    """The certificate of b with one square d_k (L_k* c)* (L_k* c) per
-    positive pivot, the column's common denominator and content moved into
-    the weight: each square root has coprime Gaussian-integer coefficients.
-    """
+def _certificate(asm: GramAssembly, b: AlgebraElement,
+                 factor: exactla.IntegerLDL) -> SosCertificate:
+    """The certificate of b with one square per positive pivot of the
+    integer factor of its Gram matrix (:meth:`exactla.IntegerLDL.squares`):
+    each root sum_i r_i column_i has coprime Gaussian-integer r_i."""
     squares = []
-    for k in range(asm.n):
-        if d[k] == 0:
-            continue
-        vec = [L[i][k].conjugate() for i in range(k, asm.n)]
-        parts = [x for z in vec for x in (z.re, z.im)]
-        den = math.lcm(*(x.denominator for x in parts))
-        f = Fraction(den, math.gcd(*(x.numerator * (den // x.denominator)
-                                     for x in parts)))
+    for k, weight, root in factor.squares():
         terms = {}
-        for i, coef in enumerate(vec, start=k):
-            for w, c, _ in asm.columns[i]:          # real column terms
-                terms[w] = terms.get(w, 0) + QC(c * f * coef.re,
-                                                c * f * coef.im)
-        squares.append((d[k] / (f * f), AlgebraElement(asm.spec, terms)))
+        for (x, y), column in zip(root, asm.columns[k:]):
+            for w, c, _ in column:                  # real column terms
+                re, im = terms.get(w, (0, 0))
+                terms[w] = (re + c * x, im + c * y)
+        squares.append((weight, AlgebraElement(
+            asm.spec, {w: QC(*z) for w, z in terms.items()})))
     return SosCertificate(target=b, squares=squares, mode=asm.mode)
 
 
@@ -554,33 +540,40 @@ def round_and_project(asm: GramAssembly, b: AlgebraElement,
     move exactly back onto the affine constraint slice (minimum-norm
     correction through the constraint Gram matrix, factored once per
     assembly, then checked: A(Q) == beta exactly), and decide PSD
-    exactly by fraction-free LDL* with the zero-pivot rule.  The squares
-    of that LDL* sum to the target by construction; the identity itself
-    is checked once, by :func:`verify_certificate`, where the
-    certificate is used (``ncsos sos`` runs it before writing).  Raises
-    ProjectionError with a margin report when every attempt fails.
+    exactly by fraction-free LDL* with the zero-pivot rule, all on
+    integers over one denominator.  The squares of that LDL* sum to the
+    target by construction; the identity itself is checked once, by
+    :func:`verify_certificate`, where the certificate is used (``ncsos
+    sos`` runs it before writing).  Raises ProjectionError with a margin
+    report when every attempt fails.
     """
     beta = asm.beta(b)
     report = {}
     for den in DENOMINATOR_LADDER:
         R, I = _rationalize_hermitian(gram, den)
-        resid = [bk - qk for bk, qk in zip(beta, asm.apply(R, I))]
+        scale = den                 # Q = (R + iI)/scale
+        resid = [2 * den * bk - qk for bk, qk in zip(beta, asm.apply(R, I))]
         if any(resid):
             z = exactla.ldlt_solve(*asm.gram_factor(), resid)
             if z is None:
                 raise ProjectionError(
                     "constraint system is inconsistent", {"denominator": den})
+            # resid is 2 den (beta - A(Q)), so the correction is
+            # sum_k z_k A_k / (2 den), over the denominator 4 den t
+            t = math.lcm(*(zk.denominator for zk in z))
+            R, I = ([[4 * t * x for x in row] for row in X] for X in (R, I))
             for zk, ents, (_, part) in zip(z, asm.entries,
                                            asm.constraint_class):
                 if zk:
-                    X = R if part == "H" else I
+                    X, zk = R if part == "H" else I, int(zk * t)
                     for i, j, c in ents:
                         X[i][j] += zk * c
-            if any(bk != qk for bk, qk in zip(beta, asm.apply(R, I))):
+            scale *= 4 * t
+            if asm.apply(R, I) != [2 * scale * bk for bk in beta]:
                 raise RuntimeError("exact projection missed the slice")
-        ok, d, L, fail = exactla.ldlt_psd_qc(_gaussian(R, I))
+        ok, factor, fail = exactla.ldlt_psd_qc((R, I, scale))
         if ok:
-            return _certificate_from_ldlt(asm, b, d, L)
+            return _certificate(asm, b, factor)
         report[den] = {"fail_at": fail}
     raise ProjectionError("projected matrix not positive semidefinite",
                           {"attempts": report})
@@ -632,19 +625,27 @@ def _y_from_word_values(asm: GramAssembly, values: dict) -> list:
     return y
 
 
-def _check_functional(asm: GramAssembly, beta, y, require_negative: bool):
-    """Exact check of the functional with constraint coordinates y.
+def _integral(y):
+    """``(Y, den)``: rationals y as integers Y over one denominator."""
+    den = math.lcm(*(x.denominator for x in y))
+    return [x.numerator * (den // x.denominator) for x in y], den
 
-    Returns ``(value, M, fail)``: its value beta . y at the target, its
-    moment matrix M as QC (:meth:`GramAssembly.moment`) and where the
-    exact LDL* of M failed, None when M is PSD.  With require_negative a
-    value >= 0 returns ``(value, None, None)`` before M is built.
+
+def _check_functional(asm: GramAssembly, beta, Y, den: int,
+                      require_negative: bool):
+    """Exact check of the functional with integer coordinates Y over den.
+
+    Returns ``(value, M, fail)``: its value beta . Y/den at the target,
+    its moment matrix M as integers ``(R, I, 2 den)``
+    (:meth:`GramAssembly.moment`) and where its exact LDL* failed, None
+    when it is PSD.  With require_negative a value >= 0 returns
+    ``(value, None, None)`` before the moment is built.
     """
-    value = sum(bk * yk for bk, yk in zip(beta, y))
+    value = Fraction(sum(bk * yk for bk, yk in zip(beta, Y)), den)
     if require_negative and value >= 0:
         return value, None, None
-    M = _gaussian(*asm.moment(y))
-    ok, _, _, fail = exactla.ldlt_psd_qc(M)
+    M = (*asm.moment(Y), 2 * den)
+    ok, _, fail = exactla.ldlt_psd_qc(M)
     return value, M, None if ok else fail
 
 
@@ -657,7 +658,7 @@ def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
     (:meth:`GramAssembly.ref_value`); mu, on the same grid, is chosen
     from a numeric eigenvalue estimate and then both requirements --
     exact PSD moment matrix and exact negative value beta . y at the
-    target -- are verified over rationals.
+    target -- are verified on integers over den.
     """
     beta, spec = asm.beta(b), asm.spec
     # the reference functional's coordinates (:func:`_y_from_word_values`):
@@ -666,26 +667,25 @@ def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
              asm.ref_value(w) * (1 if spec.word_star(w) == w else 2)
              for k, part in asm.constraint_class
              for w in [asm.class_reps[k]]]
-    # the float moment matrix for the estimate: conj(sum_k y_k A_k)
-    ops = sdp.SparseConstraints(
-        asm.entries, [part for _, part in asm.constraint_class], asm.n)
-
     for den in DENOMINATOR_LADDER:
-        y = [_grid(float(v), den) for v in res.y]
-        Mf = ops.adjoint(np.array(y, dtype=float)).conj()
+        Y = [round(float(v) * den) for v in res.y]          # y = Y/den
+        # the float moment matrix for the estimate: conj(sum_k y_k A_k)
+        Mf = asm.operator.adjoint(np.array([yk / den for yk in Y])).conj()
         est = float(np.linalg.eigvalsh((Mf + Mf.conj().T) / 2)[0])
-        mu = Fraction(math.ceil(max(0.0, -est) * 2 * den) + 1, den)
+        mu = math.ceil(max(0.0, -est) * 2 * den) + 1        # over den
         for _ in range(6):
-            y_mix = [yk + mu * rk for yk, rk in zip(y, y_ref)]
-            value, M, fail = _check_functional(asm, beta, y_mix, True)
+            Y_mix = [yk + mu * rk for yk, rk in zip(Y, y_ref)]
+            value, M, fail = _check_functional(asm, beta, Y_mix, den, True)
             if M is None:
                 break                      # mixing ate the margin; refine y
             if fail is not None:
                 mu = mu * 4
                 continue
-            return DualWitness(target=b, mode=asm.mode, basis=asm.basis,
-                               word_values=_word_values_from_y(asm, y_mix),
-                               moment=M, value_at_target=value)
+            return DualWitness(
+                target=b, mode=asm.mode, basis=asm.basis,
+                word_values=_word_values_from_y(
+                    asm, [Fraction(yk, den) for yk in Y_mix]),
+                moment=_gaussian(*M), value_at_target=value)
     raise ProjectionError("could not certify a separating functional",
                           {"margin": res.lam})
 
@@ -704,14 +704,14 @@ def _witness(asm: GramAssembly, b: AlgebraElement, values: dict,
              require_negative: bool = True) -> DualWitness:
     """:func:`witness_from_word_values` on an assembly already built."""
     y = _y_from_word_values(asm, values)
-    value, M, fail = _check_functional(asm, asm.beta(b), y, False)
+    value, M, fail = _check_functional(asm, asm.beta(b), *_integral(y), False)
     if fail is not None:
         raise ValueError(f"moment matrix is not PSD (pivot failure {fail})")
     if require_negative and value >= 0:
         raise ValueError("witness value at target is not negative")
     return DualWitness(target=b, mode=asm.mode, basis=asm.basis,
-                       word_values=_word_values_from_y(asm, y), moment=M,
-                       value_at_target=value)
+                       word_values=_word_values_from_y(asm, y),
+                       moment=_gaussian(*M), value_at_target=value)
 
 
 # ---------------------------------------------------------------------------
@@ -719,38 +719,42 @@ def _witness(asm: GramAssembly, b: AlgebraElement, values: dict,
 # ---------------------------------------------------------------------------
 
 def _regular_gram(asm: GramAssembly, b: AlgebraElement):
-    """Q_{g,h} = b(g* h)/|G| over the basis, a QC matrix, when the basis
-    is a whole finite group G (less e in augmentation mode); else None.
-    Q is b in the regular representation over |G|, PSD exactly when b is
-    a sum of squares; each u is g* h for |G| pairs, so sum Q_{g,h} g* h
-    = b, and in augmentation mode the row sums epsilon(b)/|G| vanish, so
-    sum Q_{g,h} c(g)* c(h) = b."""
+    """Q_{g,h} = b(g* h)/|G| over the basis, when the basis is a whole
+    finite group G (less e in augmentation mode); else None.  Q is b in
+    the regular representation over |G|, PSD exactly when b is a sum of
+    squares; each u is g* h for |G| pairs, so sum Q_{g,h} g* h = b, and in
+    augmentation mode the row sums epsilon(b)/|G| vanish, so
+    sum Q_{g,h} c(g)* c(h) = b.  Q is (R + iI)/D in integers, with D =
+    |G| lcm(denominators of b), returned as ``(R, I, D)``."""
     spec, order = asm.spec, asm.spec.order
     if asm.n + (asm.mode == "augmentation") != order:
         return None
-    at = {w: c * Fraction(1, order) for w, c in b.terms.items()}
-    Q = [[at.get(spec.word_mul(spec.word_star(g), h), QC(0))
+    lcm = math.lcm(*(x.denominator for z in b.terms.values()
+                     for x in (z.re, z.im)))
+    at = {w: (int(z.re * lcm), int(z.im * lcm)) for w, z in b.terms.items()}
+    Q = [[at.get(spec.word_mul(spec.word_star(g), h), (0, 0))
           for h in asm.basis] for g in asm.basis]
-    R = [[z.re for z in row] for row in Q]
-    if asm.apply(R, [[z.im for z in row] for row in Q]) != asm.beta(b):
+    R, I = ([[z[part] for z in row] for row in Q] for part in (0, 1))
+    if asm.apply(R, I) != [2 * order * lcm * bk for bk in asm.beta(b)]:
         raise RuntimeError("closed-form Gram matrix misses the slice")
-    return Q
+    return R, I, order * lcm
 
 
 def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q) -> DualWitness:
     """Dual witness against b from a vector v over the basis with
-    v* Q v < 0 (Q from :func:`_regular_gram`).  The state phi(u) =
-    sum_g conj(v_g) v_{gu}, the coefficient of u in v* v, is positive with
-    phi(b) = |G| v* Q v; in augmentation mode the word values are
-    phi(w) - phi(e).  v is the first with phi(b) < 0 exactly among Q's
-    least eigenvector, scaled to largest entry 1, on the grids 1/10 ...
-    10^-6 (coarsest, so shortest, first); else, or when Q has no float
-    form, the exact vector of the failing LDL* pivot, with larger numbers
-    (:func:`exactla.negative_vector`)."""
+    v* Q v < 0 (Q as (R, I, D) from :func:`_regular_gram`).
+    The state phi(u) = sum_g conj(v_g) v_{gu}, the coefficient of u in
+    v* v, is positive with phi(b) = |G| v* Q v; in augmentation mode the
+    word values are phi(w) - phi(e).  v is the first with phi(b) < 0
+    exactly among Q's least eigenvector, scaled to largest entry 1, on the
+    grids 1/10 ... 10^-6 (coarsest, so shortest, first); else, or when Q
+    has no float form, the exact vector of the failing LDL* pivot, with
+    larger numbers (:func:`exactla.negative_vector`)."""
     def state(v):
         terms = [(w, x, y) for w, (x, y) in zip(asm.basis, v) if x or y]
         return star_product(asm.spec, terms, terms)
 
+    Q = _gaussian(*Q)
     try:
         least = np.linalg.eigh(np.array([[complex(z.re, z.im) for z in row]
                                          for row in Q]))[1][:, 0]
@@ -819,10 +823,10 @@ def _certify(b: AlgebraElement, mode: str, radius: int | None,
     if gram is not None:
         done = functools.partial(done, diagnostics=diag)
         diag["gram_hint"] = "exact"
-        ok, d, L, fail = exactla.ldlt_psd_qc(gram)
+        ok, factor, fail = exactla.ldlt_psd_qc(gram)
         if ok:
             return done("certified",
-                        certificate=_certificate_from_ldlt(asm, b, d, L))
+                        certificate=_certificate(asm, b, factor))
         diag["fail_at"] = fail
         return done("refuted", witness=_regular_witness(asm, b, gram)) \
             if refute else done("undecided")
@@ -929,9 +933,9 @@ def verify_witness(wit: DualWitness) -> bool:
         beta = asm.beta(wit.target)
     except (CoverageError, ValueError):
         return False
-    value, M, fail = _check_functional(asm, beta, y, True)
-    return M is not None and fail is None and M == wit.moment and \
-        value == wit.value_at_target
+    value, M, fail = _check_functional(asm, beta, *_integral(y), True)
+    return M is not None and fail is None and \
+        _gaussian(*M) == wit.moment and value == wit.value_at_target
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -151,7 +152,8 @@ def test_ldlt_matches_textbook_elimination(complex_entries, kind):
         n = rng.randint(1 + (kind == "zero pivot"), 8)
         rank = n if kind == "definite" else rng.randint(0, n - 1)
         M = _hermitian(rng, n, rank, complex_entries, kind)
-        got = exactla.ldlt_psd_qc(M)
+        ok, factor, fail = exactla.ldlt_psd_qc(M)
+        got = (ok, *factor.ldl(QC), fail) if ok else (ok, None, None, fail)
         assert got == _textbook_ldlt(M)
         v = exactla.negative_vector(M)
         assert (v is None) == got[0]
@@ -167,6 +169,43 @@ def test_ldlt_matches_textbook_elimination(complex_entries, kind):
                         {False} if kind == "zero pivot" else {True})
     if kind in ("semidefinite", "zero row"):
         assert zero_pivots >= 20
+
+
+@pytest.mark.parametrize("complex_entries", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["definite", "semidefinite", "zero row"])
+def test_squares_read_off_the_integer_factor_sum_to_the_matrix(
+        complex_entries, kind):
+    # one square per positive pivot, so rank-deficient matrices and zero
+    # pivots give fewer; each root is primitive over the Gaussian integers,
+    # and the same integers over a larger denominator give the same squares
+    rng = random.Random(f"squares-{kind}-{complex_entries}")
+    short = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rank = n if kind == "definite" else rng.randint(0, n - 1)
+        M = _hermitian(rng, n, rank, complex_entries, kind)
+        ok, factor, _ = exactla.ldlt_psd_qc(M)
+        assert ok
+        squares = factor.squares()
+        total = [[QC(0)] * n for _ in range(n)]
+        for k, weight, root in squares:
+            assert weight > 0 and len(root) == n - k
+            assert math.gcd(*(x for z in root for x in z)) == 1
+            r = [QC(0)] * k + [QC(*z) for z in root]
+            for i in range(n):
+                for j in range(n):
+                    total[i][j] += r[i].conjugate() * r[j] * weight
+        assert total == M
+        assert len(squares) == len(exactla.rref(M)[1])
+        short += len(squares) < n
+        scale = 3 * math.lcm(*(x.denominator for row in M for z in row
+                               for x in (z.re, z.im)))
+        R, I = ([[int(x * scale) for x in row] for row in part]
+                for part in ([[z.re for z in row] for row in M],
+                             [[z.im for z in row] for row in M]))
+        assert exactla.ldlt_psd_qc((R, I, scale))[1].squares() == squares
+    assert short >= (0 if kind == "definite" else 20)
 
 
 def test_ldlt_rejects_non_hermitian_input():

@@ -10,12 +10,14 @@ Expected values fall into three buckets:
     rational arithmetic with no reference to the solver.
 """
 
+import functools
 import hashlib
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,12 +345,12 @@ def early_attempts(monkeypatch):
     for a primal feasible iterate with lam > 0, "refute" for a dual one."""
     attempts, solve = [], sdp.solve_margin_sdp
 
-    def spying(entries, parts, n, b, accept=None):
+    def spying(ops, b, accept=None):
         def counted(res):
             attempts.append((res.iterations,
                              "certify" if res.lam > 0 else "refute"))
             return accept(res)
-        return solve(entries, parts, n, b, counted if accept else None)
+        return solve(ops, b, counted if accept else None)
 
     monkeypatch.setattr(sdp, "solve_margin_sdp", spying)
     return attempts
@@ -546,8 +548,10 @@ def test_sparse_entries_match_dense_definitions_exactly(case):
                 acc = acc + A[i][j].conjugate() * Q[i][j]
         assert acc.im == 0
         expect.append(acc.re)
+    # the integer weights pair to twice <A_k, Q>
     assert asm.apply([[z.re for z in row] for row in Q],
-                     [[z.im for z in row] for row in Q]) == expect
+                     [[z.im for z in row] for row in Q]) == \
+        [2 * x for x in expect]
     # entries are halves of Gaussian integers, so twice the matrices are
     # exact in floating point and so is their float Gram matrix
     twice = np.array([[[complex(2 * z) for z in row] for row in A]
@@ -565,8 +569,7 @@ def test_sdp_operators_match_dense_einsum(case):
     asm = GramAssembly(spec, basis, mode)
     A = np.array([[[complex(z) for z in row] for row in M]
                   for M in dense_constraints(asm)])
-    ops = sdp.SparseConstraints(
-        asm.entries, [part for _, part in asm.constraint_class], asm.n)
+    ops = asm.operator
     rng = np.random.default_rng(5)
     X, Zi = random_hermitian(asm.n, rng), random_hermitian(asm.n, rng)
     y = rng.standard_normal(asm.m)
@@ -606,8 +609,9 @@ def test_moment_and_pairing_match_word_value_definitions(case):
               ref):
         phi = soscone._word_values_from_y(asm, y)
         assert set(phi) == asm.covered_words
-        R, I = asm.moment(y)
-        M = [[QC(r, i) for r, i in zip(rr, ir)] for rr, ir in zip(R, I)]
+        R, I = asm.moment(y)                # twice the moment matrix
+        M = [[QC(F(r, 2), F(i, 2)) for r, i in zip(rr, ir)]
+             for rr, ir in zip(R, I)]
         assert M == moment_of_values(asm, phi)
         assert soscone._y_from_word_values(asm, phi) == y
     if spec.is_group():
@@ -1364,6 +1368,21 @@ def test_targets_at_a_rational_gap_certify_on_the_boundary(case, gap,
     assert verify_certificate(reread(out.certificate))
 
 
+def test_a_tampered_closed_form_misses_the_slice(monkeypatch, no_sdp):
+    # the closed-form Gram matrix is checked against the constraint slice
+    # by a raise, which python -O keeps: products shifted by one element
+    # put b(g* h g1) where b(g* h) belongs
+    z6 = AlgebraSpec.cyclic(6)
+    g = gen(z6, 1)
+    b = unit(z6) * 3 - g - g.star()
+    asm = GramAssembly(z6, gram_basis(b, "full"), "full")
+    assert soscone._regular_gram(asm, b) is not None
+    mul = z6.word_mul
+    monkeypatch.setattr(z6, "word_mul", lambda u, v: mul(mul(u, v), 1))
+    with pytest.raises(RuntimeError, match="misses the slice"):
+        soscone._regular_gram(asm, b)
+
+
 @pytest.mark.parametrize("perms", [_S4, _A5, _S5], ids=["S4", "A5", "S5"])
 def test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms,
                                               no_sdp):
@@ -1387,6 +1406,87 @@ def test_gap_targets_match_the_kazhdan_oracle(tmp_path, capsys, perms,
             assert report["diagnostics"]["max_digits"] < 10
         assert cli.main(["verify", report["artifact"]]) == 0
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# golden digests of closed-form artifacts
+# ---------------------------------------------------------------------------
+
+GOLDEN_ARTIFACTS = Path(__file__).parent / "golden" / \
+    "sos_exact_artifacts.json"
+
+
+def _coprime_steps(m):
+    return [k for k in range(1, m // 2 + 1) if math.gcd(k, m) == 1]
+
+
+def _cyclic_ideal_target(m, k, z):
+    """Delta + c b on Z/m with b = -2 Re z + z g^k + conj(z) g^-k and
+    c = 1/ceil(20/gap), the sos-certify benchmark's denominators."""
+    c = F(1, math.ceil(20 / (2 - 2 * math.cos(2 * math.pi / m))))
+    return AlgebraElement(AlgebraSpec.cyclic(m), {
+        0: 2 - 2 * z.re * c, k: z * c - 1, m - k: z.conjugate() * c - 1})
+
+
+def _cyclic_refute_target(m, k, z, share):
+    """c0 + z g^k + conj(z) g^-k on Z/m, c0 a share of the largest
+    -2 Re(z w) over m-th roots of unity w, as sos-refute draws it."""
+    low = min(2 * (float(z.re) * math.cos(2 * math.pi * j * k / m)
+                   - float(z.im) * math.sin(2 * math.pi * j * k / m))
+              for j in range(m))
+    c0 = F(-low * share / 4).limit_denominator(64)
+    return AlgebraElement(AlgebraSpec.cyclic(m),
+                          {0: c0, k: z, m - k: z.conjugate()})
+
+
+@functools.lru_cache(maxsize=1)
+def _golden_cases():
+    """name -> (family, target, mode, verdict), every one decided in the
+    regular representation, so no artifact depends on BLAS."""
+    cases, zs = {}, (QC(F(3, 5), F(4, 5)), QC(F(-4, 5), F(3, 5)))
+    for m in range(3, 13):
+        for k in _coprime_steps(m):
+            for n, z in enumerate(zs):
+                cases[f"z{m}-ideal-k{k}-z{n}"] = (
+                    "cyclic-ideal", _cyclic_ideal_target(m, k, z),
+                    "augmentation", "certified")
+    for m in range(6, 13):
+        for k in _coprime_steps(m):
+            for share in (1, 3):
+                cases[f"z{m}-refute-k{k}-s{share}"] = (
+                    "cyclic-refute", _cyclic_refute_target(m, k, zs[0], share),
+                    "full", "refuted")
+    spec, S = _perm_case(_S4, _S4)
+    lo, hi, _ = kazhdan_constant_finite(spec, S)
+    cases["s4-half-gap"] = ("s4-gap", _gap_target(
+        spec, S, F(math.floor(50 * lo), 100)), "augmentation", "certified")
+    cases["s4-above-gap"] = ("s4-gap", _gap_target(
+        spec, S, F(math.ceil(110 * hi), 100)), "augmentation", "refuted")
+    cases["d6-at-gap"] = ("d6-gap", _gap_target(*_perm_case(_D6, _D6), F(2)),
+                          "augmentation", "certified")
+    return cases
+
+
+def _golden_digests(family):
+    """name -> sha256 of the compact JSON that ``ncsos sos`` writes."""
+    out = {}
+    for name, (fam, b, mode, verdict) in _golden_cases().items():
+        if fam == family:
+            got = certify_membership(b, mode)
+            assert got.verdict == verdict, name
+            artifact = got.certificate or got.witness
+            out[name] = hashlib.sha256(
+                json.dumps(artifact.to_dict()).encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("family", ["cyclic-ideal", "cyclic-refute",
+                                    "s4-gap", "d6-gap"])
+def test_closed_form_artifacts_match_golden_digests(family, no_sdp):
+    golden = json.loads(GOLDEN_ARTIFACTS.read_text(encoding="utf-8"))
+    expect = {k: v for k, v in golden.items()
+              if _golden_cases()[k][0] == family}
+    assert expect and _golden_digests(family) == expect
 
 
 @pytest.mark.parametrize("group", ["free2", "S4"])
