@@ -229,13 +229,11 @@ def _bareiss_ldlt(R, I):
 
 def _integer_lower(M):
     """The lower triangle of a hermitian QC matrix over the lcm of its
-    denominators: integer real and imaginary parts, and that lcm."""
+    denominators: integer real and imaginary parts (None when all zero),
+    and that lcm."""
+    re_rows = [[z.re for z in row[:i + 1]] for i, row in enumerate(M)]
     im_rows = [[z.im for z in row[:i + 1]] for i, row in enumerate(M)]
-    return _integers([[z.re for z in row[:i + 1]] for i, row in enumerate(M)],
-                     im_rows if any(map(any, im_rows)) else None)
-
-
-def _integers(re_rows, im_rows):
+    im_rows = im_rows if any(map(any, im_rows)) else None
     scale = math.lcm(*(x.denominator for rows in (re_rows, im_rows or ())
                        for row in rows for x in row if x))
 
@@ -291,6 +289,35 @@ class IntegerLDL(NamedTuple):
                 prev = p
         return out
 
+    def solve(self, b):
+        """A solution of M z = b for a real M and integers b, as integers Z
+        over one denominator D (z = Z/D), or None when b is outside M's
+        range; coordinates at zero pivots are 0.  Fraction-free: scale * b
+        is eliminated as one more column (rows catch up on skipped steps as
+        in :func:`_bareiss_ldlt`), leaving c_k with z_k = (c_k - sum_i a_ik
+        z_i)/p_k.  D, the last nonzero pivot, is the determinant of the
+        pivot rows' block, so D z is integral (Cramer's rule) and every
+        division of the back substitution is exact."""
+        R, pivots, n = self.R, self.pivots, len(self.R)
+        c, level, prev = [self.scale * x for x in b], [1] * n, 1
+        for k, p in enumerate(pivots):
+            ck = c[k] = c[k] * prev // level[k]
+            if not p:
+                if ck:
+                    return None
+                continue
+            for i in range(k + 1, n):
+                if a := R[i][k]:
+                    c[i] = (p * c[i] * prev // level[i] - a * ck) // prev
+                    level[i] = p
+            prev = p
+        Z = [0] * n
+        for k in range(n - 1, -1, -1):
+            if pivots[k]:
+                Z[k] = (prev * c[k] - sum(R[i][k] * Z[i] for i in range(
+                    k + 1, n) if Z[i])) // pivots[k]
+        return Z, prev
+
 
 def ldlt_psd_qc(M):
     """Exact PSD decision + factorization for a hermitian matrix.
@@ -341,46 +368,6 @@ def negative_vector(M):
                         QC(0)) / pivots[c]
     den = math.lcm(*(x.denominator for z in v for x in (z.re, z.im)))
     return [(int(z.re * den), int(z.im * den)) for z in v]
-
-
-def ldlt_psd(M):
-    """``(ok, d, L, fail)`` of a real symmetric matrix of Fractions (or
-    integers), as :func:`ldlt_psd_qc` and :meth:`IntegerLDL.ldl` give
-    them, in Fractions.  Only the lower triangle is read."""
-    R, _, scale = _integers([row[:i + 1] for i, row in enumerate(M)], None)
-    pivots, fail = _bareiss_ldlt(R, None)
-    d, L = (None, None) if fail else IntegerLDL(pivots, R, None, scale).ldl(
-        lambda re, im: Fraction(re))
-    return not fail, d, L, fail
-
-
-def ldlt_solve(d, rows, b):
-    """A solution z of ``L diag(d) L^T z = b`` (real factors), or None.
-
-    ``rows[i]`` lists the nonzero ``(k, L[i][k])`` with k < i (see
-    :func:`lower_rows`).  Coordinates at zero pivots are fixed to 0; b is
-    consistent exactly when its forward-substituted coordinates vanish
-    there.
-    """
-    u = list(b)
-    for i, row in enumerate(rows):
-        for k, x in row:
-            u[i] -= x * u[k]
-    for k, dk in enumerate(d):
-        if dk:
-            u[k] = u[k] / dk
-        elif u[k]:
-            return None
-    for i in range(len(rows) - 1, -1, -1):     # L^T z = u, by rows of L
-        for k, x in rows[i]:
-            u[k] -= x * u[i]
-    return u
-
-
-def lower_rows(L):
-    """Nonzero strictly-lower entries of L, row by row, as (col, value)."""
-    return [[(k, x) for k, x in enumerate(row[:i]) if x]
-            for i, row in enumerate(L)]
 
 
 def unit_lower_inverse(L):

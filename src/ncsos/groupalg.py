@@ -703,12 +703,16 @@ def element_to_json(a: AlgebraElement) -> str:
 
 
 def element_from_dict(d: dict) -> AlgebraElement:
-    spec = AlgebraSpec.from_dict(d)
+    return _element_over(AlgebraSpec.from_dict(d), d)
+
+
+def _element_over(spec: AlgebraSpec, d: dict) -> AlgebraElement:
+    """The element of the dict form d over its already parsed spec."""
     terms = {}
     for t in d.get("terms", []):
         w = spec.word_from_str(t["word"])
         c = QC(rational(t.get("re", "0")), rational(t.get("im", "0")))
-        terms[w] = terms.get(w, QC(0)) + c
+        terms[w] = terms[w] + c if w in terms else c
     return AlgebraElement(spec, terms)
 
 

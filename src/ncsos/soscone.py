@@ -33,6 +33,7 @@ any product table is built.
 from __future__ import annotations
 
 import functools
+import marshal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .groupalg import (
     FINITE,
     AlgebraElement,
     AlgebraSpec,
+    _element_over,
     ball,
     ball_size,
     c_of,
@@ -136,12 +138,27 @@ class SosCertificate:
 
     @staticmethod
     def from_dict(d: dict) -> "SosCertificate":
-        return SosCertificate(
-            target=element_from_dict(d["target"]),
-            squares=[(rational(s["w"]), element_from_dict(s["a"]))
-                     for s in d["squares"]],
-            mode=d.get("mode", "full"),
-        )
+        """The certificate of a dict form.  The target's backend is parsed
+        once and shared by every square that repeats its fields; a square
+        with other fields must parse to the same spec (ValueError)."""
+        def fields(e):
+            # bytes that keep each value's type, so that neither 1.0 nor
+            # true passes for 1; marshal's format 0 writes no object
+            # references, so equal fields give equal bytes
+            return isinstance(e, dict) and marshal.dumps(sorted(
+                (k, v) for k, v in e.items() if k != "terms"), 0)
+
+        target = element_from_dict(d["target"])
+        shared, squares = fields(d["target"]), []
+        for i, s in enumerate(d["squares"]):
+            w, a = rational(s["w"]), s["a"]
+            if fields(a) == shared:
+                a = _element_over(target.spec, a)
+            elif (a := element_from_dict(a)).spec != target.spec:
+                raise ValueError(f"square {i} is over another algebra "
+                                 "than the target")
+            squares.append((w, a))
+        return SosCertificate(target, squares, d.get("mode", "full"))
 
 
 @dataclass
@@ -349,7 +366,6 @@ class GramAssembly:
                                      in sorted(acc.items()) if c])
                 self.constraint_class.append((k, part))
         self.m = len(self.entries)
-        self._gram_inner = None
         self._gram_factor = None
 
     @property
@@ -409,34 +425,32 @@ class GramAssembly:
         return vals
 
     def gram_inner(self):
-        """Gram matrix <A_k, A_l> of the constraints (rational, PD), as
-        a sum over the matrix positions the conditions share.  An H and
-        a K condition are orthogonal: one reads Re Q, the other Im Q."""
-        if self._gram_inner is None:
-            at = {}
-            conds = zip(self.entries, self.constraint_class)
-            for k, (ents, (_, part)) in enumerate(conds):
-                for i, j, c in ents:
-                    at.setdefault((part, i, j), []).append((k, c))
-            G4 = [[0] * self.m for _ in range(self.m)]     # 4 G, in ints
-            for here in at.values():
-                for k, c in here:
-                    Gk = G4[k]
-                    for l, d in here:
-                        Gk[l] += c * d
-            zero = Fraction(0)
-            self._gram_inner = [[Fraction(x, 4) if x else zero for x in row]
-                                for row in G4]
-        return self._gram_inner
+        """Four times the Gram matrix <A_k, A_l> of the constraints (PD), in
+        integers, as a sum over the matrix positions the conditions share.
+        An H and a K condition are orthogonal: one reads Re Q, the other
+        Im Q."""
+        at = {}
+        conds = zip(self.entries, self.constraint_class)
+        for k, (ents, (_, part)) in enumerate(conds):
+            for i, j, c in ents:
+                at.setdefault((part, i, j), []).append((k, c))
+        G4 = [[0] * self.m for _ in range(self.m)]
+        for here in at.values():
+            for k, c in here:
+                Gk = G4[k]
+                for l, d in here:
+                    Gk[l] += c * d
+        return G4
 
-    def gram_factor(self):
-        """LDL^T of :meth:`gram_inner`, computed once per assembly:
-        ``(d, rows)`` for :func:`exactla.ldlt_solve`."""
+    def gram_factor(self) -> exactla.IntegerLDL:
+        """The fraction-free LDL^T of the constraint Gram matrix (4G of
+        :meth:`gram_inner` over the scale 4), computed once per assembly."""
         if self._gram_factor is None:
-            ok, d, L, _ = exactla.ldlt_psd(self.gram_inner())
-            if not ok:
+            R = [row[:i + 1] for i, row in enumerate(self.gram_inner())]
+            pivots, fail = exactla._bareiss_ldlt(R, None)
+            if fail:
                 raise RuntimeError("constraint Gram matrix is not PSD")
-            self._gram_factor = (d, exactla.lower_rows(L))
+            self._gram_factor = exactla.IntegerLDL(pivots, R, None, 4)
         return self._gram_factor
 
     # -- the dual side: functionals by their constraint coordinates y ---------
@@ -554,18 +568,22 @@ def round_and_project(asm: GramAssembly, b: AlgebraElement,
         scale = den                 # Q = (R + iI)/scale
         resid = [2 * den * bk - qk for bk, qk in zip(beta, asm.apply(R, I))]
         if any(resid):
-            z = exactla.ldlt_solve(*asm.gram_factor(), resid)
+            s = math.lcm(*(r.denominator for r in resid))
+            z = asm.gram_factor().solve([int(r * s) for r in resid])
             if z is None:
                 raise ProjectionError(
                     "constraint system is inconsistent", {"denominator": den})
             # resid is 2 den (beta - A(Q)), so the correction is
-            # sum_k z_k A_k / (2 den), over the denominator 4 den t
-            t = math.lcm(*(zk.denominator for zk in z))
+            # sum_k z_k A_k / (2 den), over the denominator 4 den t with
+            # t the lcm of the denominators of z = Z/(D s)
+            Z, D = z
+            g = math.gcd(D * s, *Z)
+            t = D * s // g
             R, I = ([[4 * t * x for x in row] for row in X] for X in (R, I))
-            for zk, ents, (_, part) in zip(z, asm.entries,
+            for zk, ents, (_, part) in zip(Z, asm.entries,
                                            asm.constraint_class):
                 if zk:
-                    X, zk = R if part == "H" else I, int(zk * t)
+                    X, zk = R if part == "H" else I, zk // g
                     for i, j, c in ents:
                         X[i][j] += zk * c
             scale *= 4 * t
@@ -895,18 +913,38 @@ def interior_shift_certificate(b: AlgebraElement, eta) -> SosCertificate:
 def certificate_defect(cert: SosCertificate) -> AlgebraElement:
     """target - sum_i w_i (a_i)* a_i, exactly: with d the lcm of a_i's
     denominators, :func:`star_product` gives (d a_i)* (d a_i) in integers,
-    and w_i/d^2 is applied once per word."""
-    spec, sums = cert.target.spec, {}
+    and w_i/d^2 = n/m is applied once per word.  The sums are reduced
+    integer pairs (num, den), real and imaginary parts apart, each step
+    the gcd step of ``Fraction.__add__``; QC is built for the defect only."""
+    spec, sums = cert.target.spec, ({}, {})
     for w, a in cert.squares:
         if a.spec != spec:
             raise ValueError("mixed algebra specs")
         d = math.lcm(*(x.denominator for c in a.terms.values()
                        for x in (c.re, c.im)))
-        ints = [(u, int(c.re * d), int(c.im * d)) for u, c in a.terms.items()]
+        ints = [(u, c.re.numerator * (d // c.re.denominator),
+                 c.im.numerator * (d // c.im.denominator))
+                for u, c in a.terms.items()]
         scale = Fraction(w) / (d * d)
-        for u, (x, y) in star_product(spec, ints, ints).items():
-            sums[u] = sums.get(u, 0) + QC(scale * x, scale * y)
-    return cert.target - AlgebraElement(spec, sums)
+        n, m = scale.numerator, scale.denominator
+        for u, xy in star_product(spec, ints, ints).items():
+            for acc, x in zip(sums, xy):
+                if x:
+                    g = math.gcd(x, m)          # n x / m = x / e, reduced
+                    x, e = n * (x // g), m // g
+                    p, q = acc.get(u, (0, 1))
+                    g = math.gcd(q, e)          # p/q + x/e (Henrici)
+                    t = p * (e // g) + x * (q // g)
+                    g2 = math.gcd(t, g)
+                    acc[u] = (t // g2, q // g * (e // g2))
+    defect, zero = {}, QC(0)
+    for u in cert.target.terms.keys() | sums[0].keys() | sums[1].keys():
+        c = cert.target.terms.get(u, zero)
+        s = [acc.get(u, (0, 1)) for acc in sums]
+        if [(c.re.numerator, c.re.denominator),
+                (c.im.numerator, c.im.denominator)] != s:
+            defect[u] = c - QC(Fraction(*s[0]), Fraction(*s[1]))
+    return AlgebraElement(spec, defect)
 
 
 def verify_certificate(cert: SosCertificate) -> bool:

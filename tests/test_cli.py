@@ -882,6 +882,32 @@ def test_verify_flags_tampered_certificate(tmp_path, capsys):
     assert "first_mismatch" in report["diagnostics"]
 
 
+_RELABEL = (0, 2, 1, 3)            # an involution of Z/4 fixing 0
+
+
+@pytest.mark.parametrize("table", [
+    [[i ^ j for j in range(4)] for i in range(4)],
+    [[_RELABEL[(_RELABEL[i] + _RELABEL[j]) % 4] for j in range(4)]
+     for i in range(4)],
+], ids=["z2xz2", "z4-relabelled"])
+def test_verify_refuses_a_square_over_another_backend(tmp_path, capsys,
+                                                      table):
+    # a square over another group of the same order is malformed input,
+    # refused with the square named, not an internal error
+    g = gen(C4, 1)
+    path = write_element(tmp_path, "b.json", 2 * unit(C4) - g - g.star())
+    _, out, _ = run(capsys, "sos", path)
+    artifact = reports(out)[0]["artifact"]
+    data = json.loads(Path(artifact).read_text())
+    last = len(data["squares"]) - 1
+    assert table != data["squares"][last]["a"]["mult_table"]
+    data["squares"][last]["a"]["mult_table"] = table
+    Path(artifact).write_text(json.dumps(data), encoding="utf-8")
+    code, vout, err = run(capsys, "verify", artifact)
+    assert (code, vout) == (64, "")
+    assert f"square {last} is over another algebra than the target" in err
+
+
 def test_verify_flags_tampered_witness_value(tmp_path, capsys):
     path = write_element(tmp_path, "b.json",
                          -laplacian(F1, [(1,), (-1,)]))

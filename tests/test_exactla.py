@@ -220,13 +220,19 @@ def test_ldlt_solve_matches_gauss_jordan_on_gram_systems():
         B = [[_fraction(rng) for _ in range(rank)] for _ in range(n)]
         G = [[sum((B[i][k] * B[j][k] for k in range(rank)), F(0))
               for j in range(n)] for i in range(n)]
-        ok, d, L, _ = exactla.ldlt_psd(G)
-        assert ok
+        ok, factor, _ = exactla.ldlt_psd_qc([[QC(g) for g in row]
+                                             for row in G])
+        assert ok and factor.I is None
         b = [_fraction(rng) for _ in range(n)]
         if rng.random() < 0.5:          # b in the range of G
             x = [_fraction(rng) for _ in range(n)]
             b = [sum(g * v for g, v in zip(row, x)) for row in G]
-        z = exactla.ldlt_solve(d, exactla.lower_rows(L), b)
-        assert (z is None) == (exactla.solve_linear(G, b) is None)
-        if z is not None:
+        s = math.lcm(*(v.denominator for v in b))
+        out = factor.solve([int(v * s) for v in b])   # G z = s b
+        assert (out is None) == (exactla.solve_linear(G, b) is None)
+        if out is not None:
+            Z, D = out
+            assert all(type(v) is int for v in Z + [D])
+            assert all(not v for v, p in zip(Z, factor.pivots) if not p)
+            z = [F(v, D * s) for v in Z]
             assert [sum(g * v for g, v in zip(row, z)) for row in G] == b

@@ -559,8 +559,7 @@ def test_sparse_entries_match_dense_definitions_exactly(case):
     assert all((2 * z).re.denominator == 1 and (2 * z).im.denominator == 1
                for A in dense for row in A for z in row)
     gram4 = np.einsum("kij,lij->kl", twice.conj(), twice).real
-    assert [[4 * g for g in row] for row in asm.gram_inner()] == \
-        [[F(int(x)) for x in row] for row in gram4]
+    assert asm.gram_inner() == [[int(x) for x in row] for row in gram4]
 
 
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
@@ -791,6 +790,64 @@ def test_certificate_defect_matches_element_arithmetic(spec, mode):
             cert = SosCertificate(target=target, squares=squares, mode=mode)
             assert certificate_defect(cert) == target - total
             assert verify_certificate(cert) == (target == total)
+    # the integer pair sums under stress: weight denominators sharing the
+    # factors 2 and 3 of the integer products, purely imaginary
+    # coefficients, and the words u* v and v* u that every square hits
+    u, v = words[1], words[-1]
+    squares = []
+    for k in range(1, 8):
+        a = AlgebraElement(spec, {u: QC(0, F(k, 6)), v: QC(F(1, 2 * k))})
+        if mode == "augmentation":
+            a = a - a.augmentation()
+        squares.append((F(k, 12 * (k + 1)), a))
+    total = AlgebraElement(spec, {})
+    for w, a in squares:
+        total = total + a.star() * a * w
+    assert any(c.im and not c.re for c in total.terms.values())
+    x = AlgebraElement(spec, {u: QC(0, F(1, 6))})
+    for target in (total, total + x + x.star()):
+        cert = SosCertificate(target=target, squares=squares, mode=mode)
+        assert certificate_defect(cert) == target - total
+        assert verify_certificate(cert) == (target == total)
+
+
+def test_certificate_parse_builds_a_finite_backend_once(monkeypatch):
+    # every square repeating the target's backend, in any key order,
+    # shares its parsed spec; a square written differently is parsed on
+    # its own and must give the same spec, and no other spelling of a
+    # field (1.0 or true for 1) slips through as equal
+    from ncsos import groupalg
+
+    spec = AlgebraSpec.cyclic(12)
+    out = certify_membership(laplacian(spec, [1, 11]), "augmentation")
+    assert out.verdict == "certified" and len(out.certificate.squares) > 2
+    data = json.loads(dump(out.certificate))
+    init, built = groupalg._Finite.__init__, []
+
+    def counting(self, mult_table):
+        built.append(1)
+        init(self, mult_table)
+
+    monkeypatch.setattr(groupalg._Finite, "__init__", counting)
+    cert = SosCertificate.from_dict(data)
+    assert len(built) == 1
+    assert all(a.spec is cert.target.spec for _, a in cert.squares)
+    assert verify_certificate(cert)
+    data["squares"][1]["a"] = dict(reversed(data["squares"][1]["a"].items()))
+    SosCertificate.from_dict(data)
+    assert len(built) == 2              # the target's parse alone
+    for one in (1.0, True):
+        data["squares"][2]["a"]["mult_table"][0][1] = one
+        with pytest.raises(ValueError, match="multiplication table"):
+            SosCertificate.from_dict(data)
+    g = AlgebraElement.generator(FREE1, 1)
+    out = certify_membership(unit(FREE1) * 2 - g - g.star())
+    data = json.loads(dump(out.certificate))
+    data["squares"][0]["a"]["hermitian"] = False    # the default, spelled
+    cert = SosCertificate.from_dict(data)
+    a = cert.squares[0][1]
+    assert a.spec == cert.target.spec and a.spec is not cert.target.spec
+    assert verify_certificate(cert)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_HINTS))
@@ -1588,16 +1645,16 @@ def test_free2_delta_squared_factors_the_constraint_system_once(
     from ncsos import exactla
 
     factored = []
-    ldlt_psd = exactla.ldlt_psd
+    bareiss = exactla._bareiss_ldlt
 
-    def counting(M):
-        factored.append(len(M))
-        return ldlt_psd(M)
+    def counting(R, I):
+        factored.append(len(R))
+        return bareiss(R, I)
 
     def no_dense_solve(A, b):
         raise AssertionError("dense constraint solve")
 
-    monkeypatch.setattr(exactla, "ldlt_psd", counting)
+    monkeypatch.setattr(exactla, "_bareiss_ldlt", counting)
     monkeypatch.setattr(exactla, "solve_linear", no_dense_solve)
     delta = laplacian(FREE2, GENS2)
     start = time.perf_counter()
@@ -1610,7 +1667,8 @@ def test_free2_delta_squared_factors_the_constraint_system_once(
         assert out.verdict == "undecided"
         assert len(out.diagnostics["projection"]["attempts"]) == \
             len(soscone.DENOMINATOR_LADDER)
-    assert factored == [160]
+    # the constraint Gram system once, then the rungs' n=16 LDL*
+    assert factored[0] == 160 and set(factored[1:]) == {16}
     assert elapsed < 30.0
 
 
