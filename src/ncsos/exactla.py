@@ -3,15 +3,17 @@
 Every routine works on lists of lists of scalars supporting ``+ - * /``,
 unary ``-`` and truthiness (``bool(x)`` false exactly when ``x == 0``).
 ``fractions.Fraction`` and :class:`ncsos.qc.QC` both qualify; ``int``
-entries are divided as Fractions.  :func:`char_poly` divides only by
-integers, so it also runs over the rings of :mod:`ncsos.rcf`, whose jets
-are not a field.  Nothing here ever touches floating point.
+entries are divided as Fractions.  Nothing here ever touches floating
+point.
 
-The LDL* routines that decide positive semidefiniteness are the
-exception to duck typing: they take a rational hermitian matrix as
-(Gaussian) integers over one common denominator, eliminate fraction-free
-with Bareiss's exact division by the previous pivot and return that
-integer factor (:class:`IntegerLDL`).
+The LDL* that decides positive semidefiniteness, the package's only PSD
+test, runs on an integral domain instead: it takes a hermitian matrix as
+real and imaginary parts over one common denominator, integers for a
+rational matrix and jets of :mod:`ncsos.rcf` for a jet matrix,
+eliminates fraction-free with Bareiss's exact division (``//``) by the
+previous pivot and returns that factor (:class:`IntegerLDL`).
+:func:`char_poly` has no caller in the package; ``bench/spans.py``
+still wraps it.
 """
 
 from __future__ import annotations
@@ -161,11 +163,12 @@ def _dot(row, col):
 # ---------------------------------------------------------------------------
 
 def _bareiss_ldlt(R, I):
-    """Fraction-free LDL* of an integer hermitian matrix, in place.
+    """Fraction-free LDL* of a hermitian matrix over an integral domain
+    (integers, or jets), in place.
 
     ``R`` and ``I`` hold the real and imaginary parts of the lower
     triangle (row i has entries 0..i); ``I`` is None for a real matrix.
-    Bareiss's rule (Math. Comp. 1968) keeps every entry an integer: step
+    Bareiss's rule (Math. Comp. 1968) keeps every entry integral: step
     k maps x_ij to (p_k x_ij - a_ik conj(a_jk)) / p_prev, an exact division
     by the previous nonzero pivot, so every live entry is a minor of the
     input (Sylvester's identity) and no gcd is ever taken.  A row whose
@@ -247,9 +250,10 @@ def _integer_lower(M):
 class IntegerLDL(NamedTuple):
     """The fraction-free LDL* of a hermitian M that :func:`_bareiss_ldlt`
     leaves: pivots p_k (0 at a skipped column) and, below each, the
-    integer column a_ik in the lower triangles R and I (None for a real
-    M) of scale * M.  d_k = p_k / (p_prev scale) and L[i][k] = a_ik / p_k,
-    with p_prev the previous nonzero pivot."""
+    integral (integer, or jet) column a_ik in the lower triangles R and I
+    (None for a real M) of scale * M.  d_k = p_k / (p_prev scale) and
+    L[i][k] = a_ik / p_k, with p_prev the previous nonzero pivot; the
+    methods below read integer factors."""
 
     pivots: list
     R: list
@@ -323,7 +327,8 @@ def ldlt_psd_qc(M):
     """Exact PSD decision + factorization for a hermitian matrix.
 
     ``M`` is a hermitian QC matrix, or the triple ``(R, I, scale)`` of
-    integer matrices with M = (R + iI)/scale, of which only the lower
+    integer matrices with M = (R + iI)/scale, or of jet matrices
+    (:class:`ncsos.rcf.RcfScalar`) with scale 1, of which only the lower
     triangles are read.  Returns ``(ok, factor, fail)`` with the
     :class:`IntegerLDL` ``factor`` of M.  The classical zero-pivot rule
     applies: a PSD matrix with a zero diagonal entry must have the whole
@@ -343,20 +348,18 @@ def ldlt_psd_qc(M):
     return fail is None, IntegerLDL(pivots, R, I, scale), fail
 
 
-def negative_vector(M):
-    """(re, im) integer pairs of a v with v* M v < 0 for a hermitian QC
-    matrix M that is not PSD, else None.  Rerunning :func:`ldlt_psd_qc`'s
-    elimination to its first violation leaves M = L diag(d) L* + (0 + S),
-    S the Schur complement; v solves L* v = y for y = e_k at a negative
-    pivot k, or at a zero pivot k with S_jk = a != 0 for y = e_j + x e_k,
+def negative_vector(factor, fail):
+    """(re, im) integer pairs of a v with v* M v < 0, read off the
+    ``factor`` and ``fail`` that :func:`ldlt_psd_qc` returned for a
+    rational hermitian M that is not PSD.  The elimination stopped at
+    its first violation, leaving M = L diag(d) L* + (0 + S), S the Schur
+    complement; v solves L* v = y for y = e_k at a negative pivot k, or
+    at a zero pivot k with S_jk = a != 0 for y = e_j + x e_k,
     x = m (i sgn Im a - sgn Re a), so y* S y = S_jj - 2m(|Re a| + |Im a|),
     negative for a large enough power of two m."""
-    R, I, _ = _integer_lower(M)
-    pivots, fail = _bareiss_ldlt(R, I)
-    if fail is None:
-        return None
+    R, I, pivots = factor.R, factor.I, factor.pivots
     j, k = fail
-    v = [QC(int(i == j)) for i in range(len(M))]
+    v = [QC(int(i == j)) for i in range(len(R))]
     if k is not None:
         re, im = R[j][k], I[j][k] if I else 0
         m = 1 << (max(R[j][j], 0) // (abs(re) + abs(im))).bit_length()

@@ -432,17 +432,12 @@ class AlgebraElement:
                 terms[w] = s
             else:
                 terms.pop(w, None)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.spec, out.terms = self.spec, terms
-        return out
+        return _element(self.spec, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.spec = self.spec
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return _element(self.spec, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QC)):
@@ -457,10 +452,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QC)):
             z = other if isinstance(other, QC) else QC(_frac(other))
-            out = AlgebraElement.__new__(AlgebraElement)
-            out.spec = self.spec
-            out.terms = {w: c * z for w, c in self.terms.items()} if z else {}
-            return out
+            return _element(self.spec, {w: c * z for w, c in
+                                        self.terms.items()} if z else {})
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
@@ -475,9 +468,7 @@ class AlgebraElement:
                     terms[w] = s
                 else:
                     terms.pop(w, None)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.spec, out.terms = self.spec, terms
-        return out
+        return _element(self.spec, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QC)):
@@ -485,11 +476,8 @@ class AlgebraElement:
         return NotImplemented
 
     def star(self) -> "AlgebraElement":
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.spec = self.spec
-        out.terms = {self.spec.word_star(w): c.conjugate()
-                     for w, c in self.terms.items()}
-        return out
+        return _element(self.spec, {self.spec.word_star(w): c.conjugate()
+                                    for w, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QC)):
@@ -538,6 +526,14 @@ class AlgebraElement:
             bits.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i)*{name}"
                         if c.im else f"{c.re}*{name}")
         return "AlgebraElement(" + " + ".join(bits) + ")"
+
+
+def _element(spec: AlgebraSpec, terms: dict) -> AlgebraElement:
+    """The element with these terms, taken as they are: normal-form words
+    with nonzero QC coefficients, which the caller vouches for."""
+    out = AlgebraElement.__new__(AlgebraElement)
+    out.spec, out.terms = spec, terms
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +703,15 @@ def element_from_dict(d: dict) -> AlgebraElement:
 
 
 def _element_over(spec: AlgebraSpec, d: dict) -> AlgebraElement:
-    """The element of the dict form d over its already parsed spec."""
+    """The element of the dict form d over its already parsed spec; each
+    word is checked once, by ``word_from_str``, and repeated words merge,
+    their zero sums dropped."""
     terms = {}
     for t in d.get("terms", []):
         w = spec.word_from_str(t["word"])
         c = QC(rational(t.get("re", "0")), rational(t.get("im", "0")))
         terms[w] = terms[w] + c if w in terms else c
-    return AlgebraElement(spec, terms)
+    return _element(spec, {w: c for w, c in terms.items() if c})
 
 
 def element_from_json(text: str) -> AlgebraElement:

@@ -15,8 +15,9 @@ functionals below need in order to stay positive while violating complete
 positivity.
 
 No square roots are ever taken: positive semidefiniteness of hermitian
-matrices over these scalars is decided through characteristic-polynomial
-coefficient signs.
+jet matrices is decided by the package's one PSD test, the fraction-free
+LDL* of :func:`ncsos.exactla.ldlt_psd_qc`, which needs beyond the ring
+operations and a sign only exact division (``//``).
 """
 
 from __future__ import annotations
@@ -144,6 +145,27 @@ class RcfScalar:
             return NotImplemented
         return o * self.inverse()
 
+    def __floordiv__(self, other):
+        """Exact division in Q[eps], the one Bareiss elimination needs,
+        by long division from the top term: ArithmeticError unless other
+        divides self, ZeroDivisionError when other is 0."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.terms:
+            raise ZeroDivisionError(f"{self.render()} divided by 0")
+        top = max(o.terms)
+        r, q = dict(self.terms), {}
+        for e in range(max(r, default=0), top - 1, -1):
+            if r.get(e):            # cancel the term e, exactly
+                c = q[e - top] = r[e] / o.terms[top]
+                for f, d in o.terms.items():
+                    r[e + f - top] = r.get(e + f - top, 0) - c * d
+        if any(r.values()):
+            raise ArithmeticError(
+                f"{o.render()} does not divide {self.render()} in Q[eps]")
+        return self.copy_with(q)
+
     def inverse(self) -> "RcfScalar":
         """Inverse of a unit of Q[eps], that is of a nonzero rational."""
         if self.terms.keys() != {0}:
@@ -269,11 +291,6 @@ class RcfComplex:
         self.im = RcfScalar.zero() if im is None else im
 
     @staticmethod
-    def from_qc(z: QC) -> "RcfComplex":
-        return RcfComplex(RcfScalar.from_rational(z.re),
-                          RcfScalar.from_rational(z.im))
-
-    @staticmethod
     def zero() -> "RcfComplex":
         return RcfComplex(RcfScalar.zero())
 
@@ -288,8 +305,6 @@ class RcfComplex:
             return RcfComplex(other)
         if isinstance(other, (int, Fraction)):
             return RcfComplex(RcfScalar.from_rational(other))
-        if isinstance(other, QC):
-            return RcfComplex.from_qc(other)
         return None
 
     def __add__(self, other):
@@ -323,17 +338,6 @@ class RcfComplex:
                           self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            inv = Fraction(1, other)
-            return RcfComplex(self.re * inv, self.im * inv)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = (o.re * o.re + o.im * o.im).inverse()
-        num = self * o.conjugate()
-        return RcfComplex(num.re * den, num.im * den)
 
     def conjugate(self) -> "RcfComplex":
         return RcfComplex(self.re, -self.im)
@@ -501,30 +505,18 @@ def cauchy_schwarz_check(mode: str, a: UniPoly, b: UniPoly) -> CauchySchwarzResu
 
 
 def hermitian_psd_check(M: Sequence[Sequence[RcfComplex]]) -> bool:
-    """Exact PSD test over the ordered field, no square roots.
-
-    Uses characteristic-polynomial coefficient signs: with ``det(xI - M) =
-    x^n + c_{n-1} x^{n-1} + ... + c_0``, the matrix is PSD iff
-    ``(-1)^k c_{n-k} >= 0`` for all k (elementary symmetric functions of the
-    eigenvalues are nonnegative).
-    """
+    """Exact PSD test over the ordered field, no square roots: the
+    fraction-free LDL* of :func:`ncsos.exactla.ldlt_psd_qc` with the
+    zero-pivot rule, run on the real and imaginary jet parts."""
     n = len(M)
-    if n == 0:
-        return True
     for i in range(n):
         if len(M[i]) != n:
             raise ValueError("matrix is not square")
         for j in range(n):
             if M[i][j] != M[j][i].conjugate():
                 raise ValueError(f"matrix is not hermitian at ({i},{j})")
-    coeffs = exactla.char_poly([list(row) for row in M], RcfComplex.one())
-    for k in range(1, n + 1):
-        c = coeffs[n - k]
-        if c.im:
-            raise AssertionError("hermitian charpoly coefficients must be real")
-        if ((-1) ** k * c.re).sign() < 0:
-            return False
-    return True
+    return exactla.ldlt_psd_qc(([[z.re for z in row] for row in M],
+                                [[z.im for z in row] for row in M], 1))[0]
 
 
 def cp_level_check(mode: str, rows: Sequence[UniPoly]) -> bool:

@@ -158,7 +158,7 @@ class SosCertificate:
                 raise ValueError(f"square {i} is over another algebra "
                                  "than the target")
             squares.append((w, a))
-        return SosCertificate(target, squares, d.get("mode", "full"))
+        return SosCertificate(target, squares, _mode(d.get("mode", "full")))
 
 
 @dataclass
@@ -224,7 +224,7 @@ class DualWitness:
         spec = target.spec
         return DualWitness(
             target=target,
-            mode=d["mode"],
+            mode=_mode(d["mode"]),
             basis=[spec.word_from_str(s) for s in d["basis"]],
             word_values={spec.word_from_str(s): QC(rational(re), rational(im))
                          for s, (re, im) in d["word_values"].items()},
@@ -237,6 +237,13 @@ class DualWitness:
 # ---------------------------------------------------------------------------
 # Gram assembly: basis columns, product classes, constraint matrices
 # ---------------------------------------------------------------------------
+
+def _mode(mode) -> str:
+    """mode, which must be one of MODES (ValueError)."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
 
 def default_radius(b: AlgebraElement, mode: str) -> int:
     """ceil(deg/2), and at least 1 in augmentation mode: the smallest
@@ -254,8 +261,7 @@ def gram_basis(b: AlgebraElement, mode: str = "full",
     explicit ``radius`` replaces the default one.  Raises OversizeError,
     before listing a word, when the system would exceed MAX_CONDITIONS.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    _mode(mode)
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
     spec = b.spec
@@ -318,8 +324,7 @@ class GramAssembly:
     """
 
     def __init__(self, spec: AlgebraSpec, basis, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        _mode(mode)
         if mode == "augmentation" and not spec.is_group():
             raise ValueError("augmentation mode needs a group backend")
         if not basis:
@@ -758,7 +763,8 @@ def _regular_gram(asm: GramAssembly, b: AlgebraElement):
     return R, I, order * lcm
 
 
-def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q) -> DualWitness:
+def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q,
+                     factor: exactla.IntegerLDL, fail) -> DualWitness:
     """Dual witness against b from a vector v over the basis with
     v* Q v < 0 (Q as (R, I, D) from :func:`_regular_gram`).
     The state phi(u) = sum_g conj(v_g) v_{gu}, the coefficient of u in
@@ -766,16 +772,17 @@ def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q) -> DualWitness:
     word values are phi(w) - phi(e).  v is the first with phi(b) < 0
     exactly among Q's least eigenvector, scaled to largest entry 1, on the
     grids 1/10 ... 10^-6 (coarsest, so shortest, first); else, or when Q
-    has no float form, the exact vector of the failing LDL* pivot, with
-    larger numbers (:func:`exactla.negative_vector`)."""
+    has no float form, the exact vector that :func:`exactla.negative_vector`
+    reads off Q's failed LDL* (factor, fail), with larger numbers."""
     def state(v):
         terms = [(w, x, y) for w, (x, y) in zip(asm.basis, v) if x or y]
         return star_product(asm.spec, terms, terms)
 
-    Q = _gaussian(*Q)
+    R, I, D = Q
     try:
-        least = np.linalg.eigh(np.array([[complex(z.re, z.im) for z in row]
-                                         for row in Q]))[1][:, 0]
+        Qf = np.array([[complex(r / D, i / D) for r, i in zip(*rows)]
+                       for rows in zip(R, I)])
+        least = np.linalg.eigh(Qf)[1][:, 0]
         least = least / least[np.argmax(abs(least))]
         proposals = [[(round(z.real * 10 ** k), round(z.imag * 10 ** k))
                       for z in least] for k in range(1, 7)]
@@ -787,7 +794,7 @@ def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q) -> DualWitness:
                for x, y in [phi.get(w, (0, 0))]) < 0:
             break
     else:
-        phi = state(exactla.negative_vector(Q))
+        phi = state(exactla.negative_vector(factor, fail))
     at_e = phi.get(asm.spec.identity_word, (0, 0))[0] \
         if asm.mode == "augmentation" else 0
     return _witness(asm, b, {w: QC(re - at_e, im) for w in asm.covered_words
@@ -846,8 +853,8 @@ def _certify(b: AlgebraElement, mode: str, radius: int | None,
             return done("certified",
                         certificate=_certificate(asm, b, factor))
         diag["fail_at"] = fail
-        return done("refuted", witness=_regular_witness(asm, b, gram)) \
-            if refute else done("undecided")
+        return done("refuted", witness=_regular_witness(
+            asm, b, gram, factor, fail)) if refute else done("undecided")
     found = {}
 
     def early(res):                    # an iterate the exact layer may take

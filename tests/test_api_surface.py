@@ -4,10 +4,13 @@ A public top-level function or class of the package is either used
 inside the package or documented as library API in the README; anything
 else is a helper that only tests call.  A public method or property is
 read somewhere in the repository's code or named in the README.  Backend word formats live in
-``groupalg``: no other module names a non-finite backend.
+``groupalg``: no other module names a non-finite backend.  Every name the
+benchmark under ``bench/`` reads from the package resolves.
 """
 
 import ast
+import functools
+import importlib
 import re
 from pathlib import Path
 
@@ -134,3 +137,44 @@ def test_every_import_is_used():
         unused += [f"{path.stem}:{line} imports {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# names the bench reads outside spans.TARGETS: (module, attribute path)
+# -> (bench script, the text by which it reads them)
+BENCH_READS = {
+    ("ncsos.soscone", "GramAssembly.A_exact"): ("spans.py", "asm.A_exact"),
+    ("ncsos.rcf", "default_order"): ("run.py", "ncsos.rcf.default_order()"),
+    ("ncsos.cli", "main"): ("run.py", "cli.main(argv)"),
+    ("ncsos.cones", "LexFunctional.from_json"):
+        ("run.py", "cones.LexFunctional.from_json("),
+    ("ncsos.cones", "evaluate_lex"): ("run.py", "cones.evaluate_lex("),
+    ("ncsos.cones", "cone_from_json"): ("run.py", "cones.cone_from_json("),
+    ("ncsos.cones", "membership"): ("run.py", "cones.membership("),
+}
+
+
+def _span_targets():
+    """(module, attribute path) of every span of bench/spans.py, read from
+    its TARGETS without importing the bench."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.Assign) and
+                any(getattr(t, "id", None) == "TARGETS" for t in n.targets))
+    return [(module, path) for module, path, _ in ast.literal_eval(node.value)]
+
+
+def test_every_name_the_bench_reads_resolves():
+    # a rename or deletion in src/ that would break the traced or untraced
+    # bench fails here, on every interpreter tier-1 runs on
+    reads = _span_targets()
+    for (module, path), (script, text) in BENCH_READS.items():
+        assert text in (ROOT / "bench" / script).read_text(encoding="utf-8")
+        reads.append((module, path))
+    missing = []
+    for module, path in reads:
+        try:
+            functools.reduce(getattr, path.split("."),
+                             importlib.import_module(module))
+        except AttributeError:
+            missing.append(f"{module}.{path}")
+    assert len(reads) >= 30 and not missing, (
+        "names the bench reads that the package lacks: " + ", ".join(missing))

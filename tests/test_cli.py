@@ -908,6 +908,30 @@ def test_verify_refuses_a_square_over_another_backend(tmp_path, capsys,
     assert f"square {last} is over another algebra than the target" in err
 
 
+@pytest.mark.parametrize("mode", ["bogus", 7, None])
+@pytest.mark.parametrize("sign, kind", [(1, "sos_certificate"),
+                                        (-1, "dual_witness")],
+                         ids=["certificate", "dual-witness"])
+def test_verify_refuses_an_unknown_mode(tmp_path, capsys, sign, kind, mode):
+    # a mode other than full or augmentation is malformed input on both
+    # artifact kinds; a certificate that names no mode reads as full
+    g = gen(C4, 1)
+    path = write_element(tmp_path, "b.json",
+                         (2 * unit(C4) - g - g.star()) * sign)
+    _, out, _ = run(capsys, "sos", path)
+    artifact = Path(reports(out)[0]["artifact"])
+    data = json.loads(artifact.read_text())
+    assert (data["kind"], data["mode"]) == (kind, "full")
+    artifact.write_text(json.dumps({**data, "mode": mode}), encoding="utf-8")
+    code, vout, err = run(capsys, "verify", str(artifact))
+    assert (code, vout) == (64, "")
+    assert f"unknown mode {mode!r}" in err
+    if kind == "sos_certificate":
+        del data["mode"]
+        artifact.write_text(json.dumps(data), encoding="utf-8")
+        assert run(capsys, "verify", str(artifact))[0] == 0
+
+
 def test_verify_flags_tampered_witness_value(tmp_path, capsys):
     path = write_element(tmp_path, "b.json",
                          -laplacian(F1, [(1,), (-1,)]))
@@ -1085,9 +1109,9 @@ def test_finite_target_beyond_float_range_refutes_by_its_pivot(
 
     negative_vector, calls = exactla.negative_vector, []
 
-    def counted(M):
-        calls.append(len(M))
-        return negative_vector(M)
+    def counted(factor, fail):
+        calls.append(len(factor.R))
+        return negative_vector(factor, fail)
 
     monkeypatch.setattr(exactla, "negative_vector", counted)
     z6 = AlgebraSpec.cyclic(6)

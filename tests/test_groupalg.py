@@ -534,6 +534,25 @@ def test_json_roundtrip_all_backends():
             assert b.spec == a.spec
 
 
+@pytest.mark.parametrize("spec, words, bad", [
+    (AlgebraSpec.free(2), ("aB", "b", "A"), "c"),
+    (AlgebraSpec.cyclic(4), ("1", "2", "3"), "4"),
+], ids=["free2", "z4"])
+def test_json_terms_merge_repeated_words(spec, words, bad):
+    # repeated words add up; a word whose coefficients cancel, or that
+    # comes with zero, leaves no term; a malformed word is refused
+    x, y, z = words
+    d = {**spec.to_dict(), "terms": [
+        {"word": x, "re": "1/2"}, {"word": y, "re": "1", "im": "2"},
+        {"word": x, "re": "-1/2"}, {"word": z, "re": "0"},
+        {"word": y, "im": "-1"}]}
+    assert element_from_json(json.dumps(d)).terms == {
+        spec.word_from_str(y): QC(1, 1)}
+    d["terms"].append({"word": bad, "re": "1"})
+    with pytest.raises(ValueError):
+        element_from_json(json.dumps(d))
+
+
 def test_json_shape():
     spec = AlgebraSpec.free(2)
     a = AlgebraElement(spec, {(1, -2): QC(F(1, 2), F(-3))})

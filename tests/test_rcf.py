@@ -221,6 +221,104 @@ def test_psd_check_sees_a_high_order_negative_eigenvalue():
     assert hermitian_psd_check([[e40, zero], [zero, e40]])
 
 
+def _signed_jet(rng: random.Random, sign: int) -> RcfScalar:
+    """A random jet with terms up to eps^60 and the given sign."""
+    if not sign:
+        return RcfScalar.zero()
+    low = rng.randint(0, 60)
+    terms = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+             for e in rng.sample(range(low + 1, 61), min(2, 60 - low))}
+    return RcfScalar({**terms, low: Fraction(sign * rng.randint(1, 9),
+                                             rng.randint(1, 5))})
+
+
+def _ldl_product(L, d):
+    """L diag(d) L* for a unit lower-triangular jet matrix L."""
+    n = len(L)
+    return [[sum((L[i][k] * RcfComplex(d[k]) * L[j][k].conjugate()
+                  for k in range(min(i, j) + 1)), RcfComplex.zero())
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("negatives", [0, 1, 2])
+def test_psd_check_matches_a_constructed_ldl(negatives):
+    # constructive oracle: with L unit lower triangular over complex jets,
+    # L diag(d) L* is PSD exactly when every d_k >= 0, however high in
+    # eps the sign sits; zero d_k leave zero pivots for the zero-pivot rule
+    rng = random.Random(f"ldl-{negatives}")
+    for _ in range(25):
+        n = rng.randint(max(1, negatives), 4)
+        signs = [-1] * negatives + [rng.choice((0, 1, 1))
+                                    for _ in range(n - negatives)]
+        rng.shuffle(signs)
+        def below():            # a random complex jet, either sign
+            return RcfComplex(*(_signed_jet(rng, rng.choice((-1, 0, 1)))
+                                for _ in range(2)))
+
+        L = [[below() for _ in range(i)] + [RcfComplex.one()]
+             + [RcfComplex.zero()] * (n - 1 - i) for i in range(n)]
+        M = _ldl_product(L, [_signed_jet(rng, sg) for sg in signs])
+        assert hermitian_psd_check(M) == (negatives == 0)
+
+
+def test_psd_check_sees_a_pivot_float_substitution_cannot():
+    # d = (1, -eps^50): at eps = 1e-6 the least eigenvalue is below any
+    # float margin, so float substitution cannot decide it
+    e = RcfScalar.eps
+    L = [[RcfComplex.one(), RcfComplex.zero()],
+         [RcfComplex(1 + e(1), e(3)), RcfComplex.one()]]
+    for d50, psd in ((-e(50), False), (e(50), True)):
+        M = _ldl_product(L, [RcfScalar.one(), d50])
+        F = np.array([[complex(*(sum(float(c) * 1e-6 ** k for k, c in
+                                     getattr(z, part).terms.items())
+                                 for part in ("re", "im"))) for z in row]
+                      for row in M])
+        assert abs(np.linalg.eigvalsh(F).min()) < 1e-14
+        assert hermitian_psd_check(M) is psd
+
+
+def test_psd_check_zero_pivot_rule():
+    zero, one = RcfComplex.zero(), RcfComplex.one()
+
+    def e(k, imag=False):
+        jet = RcfScalar.eps(k)
+        return RcfComplex(RcfScalar.zero(), jet) if imag else RcfComplex(jet)
+
+    # a zero row and column around a PSD block pass
+    assert hermitian_psd_check([[e(2), zero, e(1)], [zero, zero, zero],
+                                [e(1), zero, one]])
+    # a zero pivot whose column below vanishes is skipped
+    assert hermitian_psd_check([[one, one, zero], [one, one, zero],
+                                [zero, zero, e(30)]])
+    # a zero pivot with a nonzero entry below fails, first or after a step
+    assert not hermitian_psd_check([[zero, e(5)], [e(5), one]])
+    assert not hermitian_psd_check([[zero, e(5, True).conjugate()],
+                                    [e(5, True), one]])
+    assert not hermitian_psd_check([[one, one, zero], [one, one, e(30)],
+                                    [zero, e(30), one]])
+
+
+def test_exact_division_of_jets():
+    # // is exact division in Q[eps]: the quotient of a product by a
+    # factor, ArithmeticError when the divisor does not divide
+    rng = random.Random(34)
+    for _ in range(200):
+        a, b = _rand_scalar(rng, 60), _rand_scalar(rng, 60)
+        if b:
+            assert (a * b) // b == a
+        assert (a * 3) // Fraction(3) == a == (a * 7) // 7
+    e = RcfScalar.eps
+    for num, den in ((1 + e(1), 1 + 2 * e(1)), (e(1), e(2)),
+                     (RcfScalar.one(), e(1)), (1 + e(2), 1 + e(1)),
+                     (e(60) + e(3), e(3) - e(4))):
+        with pytest.raises(ArithmeticError) as info:
+            num // den
+        assert info.type is ArithmeticError
+    for zero in (RcfScalar.zero(), 0):
+        with pytest.raises(ZeroDivisionError):
+            e(1) // zero
+
+
 def _rand_herm_jet_matrix(rng: random.Random, n: int):
     mats = []
     for _ in range(3):  # coefficients of eps^0, eps^1, eps^2

@@ -1546,6 +1546,68 @@ def test_closed_form_artifacts_match_golden_digests(family, no_sdp):
     assert expect and _golden_digests(family) == expect
 
 
+# sha256 of the compact JSON witness of each refutation below when the
+# eigenvector proposals fail, so the witness comes from the exact vector;
+# recorded while that vector still came from a second elimination
+EXACT_VECTOR_DIGESTS = {
+    "s4-above-gap":
+        "5fc7ada7e02c2f1e1a6d083006a3df4a5f3ea176bf7e89a20cbda0372b29e123",
+    "d6-above-gap":
+        "aad5c4f80e05c6ab7536ab8b287b1a0dc37d7a3157ad2837304d68c606220cc9",
+    "z6-above-gap":
+        "b54d8c3a27015944072187c30aca366666aab3b788bd7ed66b7155910c3f0a8e",
+    "z6-zero-diagonal":
+        "90c6e19e5f1d1983f936827778ff5de20092de465cdd07d4a790387566c15e4c",
+    "z6-refute-k1-s1":
+        "754f6ebc57ea8ff88f84a07d20f47f3c4b34358fab29e4ac078428985ea77528",
+    "z6-refute-k1-s3":
+        "7894320d91900f8aac185233b599c04228586c8915d6bf112dfb68f59d7be7f4",
+}
+
+
+def _exact_vector_case(name):
+    """(target, mode) of a refutation of EXACT_VECTOR_DIGESTS."""
+    g = gen(AlgebraSpec.cyclic(6), 1)
+    return {
+        "s4-above-gap": _golden_cases()["s4-above-gap"][1:3],
+        "d6-above-gap": (_gap_target(*_perm_case(_D6, _D6), F(3)),
+                         "augmentation"),
+        "z6-above-gap": (_gap_target(*_cyclic(6, 1), F(3, 2)),
+                         "augmentation"),
+        "z6-zero-diagonal": (g + g.star(), "full"),     # zero pivot 0
+        "z6-refute-k1-s1": _golden_cases()["z6-refute-k1-s1"][1:3],
+        "z6-refute-k1-s3": _golden_cases()["z6-refute-k1-s3"][1:3],
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_VECTOR_DIGESTS))
+def test_exact_vector_refutations_match_recorded_digests(name, monkeypatch,
+                                                         no_sdp):
+    # with no eigenvector to round, negative_vector reads the vector off
+    # the failed LDL* the decision already ran, at a negative pivot or at
+    # a zero pivot with a nonzero entry below it
+    from ncsos import exactla
+
+    def no_eigh(*args):
+        raise ValueError("no eigenvector")
+
+    negative_vector, fails = exactla.negative_vector, []
+
+    def counted(factor, fail):
+        fails.append(fail)
+        return negative_vector(factor, fail)
+
+    monkeypatch.setattr(soscone.np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(exactla, "negative_vector", counted)
+    got = certify_membership(*_exact_vector_case(name))
+    assert got.verdict == "refuted"
+    assert fails == [got.diagnostics["fail_at"]]
+    assert (fails[0][1] is not None) == (name == "z6-zero-diagonal")
+    assert verify_witness(reread(got.witness))
+    assert hashlib.sha256(json.dumps(got.witness.to_dict()).encode()) \
+        .hexdigest() == EXACT_VECTOR_DIGESTS[name]
+
+
 @pytest.mark.parametrize("group", ["free2", "S4"])
 def test_delta_shift_builds_no_dual_witness(monkeypatch, request, group):
     # the bisection asks for the primal side only: a failed step builds
