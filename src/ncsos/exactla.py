@@ -12,8 +12,8 @@ real and imaginary parts over one common denominator, integers for a
 rational matrix and jets of :mod:`ncsos.rcf` for a jet matrix,
 eliminates fraction-free with Bareiss's exact division (``//``) by the
 previous pivot and returns that factor (:class:`IntegerLDL`).
-:func:`char_poly` has no caller in the package; ``bench/spans.py``
-still wraps it.
+:func:`char_poly` and its ``_dot`` have no caller in the package; they
+are kept only because ``bench/spans.py`` still wraps ``char_poly``.
 """
 
 from __future__ import annotations
@@ -292,35 +292,6 @@ class IntegerLDL(NamedTuple):
                             [(x // g, y // g) for x, y in root]))
                 prev = p
         return out
-
-    def solve(self, b):
-        """A solution of M z = b for a real M and integers b, as integers Z
-        over one denominator D (z = Z/D), or None when b is outside M's
-        range; coordinates at zero pivots are 0.  Fraction-free: scale * b
-        is eliminated as one more column (rows catch up on skipped steps as
-        in :func:`_bareiss_ldlt`), leaving c_k with z_k = (c_k - sum_i a_ik
-        z_i)/p_k.  D, the last nonzero pivot, is the determinant of the
-        pivot rows' block, so D z is integral (Cramer's rule) and every
-        division of the back substitution is exact."""
-        R, pivots, n = self.R, self.pivots, len(self.R)
-        c, level, prev = [self.scale * x for x in b], [1] * n, 1
-        for k, p in enumerate(pivots):
-            ck = c[k] = c[k] * prev // level[k]
-            if not p:
-                if ck:
-                    return None
-                continue
-            for i in range(k + 1, n):
-                if a := R[i][k]:
-                    c[i] = (p * c[i] * prev // level[i] - a * ck) // prev
-                    level[i] = p
-            prev = p
-        Z = [0] * n
-        for k in range(n - 1, -1, -1):
-            if pivots[k]:
-                Z[k] = (prev * c[k] - sum(R[i][k] * Z[i] for i in range(
-                    k + 1, n) if Z[i])) // pivots[k]
-        return Z, prev
 
 
 def ldlt_psd_qc(M):

@@ -16,8 +16,9 @@ regular representation in closed form, exact already, and a failing
 LDL* yields a vector state as the witness.  Elsewhere an
 interior-point SDP proposes the hint or a separating functional: the
 Gram matrix is rounded to the grid (1/den)Z (Peyrl & Parrilo, TCS 2008)
-and projected exactly onto the constraint slice through an LDL^T of the
-constraint Gram system computed once per assembly; a functional is its
+and moved exactly onto the constraint slice by one sweep over the
+conditions, longest class first, each correcting only Gram positions
+that no later condition reads (no m x m system); a functional is its
 constraint coordinates y, rounded and mixed with a reference
 functional's, its moment matrix is the conjugate of sum_k y_k A_k and
 its value at the target is beta . y.  The PSD decision is the
@@ -77,8 +78,7 @@ TOL = 1e-7
 
 # Largest Gram system accepted: real conditions m, estimated from the word
 # ball before anything is built.  The SDP factors a dense (m+1)x(m+1)
-# Schur complement (128 MB of float64 at m = 4000) every iteration, and
-# the exact projection holds the m x m constraint Gram matrix.
+# Schur complement (128 MB of float64 at m = 4000) every iteration.
 MAX_CONDITIONS = 4000
 
 # Most words searched plus splits listed by nu_table, a few word products
@@ -371,7 +371,6 @@ class GramAssembly:
                                      in sorted(acc.items()) if c])
                 self.constraint_class.append((k, part))
         self.m = len(self.entries)
-        self._gram_factor = None
 
     @property
     def A_exact(self):
@@ -429,34 +428,45 @@ class GramAssembly:
             vals.append(sum(c * X[i][j] for i, j, c in ents))
         return vals
 
-    def gram_inner(self):
-        """Four times the Gram matrix <A_k, A_l> of the constraints (PD), in
-        integers, as a sum over the matrix positions the conditions share.
-        An H and a K condition are orthogonal: one reads Re Q, the other
-        Im Q."""
+    def _readers(self) -> dict:
+        """Every Gram position (part, i, j) a condition reads, mapped to
+        its readers ``[(k, weight)]``, k ascending."""
         at = {}
         conds = zip(self.entries, self.constraint_class)
         for k, (ents, (_, part)) in enumerate(conds):
             for i, j, c in ents:
                 at.setdefault((part, i, j), []).append((k, c))
+        return at
+
+    def gram_inner(self):
+        """Four times the Gram matrix <A_k, A_l> of the constraints (PD), in
+        integers, as a sum over the matrix positions the conditions share.
+        An H and a K condition are orthogonal: one reads Re Q, the other
+        Im Q.  Kept for the benchmark; nothing in the package reads it."""
         G4 = [[0] * self.m for _ in range(self.m)]
-        for here in at.values():
+        for here in self._readers().values():
             for k, c in here:
                 Gk = G4[k]
                 for l, d in here:
                     Gk[l] += c * d
         return G4
 
-    def gram_factor(self) -> exactla.IntegerLDL:
-        """The fraction-free LDL^T of the constraint Gram matrix (4G of
-        :meth:`gram_inner` over the scale 4), computed once per assembly."""
-        if self._gram_factor is None:
-            R = [row[:i + 1] for i, row in enumerate(self.gram_inner())]
-            pivots, fail = exactla._bareiss_ldlt(R, None)
-            if fail:
-                raise RuntimeError("constraint Gram matrix is not PSD")
-            self._gram_factor = exactla.IntegerLDL(pivots, R, None, 4)
-        return self._gram_factor
+    @functools.cached_property
+    def sweep_plan(self) -> list:
+        """The sweep of :func:`round_and_project`, per condition k:
+        ``(owned, norm, earlier)``, the ``(i, j, weight)`` of the Gram
+        positions k reads last, the sum of their squared weights, and
+        ``(l, coupling)`` for each earlier reader l of them."""
+        plan = [([], {}) for _ in range(self.m)]
+        for (_, i, j), readers in self._readers().items():
+            k, c = readers[-1]
+            owned, earlier = plan[k]
+            owned.append((i, j, c))
+            for l, d in readers[:-1]:
+                earlier[l] = earlier.get(l, 0) + c * d
+        return [(owned, sum(c * c for _, _, c in owned),
+                 [(l, w) for l, w in earlier.items() if w])
+                for owned, earlier in plan]
 
     # -- the dual side: functionals by their constraint coordinates y ---------
 
@@ -555,43 +565,56 @@ def round_and_project(asm: GramAssembly, b: AlgebraElement,
     """Turn a numeric Gram hint on the assembly's basis into an exact
     certificate.
 
-    Round entries to the grid (1/den)Z for den in DENOMINATOR_LADDER,
-    move exactly back onto the affine constraint slice (minimum-norm
-    correction through the constraint Gram matrix, factored once per
-    assembly, then checked: A(Q) == beta exactly), and decide PSD
-    exactly by fraction-free LDL* with the zero-pivot rule, all on
-    integers over one denominator.  The squares of that LDL* sum to the
-    target by construction; the identity itself is checked once, by
-    :func:`verify_certificate`, where the certificate is used (``ncsos
-    sos`` runs it before writing).  Raises ProjectionError with a margin
-    report when every attempt fails.
+    Round entries to the grid (1/den)Z for den in DENOMINATOR_LADDER;
+    move exactly onto the affine constraint slice by one sweep over the
+    conditions, longest class first, each spreading its residual by
+    minimum norm over the Gram positions no later condition reads
+    (:attr:`GramAssembly.sweep_plan`); check A(Q) == beta exactly; and
+    decide PSD by fraction-free LDL* with the zero-pivot rule, all on
+    integers over one denominator.  In full mode each position has one
+    reader, and the sweep is the minimum-norm correction.  A condition
+    that owns no position must already hold: on free and free abelian
+    balls in augmentation mode these are the letters' K conditions, and
+    Im x pairs to 0 with every homomorphism to Z for hermitian x in I^2.
+    On a finite group a generic hint can miss one, and ProjectionError
+    names it; :func:`certify_membership` decides there in closed form.
+    The squares of that LDL* sum to the target by construction; the
+    identity itself is checked once, by :func:`verify_certificate`,
+    where the certificate is used (``ncsos sos`` runs it before
+    writing).  Raises ProjectionError with a margin report when every
+    attempt fails.
     """
     beta = asm.beta(b)
     report = {}
     for den in DENOMINATOR_LADDER:
         R, I = _rationalize_hermitian(gram, den)
         scale = den                 # Q = (R + iI)/scale
+        # resid is 2 den (beta - A(Q)); adding z_k c at k's owned
+        # positions moves resid_l by z_k times the coupling of l and k
         resid = [2 * den * bk - qk for bk, qk in zip(beta, asm.apply(R, I))]
-        if any(resid):
-            s = math.lcm(*(r.denominator for r in resid))
-            z = asm.gram_factor().solve([int(r * s) for r in resid])
-            if z is None:
-                raise ProjectionError(
-                    "constraint system is inconsistent", {"denominator": den})
-            # resid is 2 den (beta - A(Q)), so the correction is
-            # sum_k z_k A_k / (2 den), over the denominator 4 den t with
-            # t the lcm of the denominators of z = Z/(D s)
-            Z, D = z
-            g = math.gcd(D * s, *Z)
-            t = D * s // g
-            R, I = ([[4 * t * x for x in row] for row in X] for X in (R, I))
-            for zk, ents, (_, part) in zip(Z, asm.entries,
-                                           asm.constraint_class):
+        z = [0] * asm.m
+        for k in reversed(range(asm.m)):
+            if rk := resid[k]:
+                _, norm, earlier = asm.sweep_plan[k]
+                if not norm:
+                    cls, part = asm.constraint_class[k]
+                    word = asm.spec.word_to_str(asm.class_reps[cls])
+                    raise ProjectionError(
+                        f"condition {k} ({part} at {word!r}) owns no Gram "
+                        "position and is missed", {"denominator": den})
+                z[k] = zk = Fraction(rk, norm)
+                for l, w in earlier:
+                    resid[l] -= zk * w
+        if any(z):
+            t = math.lcm(*(zk.denominator for zk in z))
+            R, I = ([[t * x for x in row] for row in X] for X in (R, I))
+            for zk, (owned, _, _), (_, part) in zip(z, asm.sweep_plan,
+                                                   asm.constraint_class):
                 if zk:
-                    X, zk = R if part == "H" else I, zk // g
-                    for i, j, c in ents:
+                    X, zk = R if part == "H" else I, int(zk * t)
+                    for i, j, c in owned:
                         X[i][j] += zk * c
-            scale *= 4 * t
+            scale *= t
             if asm.apply(R, I) != [2 * scale * bk for bk in beta]:
                 raise RuntimeError("exact projection missed the slice")
         ok, factor, fail = exactla.ldlt_psd_qc((R, I, scale))

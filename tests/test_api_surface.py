@@ -178,3 +178,62 @@ def test_every_name_the_bench_reads_resolves():
             missing.append(f"{module}.{path}")
     assert len(reads) >= 30 and not missing, (
         "names the bench reads that the package lacks: " + ", ".join(missing))
+
+
+# names kept in src/ only because the bench reads them, or because another
+# of them does: (module, attribute path).  A benchmark change that stops
+# reading them can delete them all.
+BENCH_HELD = {
+    ("ncsos.exactla", "char_poly"),
+    ("ncsos.exactla", "_dot"),
+    ("ncsos.rcf", "default_order"),
+    ("ncsos.soscone", "GramAssembly.A_exact"),
+    ("ncsos.soscone", "GramAssembly.gram_inner"),
+}
+
+
+def _held_reads():
+    """``(file stem, line, held name, inside)`` for every read of a
+    bench-held name in src/ncsos: an attribute of that name anywhere, a
+    bare name in its own module, or a name imported from it; ``inside``
+    when the read sits in a held name's own definition."""
+    last = {path.rsplit(".", 1)[-1]: (module, path)
+            for module, path in BENCH_HELD}
+
+    def held_in(name, module):
+        return name in last and last[name][0] == module
+
+    for path in sorted((ROOT / "src" / "ncsos").glob("*.py")):
+        module = "ncsos." + path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(x) for d in ast.walk(tree)
+                  if isinstance(d, ast.FunctionDef) and held_in(d.name, module)
+                  for x in ast.walk(d)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr] if node.attr in last else []
+            elif isinstance(node, ast.Name):
+                names = [node.id] if held_in(node.id, module) else []
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names
+                         if held_in(a.name, f"ncsos.{node.module}")]
+            else:
+                continue
+            for name in names:
+                yield path.stem, node.lineno, last[name], id(node) in inside
+
+
+def test_bench_held_names_are_read_by_the_bench_alone():
+    reads = list(_held_reads())
+    outside = [f"{stem}:{line} reads {'.'.join(name)}"
+               for stem, line, name, inside in reads if not inside]
+    assert not outside, "bench-held names read in src/: " + ", ".join(outside)
+    # each is read by the bench, or by another held name
+    bench = set(_span_targets()) | set(BENCH_READS)
+    assert BENCH_HELD <= bench | {name for *_, name, inside in reads
+                                  if inside}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    note = readme.split("\n**Kept for the benchmark.**", 1)[1]
+    note = note.split("\n\n", 1)[0]
+    assert set(re.findall(r"`ncsos\.([\w.]+)`", note)) == \
+        {f"{module[len('ncsos.'):]}.{path}" for module, path in BENCH_HELD}

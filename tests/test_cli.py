@@ -292,6 +292,22 @@ def test_sos_augmentation_laplacian_certificate(tmp_path, capsys):
     assert vcode == 0
 
 
+def test_augmentation_delta_squared_at_radius_three_certifies(tmp_path,
+                                                              capsys):
+    # m = 1456 conditions, inside the size gate; the rounding sweep needs
+    # no factor of the dense m x m constraint Gram matrix
+    delta = laplacian(F2, [(1,), (-1,), (2,), (-2,)])
+    path = write_element(tmp_path, "b.json", delta * delta + delta)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sos", path, "--mode", "augmentation",
+                       "--radius", "3")
+    assert time.perf_counter() - start < 15.0
+    report = reports(out)[0]
+    assert code == 0 and report["verdict"] == "certified"
+    vcode, _, _ = run(capsys, "verify", report["artifact"])
+    assert vcode == 0
+
+
 def test_sos_shift_certifies_shifted_target(tmp_path, capsys):
     g = gen(F1, 1)
     b = g + g.star()

@@ -209,28 +209,3 @@ def test_squares_read_off_the_integer_factor_sum_to_the_matrix(
 def test_ldlt_rejects_non_hermitian_input():
     with pytest.raises(ValueError, match="not hermitian"):
         exactla.ldlt_psd_qc([[QC(1), QC(2)], [QC(3), QC(1)]])
-
-
-def test_ldlt_solve_matches_gauss_jordan_on_gram_systems():
-    rng = random.Random(7)
-    for _ in range(60):
-        n, rank = rng.randint(1, 7), rng.randint(0, 7)
-        B = [[_fraction(rng) for _ in range(rank)] for _ in range(n)]
-        G = [[sum((B[i][k] * B[j][k] for k in range(rank)), F(0))
-              for j in range(n)] for i in range(n)]
-        ok, factor, _ = exactla.ldlt_psd_qc([[QC(g) for g in row]
-                                             for row in G])
-        assert ok and factor.I is None
-        b = [_fraction(rng) for _ in range(n)]
-        if rng.random() < 0.5:          # b in the range of G
-            x = [_fraction(rng) for _ in range(n)]
-            b = [sum(g * v for g, v in zip(row, x)) for row in G]
-        s = math.lcm(*(v.denominator for v in b))
-        out = factor.solve([int(v * s) for v in b])   # G z = s b
-        assert (out is None) == (exactla.solve_linear(G, b) is None)
-        if out is not None:
-            Z, D = out
-            assert all(type(v) is int for v in Z + [D])
-            assert all(not v for v, p in zip(Z, factor.pivots) if not p)
-            z = [F(v, D * s) for v in Z]
-            assert [sum(g * v for g, v in zip(row, z)) for row in G] == b
