@@ -25,11 +25,20 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 def rational(x) -> Fraction:
     """``Fraction(x)``, refusing a string whose decimal exponent expands it
-    past MAX_STR_DIGITS digits before the (slow) conversion."""
-    if isinstance(x, str) and (m := _EXPONENT.search(x)):
-        digits = sum(ch.isdigit() for ch in x[:m.start()])
-        if digits + abs(int(m.group(1))) > MAX_STR_DIGITS:
-            raise ValueError(f"{x[:20]!r}... over {MAX_STR_DIGITS} digits")
+    past MAX_STR_DIGITS digits before the (slow) conversion.  The plain
+    forms ``n`` and ``n/d`` in ASCII digits (n may start with '-'), which
+    artifacts write, are read by ``int`` instead of Fraction's regular
+    expression; any other string goes to Fraction."""
+    if isinstance(x, str):
+        n, slash, d = x.partition("/")
+        unsigned = n[1:] if n[:1] == "-" else n
+        if unsigned.isascii() and unsigned.isdigit() and \
+                (not slash or d.isascii() and d.isdigit()):
+            return Fraction(int(n), int(d)) if slash else Fraction(int(n))
+        if m := _EXPONENT.search(x):
+            digits = sum(ch.isdigit() for ch in x[:m.start()])
+            if digits + abs(int(m.group(1))) > MAX_STR_DIGITS:
+                raise ValueError(f"{x[:20]!r}... over {MAX_STR_DIGITS} digits")
     return Fraction(x)
 
 

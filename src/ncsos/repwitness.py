@@ -6,13 +6,15 @@ representation: build the inner-product space generated by short words
 each compression to a unitary of doubled size, and evaluate the target
 there.  The evaluation reproduces the functional's value, so a negative
 number falls out of explicit matrices that anyone can replay with matrix
-products alone.
+products alone.  That is floating point, so numpy is imported inside each
+function that computes or reads the matrices, not at module level: the
+exact commands import this module without loading it.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .groupalg import (
     AlgebraElement,
@@ -34,6 +36,7 @@ REPLAY_TOL = 1e-10
 def _evaluate(target: AlgebraElement, gens, state) -> complex:
     """<state, target(gens) state>: a word acts as the product of its
     letters' generator matrices, starred letters by the adjoint."""
+    import numpy as np
     state = np.asarray(state, dtype=complex)
     gens = [np.asarray(G, dtype=complex) for G in gens]
     val = 0.0 + 0.0j
@@ -61,6 +64,7 @@ def _orthonormal_frame(Kq, K):
 
     Returns ``(frame, coords)``.
     """
+    import numpy as np
     try:
         ok, factor, _ = ldlt_psd_qc(Kq)
     except ValueError as exc:
@@ -129,6 +133,7 @@ def gns_from_moment(phi: DualWitness, d: int) -> GnsSpace:
     the class of the identity is then a unit vector.  Directions of
     length zero are dropped.
     """
+    import numpy as np
     if phi.mode != "full":
         raise ValueError("representation spaces need a full-mode functional")
     spec = phi.spec
@@ -176,6 +181,7 @@ def compressions(space: GnsSpace):
     extend one step past the space's radius.  Each compression is a
     contraction; singular values within tolerance of 1 are clipped.
     """
+    import numpy as np
     spec = space.spec
     F = space.frame
     out = []
@@ -212,6 +218,7 @@ def choi_dilation(M) -> np.ndarray:
     the square root of it.  Singular values within tolerance above 1 are
     clamped; larger ones are an error.
     """
+    import numpy as np
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("dilation needs a square matrix")
@@ -254,6 +261,7 @@ class UnitaryRepWitness:
         return self.target.terms.values()
 
     def to_dict(self) -> dict:
+        import numpy as np
         return {
             "generators": [[[_pair(z) for z in row] for row in np.asarray(G)]
                            for G in self.generators],
@@ -264,6 +272,7 @@ class UnitaryRepWitness:
 
     @staticmethod
     def from_dict(d: dict) -> "UnitaryRepWitness":
+        import numpy as np
         return UnitaryRepWitness(
             generators=[np.array([[complex(re, im) for re, im in row]
                                   for row in G], dtype=complex)
@@ -293,6 +302,7 @@ def refutation_witness(b: AlgebraElement, phi: DualWitness) -> UnitaryRepWitness
     as compressions.  The evaluation agrees with the normalized
     functional value within 1e-6 relative + 1e-9 absolute error.
     """
+    import numpy as np
     spec = b.spec
     if not spec.relation_free:
         raise ValueError("refutation witnesses need a free group or free "
@@ -338,6 +348,7 @@ def replay_witness_value(wit: UnitaryRepWitness) -> float:
 def verify_unitary_witness(wit: UnitaryRepWitness) -> bool:
     """Independent check: a free group or free *-algebra target, one square
     generator per rank sized as the state, shape, normalization, replay."""
+    import numpy as np
     spec = wit.target.spec
     gens = [np.asarray(G, dtype=complex) for G in wit.generators]
     state = np.asarray(wit.state, dtype=complex)

@@ -22,14 +22,14 @@ assembly's integer weight lists, halved in floats, which is exact
 complement are dense.
 
 This solver produces floating-point hints; all certification happens
-downstream in exact rational arithmetic.
+downstream in exact rational arithmetic.  numpy is imported inside the
+functions that compute, not at module level, so the exact commands that
+import this module (for :class:`SolverError`) never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 TOL = 1e-10        # relative gap and infeasibilities at convergence
 LOOSE = 1e-6       # accepted on a stall: the double precision floor (the
@@ -57,6 +57,7 @@ class SdpResult:
     @property
     def gram(self) -> np.ndarray:
         """Gram hint for the ORIGINAL target: X + lam*I satisfies A(G)=b."""
+        import numpy as np
         return self.X + self.lam * np.eye(self.X.shape[0])
 
 
@@ -71,6 +72,7 @@ def _inv_factor(M: np.ndarray):
     from rounding; a relative jitter ladder keeps the factorization
     alive (the steps taken with it only become slightly conservative).
     """
+    import numpy as np
     n = M.shape[0]
     scale = max(float(np.trace(M).real) / n, np.finfo(float).tiny)
     for k in range(7):
@@ -84,6 +86,7 @@ def _inv_factor(M: np.ndarray):
 
 def _max_step(Li, D: np.ndarray, tau: float = 0.98) -> float:
     """Largest alpha <= 1 keeping M + alpha*D definite; Li = _inv_factor(M)"""
+    import numpy as np
     if Li is None:
         return 0.0
     W = _herm(Li @ D @ Li.conj().T)
@@ -103,6 +106,7 @@ class SparseConstraints:
     """
 
     def __init__(self, entries, parts, n: int):
+        import numpy as np
         self.n, self.m = n, len(entries)
         counts = [len(ents) for ents in entries]
         i, j, w = zip(*(e for ents in entries for e in ents))
@@ -119,11 +123,13 @@ class SparseConstraints:
 
     def apply(self, W: np.ndarray) -> np.ndarray:
         """A(W)_k = Re tr(A_k W), which is <A_k, W> for hermitian W."""
+        import numpy as np
         return np.bincount(self.k, (self.v * W[self.j, self.i]).real,
                            minlength=self.m)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A*(y) = sum_k y_k A_k."""
+        import numpy as np
         w = y[self.k] * self.v
         flat = self.i * self.n + self.j
         size = self.n * self.n
@@ -137,6 +143,7 @@ class SparseConstraints:
         Zi A_l X sums v * Zi[:, i] X[j, :] over the entries (i, j, v) of
         A_l: one small product of gathered columns and rows per l.
         """
+        import numpy as np
         left = Zi[:, self.i] * self.v
         right = X[self.j, :]
         S = np.empty((self.m, self.m))
@@ -160,6 +167,7 @@ def solve_margin_sdp(A: SparseConstraints, b, accept=None) -> SdpResult:
                      upper bound).  When it returns true that iterate is
                      the result; else the solve goes on.
     """
+    import numpy as np
     b = np.asarray(b, dtype=float)
     m = len(b)
     if m == 0:

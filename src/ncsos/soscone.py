@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import exactla, sdp
 from .groupalg import (
     FINITE,
@@ -261,9 +259,14 @@ def gram_basis(b: AlgebraElement, mode: str = "full",
     explicit ``radius`` replaces the default one.  Raises OversizeError,
     before listing a word, when the system would exceed MAX_CONDITIONS.
     """
-    _mode(mode)
     if not b.is_hermitian():
         raise ValueError("target must be hermitian")
+    return _ball_basis(b, mode, radius)
+
+
+def _ball_basis(b: AlgebraElement, mode: str, radius: int | None):
+    """:func:`gram_basis` for a target whose assembly checks it."""
+    _mode(mode)
     spec = b.spec
     if radius is None:
         radius = default_radius(b, mode)
@@ -371,6 +374,7 @@ class GramAssembly:
                                      in sorted(acc.items()) if c])
                 self.constraint_class.append((k, part))
         self.m = len(self.entries)
+        self._target = None         # the target :meth:`beta` last listed
 
     @property
     def A_exact(self):
@@ -409,13 +413,15 @@ class GramAssembly:
             raise ValueError("augmentation-mode target must lie in the ideal")
 
     def beta(self, b: AlgebraElement):
-        """Exact real constraint values for target b."""
-        self.check_coverage(b)
-        out = []
-        for k, part in self.constraint_class:
-            z = b.terms.get(self.class_reps[k], QC(0))
-            out.append(z.re if part == "H" else -z.im)
-        return out
+        """Exact real constraint values for target b, checked and listed
+        once per target: every stage of a decision reads the same tuple."""
+        if self._target is not b:
+            self.check_coverage(b)
+            self._target, self._beta = b, tuple(
+                z.re if part == "H" else -z.im
+                for k, part in self.constraint_class
+                for z in [b.terms.get(self.class_reps[k], QC(0))])
+        return self._beta
 
     # -- exact evaluation ----------------------------------------------------
 
@@ -706,6 +712,7 @@ def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
     exact PSD moment matrix and exact negative value beta . y at the
     target -- are verified on integers over den.
     """
+    import numpy as np
     beta, spec = asm.beta(b), asm.spec
     # the reference functional's coordinates (:func:`_y_from_word_values`):
     # it is real, so 0 on K conditions, and doubled on a class {w, w*}
@@ -797,6 +804,8 @@ def _regular_witness(asm: GramAssembly, b: AlgebraElement, Q,
     grids 1/10 ... 10^-6 (coarsest, so shortest, first); else, or when Q
     has no float form, the exact vector that :func:`exactla.negative_vector`
     reads off Q's failed LDL* (factor, fail), with larger numbers."""
+    import numpy as np
+
     def state(v):
         terms = [(w, x, y) for w, (x, y) in zip(asm.basis, v) if x or y]
         return star_product(asm.spec, terms, terms)
@@ -862,10 +871,13 @@ def _certify(b: AlgebraElement, mode: str, radius: int | None,
     if not b:
         return done("certified", certificate=SosCertificate(b, [], mode))
     try:
-        asm = GramAssembly(b.spec, gram_basis(b, mode, radius), mode)
+        asm = GramAssembly(b.spec, _ball_basis(b, mode, radius), mode)
     except OversizeError as err:
+        if not b.is_hermitian():        # refused before any assembly read b
+            raise ValueError("target must be hermitian") from None
         return done("undecided", diagnostics={"refused": str(err),
                                               **err.report})
+    asm.beta(b)                 # checks the target once; every stage reuses it
     diag = {"basis_size": asm.n, "constraints": asm.m}
     gram = _regular_gram(asm, b)
     if gram is not None:

@@ -74,6 +74,27 @@ def test_rational_refuses_exponents_past_the_digit_limit():
         rational("1e" + "9" * 5000)
 
 
+@pytest.mark.parametrize("text", [
+    "3", "-3", "+3", "-0", "0", "007", "3/4", "-3/4", "+3/4", "6/-4",
+    "3/-4", "--3", "-+3", "-", "", "/", "3/", "/4", "3/4/5", "3/0",
+    "-0/0", " 3/ 4", "3 /4", " 3", "3 ", " 3/4 ", "\t-3/4\n", "1_000",
+    "1_000/3", "_1", "1__0", "3.5", "3.5/2", "1e3", "1e3/2", "0x10",
+    "\u0663", "\u0663/4", "3/\u0664", "\u00b2", "\uff13", "1" * 4301,
+    "-" + "7" * 4301, "1/" + "9" * 5000, "1" * 5000, "9" * 4300 + "/3"])
+def test_rational_agrees_with_fraction(text):
+    # plain n and n/d skip Fraction's regular expression; on every string
+    # the result, or the type of the refusal, is Fraction's
+    try:
+        expected = F(text)
+    except Exception as exc:     # noqa: BLE001 - the type is compared
+        with pytest.raises(Exception) as refused:
+            rational(text)
+        assert type(refused.value) is type(exc)
+    else:
+        got = rational(text)
+        assert type(got) is F and got == expected
+
+
 def test_free_words_reduce():
     spec = AlgebraSpec.free(2)
     a = AlgebraElement.generator(spec, 1)

@@ -109,7 +109,7 @@ def test_gns_nearly_degenerate_moment_takes_the_eigh_frame(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(repwitness, "unit_lower_inverse", exact_frame)
-    monkeypatch.setattr(repwitness.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     r = 1 - Fraction(1, 10 ** 8)
     vals = {w: QC(r ** len(w)) for w in ball(F1, 2)}
     wit = witness_from_word_values(unit(F1), vals, basis=ball(F1, 1),

@@ -195,8 +195,39 @@ def test_zero_target_certified_trivially():
 
 
 def test_membership_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        certify_membership(gen(FREE1, 1))
+    # certify_membership tests its target once, where the assembly first
+    # reads it (GramAssembly.beta, which keeps that reading), or on the
+    # path that refuses the radius first; every entry that takes a target
+    # refuses one that is not hermitian
+    x = gen(FREE1, 1)
+    asm = assembly(x + x.star())
+    res = sos_feasibility(x + x.star() + unit(FREE1) * 3, asm)
+    _, wit = refuted_witness()
+    for call in (lambda: certify_membership(x),
+                 lambda: certify_membership(x, radius=soscone.MAX_CONDITIONS),
+                 lambda: certify_membership(x - unit(FREE1), "augmentation"),
+                 lambda: certify_membership(
+                     AlgebraElement(AlgebraSpec.cyclic(3), {1: QC(1)})),
+                 lambda: asm.beta(x), lambda: sos_feasibility(x, asm),
+                 lambda: round_and_project(asm, x, res.gram),
+                 lambda: exact_dual_witness(asm, x, res),
+                 lambda: witness_from_word_values(x, wit.word_values,
+                                                  basis=wit.basis)):
+        with pytest.raises(ValueError, match="hermitian"):
+            call()
+    object.__setattr__(wit, "target", wit.target + x)
+    assert not verify_witness(wit)
+
+
+def test_beta_reads_each_target_it_is_given():
+    # the assembly keeps the last target's values, never another's
+    g = gen(FREE1, 1)
+    b, c = g + g.star(), unit(FREE1) * 2 - g - g.star()
+    asm = assembly(b)
+    first = asm.beta(b)
+    assert asm.beta(b) is first
+    assert asm.beta(c) == assembly(b).beta(c) != first
+    assert asm.beta(b) == first
 
 
 def test_membership_augmentation_requires_ideal():
@@ -1727,7 +1758,7 @@ def test_exact_vector_refutations_match_recorded_digests(name, monkeypatch,
         fails.append(fail)
         return negative_vector(factor, fail)
 
-    monkeypatch.setattr(soscone.np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     monkeypatch.setattr(exactla, "negative_vector", counted)
     got = certify_membership(*_exact_vector_case(name))
     assert got.verdict == "refuted"
