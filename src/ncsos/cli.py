@@ -223,8 +223,11 @@ def _cmd_separate(args):
         cone = cone_from_json(cone_text)
     except (ValueError, KeyError, TypeError) as exc:
         raise _BadInput(f"bad cone description: {exc}") from exc
-    point = [_parse_fraction(p.strip(), "point coordinate")
-             for p in args.point.split(",") if p.strip() != ""]
+    # "" alone is the point of a dim-0 cone; an empty coordinate is an error
+    chunks = [p.strip() for p in args.point.split(",")] if args.point else []
+    if "" in chunks:
+        raise _BadInput(f"empty coordinate in point {args.point!r}")
+    point = [_parse_fraction(p, "point coordinate") for p in chunks]
     if len(point) != cone.dim:
         raise _BadInput(f"point has {len(point)} coordinates, cone lives "
                         f"in dimension {cone.dim}")

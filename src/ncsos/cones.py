@@ -2,9 +2,11 @@
 
 A point outside a finitely generated cone in Q^n can always be split from it
 by a *stack* of rational covectors evaluated lexicographically: stage 1 is
-worth 1, stage i is worth ``level_infinitesimal(i-1)``.  The stack is built
-by a descending flag of subspaces, one exact LP per stage, and the result
-satisfies, with phi the stacked functional:
+worth 1, stage i is worth ``level_infinitesimal(i-1)``.  Stage 1 is the
+negated Farkas certificate of the membership LP; the later stages follow a
+descending flag of subspaces, one exact cover LP per stage, on the
+generators the stages before leave at zero.  The result satisfies, with
+phi the stacked functional:
 
 * ``phi(x) < 0``,
 * ``phi(g) >= 0`` for every generator,
@@ -179,22 +181,19 @@ def evaluate_lex(f: LexFunctional, v) -> RcfScalar:
 # stage LPs
 # ---------------------------------------------------------------------------
 
-def _stage_lp(h_basis, gens, x=None, objective="cover"):
+def _stage_lp(h_basis, gens):
     """One flag stage on the subspace spanned by h_basis.
 
     Variables: the covector phi = sum lambda_j h_j (lambda free, split), plus
-    score variables s_g in [0,1] per generator when objective == "cover".
-    Constraints: phi(g) >= s_g, coordinates of phi in [-1,1], and phi(x) <= 0
-    when x is given.  objective == "repel" instead maximizes -phi(x).
+    a score s_g in [0,1] per generator.  Constraints: phi(g) >= s_g and the
+    coordinates of phi in [-1,1]; the LP maximizes the total score.
 
     Returns (phi, opt) with phi a covector in ambient coordinates.
     """
     k = len(h_basis)
-    n = len(h_basis[0]) if k else 0
+    n = len(h_basis[0])
     ng = len(gens)
-    cover = objective == "cover"
-    # columns: lam+ (k) | lam- (k) | s (ng if cover) | slacks appended below
-    ncore = 2 * k + (ng if cover else 0)
+    # columns: lam+ (k) | lam- (k) | s (ng) | slacks appended below
     rows, rhs, signs = [], [], []
 
     def add(core, value, sign):
@@ -203,25 +202,15 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
         rhs.append(value)
         signs.append(sign)
 
-    def phi_row(vec):
-        """coefficients of phi(vec) in terms of lam+/lam-"""
-        coeffs = [_dot(h, vec) for h in h_basis]
-        return coeffs + [-c for c in coeffs]
-
-    pad = [0] * ng if cover else []
+    pad = [0] * ng
     for idx, g in enumerate(gens):
-        if cover:
-            row = phi_row(g) + pad
-            row[2 * k + idx] = -1
-            add(row, 0, -1)                 # phi(g) - s_g - u = 0
-            row = [0] * ncore
-            row[2 * k + idx] = 1
-            add(row, 1, 1)                  # s_g + v = 1
-        else:
-            # nonnegativity on the residual generators
-            add(phi_row(g), 0, -1)          # phi(g) - u = 0
-    if x is not None:
-        add(phi_row(x) + pad, 0, 1)
+        coeffs = [_dot(h, g) for h in h_basis]
+        row = coeffs + [-c for c in coeffs] + pad
+        row[2 * k + idx] = -1
+        add(row, 0, -1)                     # phi(g) - s_g - u = 0
+        row = [0] * (2 * k + ng)
+        row[2 * k + idx] = 1
+        add(row, 1, 1)                      # s_g + v = 1
     for c in range(n):
         coord = [h[c] for h in h_basis]     # phi's coordinate c
         add(coord + [-v for v in coord] + pad, 1, 1)    # coord + p = 1
@@ -231,10 +220,7 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
     m = len(rows)
     for i in range(m):
         rows[i] = rows[i] + [signs[i] if j == i else 0 for j in range(m)]
-    if cover:
-        cost = [0] * (2 * k) + [-1] * ng + [0] * m
-    else:
-        cost = phi_row(x) + [0] * m  # minimize phi(x)
+    cost = [0] * (2 * k) + [-1] * ng + [0] * m
     res = linprog.solve_lp(rows, rhs, cost)
     if res.status != linprog.OPTIMAL:
         raise RuntimeError(f"stage LP ended {res.status}")
@@ -247,60 +233,56 @@ def _stage_lp(h_basis, gens, x=None, objective="cover"):
 def separate_point(C: ConeV, x) -> LexFunctional:
     """Stacked separating functional for x not in C.
 
-    Flag construction: at stage i, an exact LP finds a covector supported on
-    the current subspace, nonnegative on the still-active generators,
-    nonpositive at x, scoring as many generators strictly positive as the
-    box allows.  Scored generators drop out; the subspace shrinks by the
-    kernel; when the active set only spans the lineality space a final
-    repelling stage handles x if no earlier stage did.
+    Stage 1 is the negated Farkas certificate of the membership LP: it is
+    nonnegative on every generator, zero on the lineality space and
+    negative at x.  The flag's cover stages then score the generators it
+    leaves at zero, on its kernel.
     """
-    x = _vec(x)
     inside = membership(C, x)
     if inside:
         raise PointInsideCone(inside.coefficients)
-    stages, gens, h_basis, x = _cover_stages(C.dim, C.generators, x)
-    if x is not None:
-        phi, opt = _stage_lp(h_basis, gens, x, "repel")
-        if not opt > 0:
-            raise RuntimeError(
-                "point outside the cone must admit a repelling stage")
-        stages.append(phi)
-    return LexFunctional(C.dim, stages)
+    phi = tuple(-c for c in inside.certificate)
+    gens = [g for g in C.generators if not _dot(phi, g)]
+    h_basis = _restrict(_identity(C.dim), phi)
+    return LexFunctional(C.dim, [phi] + _cover_stages(h_basis, gens))
 
 
-def _cover_stages(n, gens, x=None):
-    """The flag's cover stages in Q^n, until no generator scores; x stays
-    nonpositive until a stage is negative at it.  Returns the stages, the
-    unscored generators, the last subspace and x, or None once separated."""
-    h_basis = [tuple(int(i == c) for i in range(n)) for c in range(n)]
+def _identity(n):
+    return [tuple(int(i == c) for i in range(n)) for c in range(n)]
+
+
+def _cover_stages(h_basis, gens):
+    """The flag's cover stages on span(h_basis), until no generator scores;
+    each drops the generators it scores and restricts to its kernel."""
     stages = []
-    while gens and len(stages) < n:
-        phi, opt = _stage_lp(h_basis, gens, x, "cover")
+    while gens and h_basis:
+        phi, opt = _stage_lp(h_basis, gens)
         if opt == 0:
             break  # the generators left span a subspace: the lineality
         stages.append(phi)
-        if x is not None and _dot(phi, x) < 0:
-            x = None
         gens = [g for g in gens if _dot(phi, g) == 0]
         h_basis = _restrict(h_basis, phi)
-        if not h_basis:
-            break
-    return stages, gens, h_basis, x
+    return stages
 
 
 def _restrict(h_basis, phi):
     """Basis of {v in span(h_basis) : phi(v) = 0} in primitive integer
-    vectors: a stage LP's pivots and covector do not see their scale."""
+    combinations of h_basis: with r the row phi(h_j) in integers and p its
+    first nonzero place, (|r_p| h_j - sgn(r_p) r_j h_p) / gcd(r_p, r_j)."""
     row = [_dot(phi, h) for h in h_basis]
     if not any(row):
         return list(h_basis)
+    d = lcm(*(c.denominator for c in row))
+    r = [int(c * d) for c in row]
+    p = next(j for j, c in enumerate(r) if c)
+    rp, hp = r[p], h_basis[p]
+    sign = 1 if rp > 0 else -1
     out = []
-    for lam in exactla.nullspace([row]):
-        d = lcm(*(c.denominator for c in lam))
-        lam = [c.numerator * (d // c.denominator) for c in lam]
-        g = gcd(*lam)
-        out.append(tuple(sum(c // g * h[i] for c, h in zip(lam, h_basis))
-                         for i in range(len(h_basis[0]))))
+    for j, (rj, hj) in enumerate(zip(r, h_basis)):
+        if j != p:
+            g = gcd(rp, rj)
+            a, b = abs(rp) // g, -sign * rj // g
+            out.append(tuple(a * u + b * v for u, v in zip(hj, hp)))
     return out
 
 
@@ -337,8 +319,8 @@ def extend_functional(C: ConeV, h_basis: Sequence[Sequence],
     outside = [g for g in C.generators if not _in_span(h_basis, g)]
     if any(_dot(ext, g) < 0 for g in outside):
         ext = _nonneg_extension(h_basis, phi_h, C.generators, n)
-    # strictness stages: flag on C+H without a point constraint
-    psi_stages = _cover_stages(n, ext_gens)[0]
+    # strictness stages: the flag on C+H
+    psi_stages = _cover_stages(_identity(n), ext_gens)
     f = LexFunctional(n, [ext] + psi_stages)
     for g in C.generators:
         sign = f.sign_at(g)

@@ -99,31 +99,6 @@ def solve_linear(A, b):
     return x
 
 
-def nullspace(A):
-    """Basis of the kernel of ``A`` (list of coordinate vectors)."""
-    if not A:
-        return []
-    n = len(A[0])
-    rows, pivots = rref(A)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    x = next((x for row in A for x in row if x), None)
-    if x is None:
-        # zero map: kernel is everything; caller supplies field via entries
-        raise ValueError("nullspace of identically-zero matrix needs a field hint; "
-                         "pass at least one nonzero entry or handle upstream")
-    zero = _field_zero(x)
-    one = zero + 1
-    basis = []
-    for fc in free_cols:
-        v = [zero] * n
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = zero - rows[i][fc]
-        basis.append(v)
-    return basis
-
-
 def char_poly(M, one):
     """Coefficients of ``det(lambda*I - M)`` by Faddeev-LeVerrier.
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from ncsos.cli import main
-from ncsos.cones import ConeV, cone_to_json
+from ncsos.cones import ConeV, LexFunctional, cone_to_json
 from ncsos.groupalg import (
     AlgebraElement,
     AlgebraSpec,
@@ -32,6 +32,7 @@ from ncsos.groupalg import (
 from ncsos.qc import QC
 from ncsos.soscone import SosCertificate
 from test_api_surface import _span_targets
+from test_cones import _check_separation_contract
 
 GOLDEN = Path(__file__).parent / "golden" / "quadrant_functional.json"
 
@@ -92,6 +93,10 @@ def test_separate_matches_golden_functional(tmp_path, capsys):
     code, out, _ = run(capsys, "separate", cone, "--point=-1,0",
                        "--out", str(out_file))
     assert code == 0
+    # the recorded functional must itself separate before its bytes pin
+    # the answer
+    _check_separation_contract(ConeV(2, [[1, 0], [0, 1]]), (-1, 0),
+                               LexFunctional.from_json(GOLDEN.read_text()))
     assert out_file.read_bytes() == GOLDEN.read_bytes()
     report = reports(out)[0]
     assert report["verdict"] == "separated"
@@ -134,6 +139,21 @@ def test_separate_point_inside_exits_two(tmp_path, capsys):
     report = reports(out)[0]
     assert report["verdict"] == "inside"
     assert report["artifact"] is None
+
+
+@pytest.mark.parametrize("point", ["-1,,0", "-1,0,", ",-1,0", "-1, ,0"])
+def test_separate_empty_coordinate_exits_64(tmp_path, capsys, point):
+    cone = write_quadrant(tmp_path)
+    code, out, err = run(capsys, "separate", cone, f"--point={point}")
+    assert code == 64 and "empty coordinate" in err
+    assert out == "" and not list(tmp_path.glob("*.functional.json"))
+
+
+def test_separate_empty_point_is_the_point_of_a_dim0_cone(tmp_path, capsys):
+    cone = tmp_path / "dim0.json"
+    cone.write_text(cone_to_json(ConeV(0, [])), encoding="utf-8")
+    code, out, _ = run(capsys, "separate", str(cone), "--point=")
+    assert code == 2 and reports(out)[0]["verdict"] == "inside"
 
 
 def test_separate_malformed_json_exits_64(tmp_path, capsys):

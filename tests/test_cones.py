@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,12 +258,14 @@ def test_crash_infeasible_with_every_slack_row_crashed(pivots):
 
 
 def test_stage_lps_make_no_phase_one_pivots(pivots):
+    # every row of a stage LP has a zero rhs or a slack at level one, so
+    # the slack crash leaves phase 1 nothing to do, on the full space and
+    # on the kernel of a previous stage
     gens = [(F(1), F(0), F(2)), (F(-1), F(1), F(0)), (F(0), F(-1), F(1))]
-    h_basis = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    x = (F(0), F(0), F(-1))
-    cones._stage_lp(h_basis, gens, x, "cover")
-    cones._stage_lp(h_basis, gens, None, "cover")
-    cones._stage_lp(h_basis, gens, x, "repel")
+    h_basis = cones._identity(3)
+    phi, _ = cones._stage_lp(h_basis, gens)
+    cones._stage_lp(cones._restrict(h_basis, phi), gens)
+    cones._stage_lp([(1, 1, 0)], gens[:1])
     assert len(pivots) == 3
     for crash, phase1, _ in pivots:
         assert crash and phase1 == []
@@ -396,6 +399,62 @@ def test_separate_point_on_lineality_boundary():
     _check_separation_contract(C, x, f)
 
 
+def test_separate_point_solves_one_lp_per_cover_stage(monkeypatch):
+    # one membership LP, whose certificate is stage 1, then one LP per
+    # cover stage, plus one when the last cover LP scores nothing
+    results = []
+    solve = linprog.solve_lp
+
+    def recorded(A, b, c):
+        results.append(solve(A, b, c))
+        return results[-1]
+
+    monkeypatch.setattr(linprog, "solve_lp", recorded)
+    cases = [(ConeV(1, [(1,)]), (-1,), 1),          # stage 1 scores all
+             (ConeV(2, [(1, 0), (0, 1)]), (-1, 0), 2),
+             (ConeV(2, [(1, 0), (-1, 0), (0, 1)]), (0, -1), 2)]
+    rng = random.Random(777)
+    for _ in range(40):
+        C, x = _random_cone_and_point(rng, rng.randint(1, 4))
+        if not membership(C, x).inside:
+            cases.append((C, x, None))
+    for C, x, expected in cases:
+        results.clear()
+        f = separate_point(C, x)
+        membership_lp, *stage_lps = results
+        assert membership_lp.status == linprog.INFEASIBLE
+        assert f.stages[0] == tuple(-c for c in membership_lp.y)
+        assert all(r.status == linprog.OPTIMAL for r in stage_lps)
+        scored = [r for r in stage_lps if r.obj < 0]
+        assert scored == stage_lps[:len(f.stages) - 1]
+        assert len(stage_lps) - len(scored) <= 1
+        if expected is not None:
+            assert len(results) == expected
+
+
+def _pointed_cone(dim, k):
+    """k random integer generators with first coordinate in [1, 5], so the
+    cone is pointed, and the point -e_0 outside it."""
+    rng = random.Random(f"{dim}-{k}")
+    gens = [(rng.randint(1, 5),) + tuple(rng.randint(-5, 5)
+                                         for _ in range(dim - 1))
+            for _ in range(k)]
+    return ConeV(dim, gens), (-1,) + (0,) * (dim - 1)
+
+
+def test_separate_pointed_dim16_cone_in_seconds():
+    # about 20 s when separation rebuilt stage 1 with a cover LP that
+    # carried the point; the lineality is zero, so the contract is strict
+    C, x = _pointed_cone(16, 160)
+    start = time.perf_counter()
+    f = separate_point(C, x)
+    elapsed = time.perf_counter() - start
+    assert evaluate_lex(f, x) < 0
+    assert all(evaluate_lex(f, g) > 0 for g in C.generators)
+    assert len(f.stages) <= C.dim
+    assert elapsed < 5, f"separate took {elapsed:.1f} s"
+
+
 def _random_cone_and_point(rng, dim):
     k = rng.randint(1, 2 * dim)
     gens = []
@@ -445,15 +504,17 @@ def test_separation_scale_invariance():
 @pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()),
                          ids=lambda case: case["name"])
 def test_cone_answers_match_golden(case):
-    # recorded when the cone layer computed in Fractions throughout:
     # integer cones of dim 2-6 (one with a plane of lineality) and a cone
-    # written with "1/2", "0.5", "1e2" and "-3/4"
+    # written with "1/2", "0.5", "1e2" and "-3/4"; a recorded functional
+    # must itself separate before its bytes pin the answer
     C = ConeV(case["dim"], case["generators"])
     res = membership(C, case["point"])
     if "coefficients" in case:
         assert res.inside
         assert [str(c) for c in res.coefficients] == case["coefficients"]
     else:
+        _check_separation_contract(
+            C, case["point"], LexFunctional(case["dim"], case["stages"]))
         f = separate_point(C, case["point"])
         assert f.to_json() == json.dumps({"dim": case["dim"],
                                           "stages": case["stages"]})

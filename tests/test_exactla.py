@@ -65,11 +65,10 @@ def test_rref_matches_dense_elimination(kind):
 def test_integer_input_gives_fractions():
     # an int pivot divides as a Fraction, never as a float
     rows, pivots = exactla.rref([[2, 1]])
-    kernel = exactla.nullspace([[2, 1]])
     x = exactla.solve_linear([[2]], [1])
     assert rows == [[1, F(1, 2)]] and pivots == [0]
-    assert kernel == [[F(-1, 2), 1]] and x == [F(1, 2)]
-    results = [rows[0], x] + kernel + exactla.nullspace([[1, 0, 3]])
+    assert x == [F(1, 2)]
+    results = [rows[0], x]
     results.append(exactla.solve_linear([[1, 0, 2], [0, 0, 0]], [0, 0]))
     assert all(type(v) is F for vec in results for v in vec)
     rng = random.Random(5)
