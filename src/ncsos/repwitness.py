@@ -53,7 +53,8 @@ def _evaluate(target: AlgebraElement, gens, state) -> complex:
 # ---------------------------------------------------------------------------
 
 def _orthonormal_frame(Kq, K):
-    """Frame and coordinate data for a moment matrix given exactly.
+    """Frame and coordinate data for a hermitian moment matrix given
+    exactly, as :func:`ldlt_psd_qc` takes it, and in floats (K).
 
     The positive-semidefiniteness decision is always exact (rational
     LDL*).  When the positive pivots are well separated from zero, the
@@ -65,14 +66,11 @@ def _orthonormal_frame(Kq, K):
     Returns ``(frame, coords)``.
     """
     import numpy as np
-    try:
-        ok, factor, _ = ldlt_psd_qc(Kq)
-    except ValueError as exc:
-        raise ValueError(f"moment matrix is not hermitian: {exc}") from exc
+    ok, factor, _ = ldlt_psd_qc(Kq)
     if not ok:
         raise ValueError("moment matrix is not positive semidefinite")
     dvec, L = factor.ldl(QC)
-    n = len(Kq)
+    n = len(K)
     pos = [k for k in range(n) if dvec[k] > 0]
     dmax = max((dvec[k] for k in pos), default=Fraction(0))
     well_separated = pos and (
@@ -137,37 +135,37 @@ def gns_from_moment(phi: DualWitness, d: int) -> GnsSpace:
     if phi.mode != "full":
         raise ValueError("representation spaces need a full-mode functional")
     spec = phi.spec
-    e = spec.identity_word
-    ve = phi.word_values.get(e)
-    if ve is None or ve.im != 0 or ve.re <= 0:
+    values, _ = phi.integer_values()
+    # phi(w)/phi(e) = (re + i im)/scale for values[w] = (re, im)
+    scale, im_e = values.get(spec.identity_word, (0, 0))
+    if im_e != 0 or scale <= 0:
         raise ValueError("functional is not a state: value at identity "
                          "must be a positive real")
-    scale = ve.re
-    values = {w: QC(z.re / scale, z.im / scale)
-              for w, z in phi.word_values.items()}
 
     basis = ball(spec, d)
-    missing = [w for w in basis if w not in set(phi.basis)]
-    if missing:
+    if not set(basis) <= set(phi.basis):
         raise ValueError(f"functional basis does not cover the radius-{d} "
                          "ball")
-    n = len(basis)
-    Kq = [[QC(0)] * n for _ in range(n)]
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            w = spec.word_mul(spec.word_star(u), v)
-            z = values.get(w)
-            if z is None:
-                raise CoverageError(f"missing functional value at {w!r}")
-            Kq[i][j] = z
-    K = np.array([[complex(Kq[i][j]) for j in range(n)] for i in range(n)])
-
+    try:
+        M = [[values[spec.word_mul(spec.word_star(u), v)] for v in basis]
+             for u in basis]
+    except KeyError as exc:
+        raise CoverageError(
+            f"missing functional value at {exc.args[0]!r}") from None
+    if any(M[j][i] != (re, -im) for i, row in enumerate(M)
+           for j, (re, im) in enumerate(row)):
+        raise ValueError("moment matrix is not hermitian")
+    Kq = (*([[z[p] for z in row] for row in M] for p in (0, 1)), scale)
+    K = np.array([[complex(re / scale, im / scale) for re, im in row]
+                  for row in M])
     frame, coords = _orthonormal_frame(Kq, K)
     if frame.shape[1] == 0:
         raise ValueError("trivial space: functional vanishes on the ball")
     space = GnsSpace(spec=spec, basis_words=list(basis), moment=K,
                      frame=frame, word_coords=coords,
-                     word_values={w: complex(z) for w, z in values.items()})
+                     word_values={w: complex(re / scale, im / scale)
+                                  for w, (re, im) in values.items()
+                                  if spec.word_len(w) <= 2 * d + 1})
     gram = coords.conj().T @ coords
     if np.abs(gram - K).max() > 1e-8 * max(1.0, float(np.abs(K).max())):
         raise RuntimeError("orthonormal frame does not reproduce the moment")

@@ -19,7 +19,9 @@ predictor-corrector converges.  Everything is deterministic: fixed
 starting point, no randomization.  The constraint matrices are the Gram
 assembly's integer weight lists, halved in floats, which is exact
 (:class:`SparseConstraints`); the iterates X, Z and the m x m Schur
-complement are dense.
+complement are dense.  S is built by the constraints' sparsity (Fujisawa,
+Kojima & Nakata 1997): conditions of one entry count at a time, in chunks
+of at most CELLS Gram cells.
 
 This solver produces floating-point hints; all certification happens
 downstream in exact rational arithmetic.  numpy is imported inside the
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 TOL = 1e-10        # relative gap and infeasibilities at convergence
 LOOSE = 1e-6       # accepted on a stall: the double precision floor (the
 MAX_ITER = 100     # exact certification downstream absorbs the rest)
+CELLS = 2 ** 14    # Gram cells b n^2 per chunk of the Schur build
 
 
 class SolverError(RuntimeError):
@@ -111,45 +114,55 @@ class SparseConstraints:
         counts = [len(ents) for ents in entries]
         i, j, w = zip(*(e for ents in entries for e in ents))
         self.k = np.repeat(np.arange(self.m), counts)
-        self.i, self.j, w = np.array(i), np.array(j), np.array(w, float) / 2
+        i, j, w = np.array(i), np.array(j), np.array(w, float) / 2
         imag = np.repeat([part == "K" for part in parts], counts)
-        self.v = np.where(imag, 0.0, w) + 1j * np.where(imag, w, 0.0)
-        # the entries of A_k occupy the slice start[k]:start[k + 1]
-        self.start = np.cumsum([0] + counts)
-        diag = self.i == self.j
-        self.trace = np.bincount(self.k[diag], self.v[diag].real,
-                                 minlength=self.m)
-        self.sq_norms = np.bincount(self.k, abs(self.v) ** 2, minlength=self.m)
+        v = np.where(imag, 0.0, w) + 1j * np.where(imag, w, 0.0)
+        self.trace = np.bincount(self.k, v.real * (i == j), minlength=self.m)
+        self.sq_norms = np.bincount(self.k, w * w, minlength=self.m)
+        # the entries read W as floats: Re W[j, i] times the half-weight
+        # (H), or Im W[j, i] times minus it (K)
+        self.flat, self.wt = (j * n + i) * 2 + imag, np.where(imag, -w, w)
+        # the Schur build's chunks: at most CELLS / n^2 conditions of one
+        # entry count c, with the (i, j, value) of their entries as b x c
+        start, count = np.cumsum([0] + counts), np.array(counts)
+        per = max(1, min(self.m, CELLS // (n * n)))
+        self.chunks = [(rows, i[at], j[at], v[at]) for c in sorted(set(counts))
+                       for ls in [np.flatnonzero(count == c)]
+                       for s in range(0, len(ls), per)
+                       for rows in [ls[s:s + per]]
+                       for at in [start[rows, None] + np.arange(c)]]
+        self.bins = self.k + self.m * np.arange(per)[:, None]
 
     def apply(self, W: np.ndarray) -> np.ndarray:
         """A(W)_k = Re tr(A_k W), which is <A_k, W> for hermitian W."""
         import numpy as np
-        return np.bincount(self.k, (self.v * W[self.j, self.i]).real,
-                           minlength=self.m)
+        Wf = np.asarray(W, dtype=complex).reshape(-1).view(float)
+        return np.bincount(self.k, Wf[self.flat] * self.wt, minlength=self.m)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) = sum_k y_k A_k."""
+        """A*(y) = sum_k y_k A_k, summed where :meth:`apply` reads: at
+        [j, i] that is conj A*(y)[i, j], which is A*(y)[j, i]."""
         import numpy as np
-        w = y[self.k] * self.v
-        flat = self.i * self.n + self.j
-        size = self.n * self.n
-        out = np.bincount(flat, w.real, minlength=size) \
-            + 1j * np.bincount(flat, w.imag, minlength=size)
-        return out.reshape(self.n, self.n)
+        out = np.bincount(self.flat, y[self.k] * self.wt,
+                          minlength=2 * self.n * self.n)
+        return out.view(complex).reshape(self.n, self.n)
 
     def schur(self, X: np.ndarray, Zi: np.ndarray) -> np.ndarray:
-        """S_kl = Re tr(X A_k Zi A_l); column l is A(Zi A_l X).
+        """S_kl = Re tr(X A_k Zi A_l); row l is A(W_l), W_l = Zi A_l X.
 
-        Zi A_l X sums v * Zi[:, i] X[j, :] over the entries (i, j, v) of
-        A_l: one small product of gathered columns and rows per l.
+        W_l sums v * Zi[:, i] X[j, :] over the entries (i, j, v) of A_l:
+        per chunk one batched product of gathered columns and rows, and
+        one bincount of the W_l read as :meth:`apply` reads them.
         """
         import numpy as np
-        left = Zi[:, self.i] * self.v
-        right = X[self.j, :]
         S = np.empty((self.m, self.m))
-        for l in range(self.m):
-            f = slice(self.start[l], self.start[l + 1])
-            S[:, l] = self.apply(left[:, f] @ right[f, :])
+        for rows, I, J, V in self.chunks:
+            b = len(rows)
+            W = np.matmul((Zi[:, I] * V).transpose(1, 0, 2), X[J, :])
+            G = W.reshape(b, -1).view(float)[:, self.flat]
+            G *= self.wt
+            S[rows] = np.bincount(self.bins[:b].ravel(), G.ravel(),
+                                  minlength=b * self.m).reshape(b, self.m)
         return (S + S.T) / 2
 
 

@@ -159,22 +159,44 @@ class SosCertificate:
         return SosCertificate(target, squares, _mode(d.get("mode", "full")))
 
 
-@dataclass
 class DualWitness:
     """Positive functional on the product span with a value at the target.
 
     ``word_values`` defines the functional: phi(x) = sum_w x_w * phi(w)
     with phi(e) fixed to 0 in augmentation mode.  ``moment`` is the
     matrix [phi of column_u* column_v] over ``basis`` and is exactly PSD.
-    For refutations ``value_at_target`` is negative.
+    For refutations ``value_at_target`` is negative.  Both may be given
+    as the exact layer's integers, ``(values, D)`` (:meth:`integer_values`)
+    and ``(R, I, scale)``; their QC forms are then built when read.
     """
 
-    target: AlgebraElement
-    mode: str
-    basis: list                    # words
-    word_values: dict              # word -> QC
-    moment: list                   # n x n list of lists of QC
-    value_at_target: Fraction
+    def __init__(self, target: AlgebraElement, mode: str, basis: list,
+                 word_values, moment, value_at_target: Fraction):
+        self.target, self.mode, self.basis = target, mode, basis
+        self._values, self._moment = word_values, moment
+        self.value_at_target = value_at_target
+
+    @property
+    def word_values(self) -> dict:              # word -> QC
+        if isinstance(self._values, tuple):
+            values, D = self._values
+            self._values = {w: QC(Fraction(re, D), Fraction(im, D))
+                            for w, (re, im) in values.items()}
+        return self._values
+
+    @property
+    def moment(self) -> list:                   # n x n lists of QC
+        if isinstance(self._moment, tuple):
+            self._moment = _gaussian(*self._moment)
+        return self._moment
+
+    def integer_values(self):
+        """``(values, D)``: phi(w) = (re + i im)/D for values[w] = (re, im)."""
+        if isinstance(self._values, tuple):
+            return self._values
+        ints, D = _integral([x for v in self._values.values()
+                             for x in (v.re, v.im)])
+        return dict(zip(self._values, zip(ints[::2], ints[1::2]))), D
 
     @property
     def spec(self) -> AlgebraSpec:
@@ -480,7 +502,7 @@ class GramAssembly:
         """Twice the moment matrix of the functional with coordinates y, as
         its real and imaginary parts: 2 conj(sum_k y_k A_k), the moment
         matrix being [phi(column_i* column_j)] for phi =
-        _word_values_from_y(y), and phi(b) = beta(b) . y."""
+        _values_from_y(y), and phi(b) = beta(b) . y."""
         R = [[0] * self.n for _ in range(self.n)]
         I = [[0] * self.n for _ in range(self.n)]
         for yk, ents, (_, part) in zip(y, self.entries,
@@ -490,6 +512,14 @@ class GramAssembly:
                 for i, j, c in ents:
                     X[i][j] += s * c
         return R, I
+
+    @functools.cached_property
+    def ref_y(self) -> list:
+        """:meth:`ref_value` as coordinates y: 0 on K conditions (it is
+        real), and doubled on a class {w, w*}."""
+        return [0 if part == "K" else self.ref_value(w) *
+                (1 + (self.spec.word_star(w) != w)) for k, part in
+                self.constraint_class for w in [self.class_reps[k]]]
 
     def ref_value(self, w) -> int:
         """The reference functional mixed into dual witnesses: on a group
@@ -635,28 +665,29 @@ def round_and_project(asm: GramAssembly, b: AlgebraElement,
 # exact dual side: separating functional
 # ---------------------------------------------------------------------------
 
-def _word_values_from_y(asm: GramAssembly, y):
-    """Functional word values realizing the constraint coordinates y.
+def _values_from_y(asm: GramAssembly, Y, den: int):
+    """Word values realizing the constraint coordinates Y/den, as the
+    integers ``(values, 2 den)`` a :class:`DualWitness` takes.
 
     For a class representative w the pairing contributes
     2 Re(x_w phi(w)) (or x_w phi(w) when w is self-adjoint), so
     phi(w) = (y_H + i y_K)/2, or y_H respectively.
     """
     values = {}
-    for (k, part), yk in zip(asm.constraint_class, y):
+    for (k, part), yk in zip(asm.constraint_class, Y):
         w = asm.class_reps[k]
         star = asm.spec.word_star(w)
         if part == "H":
-            values[w] = QC(yk if star == w else yk / 2)
+            values[w] = (2 * yk if star == w else yk, 0)
         else:                       # K follows the H of its class
-            values[w] = QC(values[w].re, yk / 2)
-        values[star] = values[w].conjugate()
-    return values
+            values[w] = (values[w][0], yk)
+        values[star] = (values[w][0], -values[w][1])
+    return values, 2 * den
 
 
 def _y_from_word_values(asm: GramAssembly, values: dict) -> list:
     """Constraint coordinates of the functional with these word values,
-    the inverse of :func:`_word_values_from_y`.  Raises CoverageError
+    the inverse of :func:`_values_from_y`.  Raises CoverageError
     when a word of a class has no value, and ValueError unless
     phi(w*) = conj phi(w) on every class."""
     spec, y = asm.spec, []
@@ -693,7 +724,7 @@ def _check_functional(asm: GramAssembly, beta, Y, den: int,
     when it is PSD.  With require_negative a value >= 0 returns
     ``(value, None, None)`` before the moment is built.
     """
-    value = Fraction(sum(bk * yk for bk, yk in zip(beta, Y)), den)
+    value = Fraction(sum(bk * yk for bk, yk in zip(beta, Y) if bk), den)
     if require_negative and value >= 0:
         return value, None, None
     M = (*asm.moment(Y), 2 * den)
@@ -713,13 +744,7 @@ def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
     target -- are verified on integers over den.
     """
     import numpy as np
-    beta, spec = asm.beta(b), asm.spec
-    # the reference functional's coordinates (:func:`_y_from_word_values`):
-    # it is real, so 0 on K conditions, and doubled on a class {w, w*}
-    y_ref = [0 if part == "K" else
-             asm.ref_value(w) * (1 if spec.word_star(w) == w else 2)
-             for k, part in asm.constraint_class
-             for w in [asm.class_reps[k]]]
+    beta, y_ref = asm.beta(b), asm.ref_y
     for den in DENOMINATOR_LADDER:
         Y = [round(float(v) * den) for v in res.y]          # y = Y/den
         # the float moment matrix for the estimate: conj(sum_k y_k A_k)
@@ -734,11 +759,8 @@ def exact_dual_witness(asm: GramAssembly, b: AlgebraElement,
             if fail is not None:
                 mu = mu * 4
                 continue
-            return DualWitness(
-                target=b, mode=asm.mode, basis=asm.basis,
-                word_values=_word_values_from_y(
-                    asm, [Fraction(yk, den) for yk in Y_mix]),
-                moment=_gaussian(*M), value_at_target=value)
+            return DualWitness(b, asm.mode, asm.basis,
+                               _values_from_y(asm, Y_mix, den), M, value)
     raise ProjectionError("could not certify a separating functional",
                           {"margin": res.lam})
 
@@ -756,15 +778,14 @@ def witness_from_word_values(b: AlgebraElement, values: dict, basis=None,
 def _witness(asm: GramAssembly, b: AlgebraElement, values: dict,
              require_negative: bool = True) -> DualWitness:
     """:func:`witness_from_word_values` on an assembly already built."""
-    y = _y_from_word_values(asm, values)
-    value, M, fail = _check_functional(asm, asm.beta(b), *_integral(y), False)
+    Y, den = _integral(_y_from_word_values(asm, values))
+    value, M, fail = _check_functional(asm, asm.beta(b), Y, den, False)
     if fail is not None:
         raise ValueError(f"moment matrix is not PSD (pivot failure {fail})")
     if require_negative and value >= 0:
         raise ValueError("witness value at target is not negative")
-    return DualWitness(target=b, mode=asm.mode, basis=asm.basis,
-                       word_values=_word_values_from_y(asm, y),
-                       moment=_gaussian(*M), value_at_target=value)
+    return DualWitness(b, asm.mode, asm.basis,
+                       _values_from_y(asm, Y, den), M, value)
 
 
 # ---------------------------------------------------------------------------

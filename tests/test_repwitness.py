@@ -10,12 +10,14 @@ guarantees -- drift bounds, unitarity residuals, replay agreement --
 rather than inventing magic constants.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ncsos.cli import main
 from ncsos.groupalg import AlgebraElement, AlgebraSpec, ball, laplacian
 from ncsos.qc import QC
 from ncsos.repwitness import (
@@ -414,3 +416,77 @@ def test_witness_json_serializes_complex_pairs():
     assert set(data) == {"generators", "state", "value", "target"}
     assert data["value"] == -4.0
     assert data["state"] == [[1.0, 0.0], [0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# the bytes ``ncsos sos`` writes for refutations
+# ---------------------------------------------------------------------------
+
+def _terms(*terms):
+    return [{"word": w, "re": re, "im": im} for w, re, im in terms]
+
+
+def _free2_deg1(c0, z, w):
+    """c0 + z a + conj(z) A + w b + conj(w) B, as sos-refute draws it."""
+    (zr, zi), (wr, wi) = z, w
+    return {"backend": "free", "rank": 2, "terms": _terms(
+        ("", c0, "0"), ("a", zr, zi), ("A", zr, "-" + zi),
+        ("b", wr, wi), ("B", wr, "-" + wi))}
+
+
+# sha256 of each artifact, recorded before dual witnesses kept their
+# integers: three unitary witnesses (free(2), dilated), a dual functional
+# from the SDP (free_abelian(2)), compressions without dilation
+# (hermitian free_star(2)) and a closed-form dual functional (Z/6)
+REFUTATION_DIGESTS = {
+    "free2-c1": (
+        "c214a15a17ecdcbb39f65648a86cfe3f4cbfa1fadcc5985f7293da971d5b8c01",
+        _free2_deg1("1", ("3/5", "4/5"), ("5/13", "12/13")), ["--radius", "2"]),
+    "free2-c2": (
+        "a0900e71fcd3834818588b66d192a92972b369c66368ecc275b0d80be2a914fc",
+        _free2_deg1("2", ("8/17", "15/17"), ("-7/25", "24/25")),
+        ["--radius", "2"]),
+    "free2-c3": (
+        "ef56f4c7179298d8fc48a7312200b5f2c460a6fdd60b0a21c3684635e16a7601",
+        _free2_deg1("3", ("0", "1"), ("-20/29", "21/29")), ["--radius", "2"]),
+    "free_abelian2": (
+        "2b39f9fc45be83df47d6f7259a7c4a27744d3c9abc8e4ba2d79459c5be55160f",
+        {**_free2_deg1("2", ("3/5", "4/5"), ("5/13", "12/13")),
+         "backend": "free_abelian"}, []),
+    "free_star2": (
+        "9b945f3de112419e4b3afd00a5d9f92ffd98b7f2750158e8a250c5db21e28735",
+        {"backend": "free_star", "rank": 2, "hermitian": True,
+         "terms": _terms(("", "1", "0"), ("a", "1", "0"), ("b", "1", "0"))},
+        []),
+    "cyclic6": (
+        "b69b069a2091c4b59fc9f27ea980c6a875fa24ef70cd8ad2e999a43ca3795ef9",
+        {"backend": "finite",
+         "mult_table": [[(i + j) % 6 for j in range(6)] for i in range(6)],
+         "terms": _terms(("0", "1", "0"), ("1", "3/5", "4/5"),
+                         ("5", "3/5", "-4/5"))}, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTATION_DIGESTS))
+def test_refutation_artifacts_match_recorded_digests(name, tmp_path, capsys):
+    digest, element, extra = REFUTATION_DIGESTS[name]
+    src, out = tmp_path / "b.json", tmp_path / "w.json"
+    src.write_text(json.dumps(element), encoding="utf-8")
+    assert main(["sos", str(src), "--out", str(out)] + extra) == 3
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_free_group_refutation_reads_only_the_witness_integers(monkeypatch):
+    # the unitary witness comes from the integers the exact dual check
+    # already holds: no QC view of the word values or moment is built
+    def unread(self):
+        raise AssertionError("a QC view of the dual witness was built")
+
+    monkeypatch.setattr(DualWitness, "word_values", property(unread))
+    monkeypatch.setattr(DualWitness, "moment", property(unread))
+    a, c = AlgebraElement.generator(F2, 1), AlgebraElement.generator(F2, 2)
+    b = 3 * unit(F2) - 2 * (a + a.star()) - (c + c.star())
+    out = certify_membership(b, mode="full", radius=2)
+    assert out.verdict == "refuted"
+    assert verify_unitary_witness(refutation_witness(b, out.witness))

@@ -723,16 +723,61 @@ def test_sparse_entries_match_dense_definitions_exactly(case):
     assert asm.gram_inner() == [[int(x) for x in row] for row in gram4]
 
 
-@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def _ideal_ball(spec, radius):
+    return [w for w in ball(spec, radius) if w != spec.identity_word]
+
+
+# the Schur build groups conditions by entry count: 4 groups on the first
+# augmentation ball, 8 on the second
+SCHUR_CASES = {
+    **SPARSE_CASES,
+    "free2-r2-augmentation": (FREE2, _ideal_ball(FREE2, 2), "augmentation"),
+    "free_abelian2-r2-augmentation": (
+        AlgebraSpec.free_abelian(2),
+        _ideal_ball(AlgebraSpec.free_abelian(2), 2), "augmentation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
 def test_sdp_operators_match_dense_einsum(case):
-    spec, basis, mode = SPARSE_CASES[case]
+    spec, basis, mode = SCHUR_CASES[case]
     asm = GramAssembly(spec, basis, mode)
     A = np.array([[[complex(z) for z in row] for row in M]
                   for M in dense_constraints(asm)])
-    ops = asm.operator
+    check_sdp_operators(asm.operator, A)
+
+
+def test_schur_chunks_and_an_empty_condition_match_dense_einsum():
+    # at n = 64 a chunk holds sdp.CELLS / n^2 = 4 conditions, so the 14
+    # single-entry conditions span 4 chunks; condition 3 has no entries
+    # and gets a zero row and column
+    n, rng = 64, np.random.default_rng(7)
+    entries = [[(k, k, int(rng.integers(1, 5)))] for k in range(14)]
+    parts = ["H"] * 14
+    for i, j in [(0, 1), (2, 5), (7, 3)]:
+        w = int(rng.integers(1, 5))
+        entries += [sorted([(i, j, w), (j, i, w)]),
+                    sorted([(i, j, -w), (j, i, w)])]
+        parts += ["H", "K"]
+    entries.insert(3, [])
+    parts.insert(3, "H")
+    ops = sdp.SparseConstraints(entries, parts, n)
+    assert sum(I.shape[1] == 1 for _, I, _, _ in ops.chunks) >= 3
+    A = np.zeros((len(entries), n, n), dtype=complex)
+    for k, (ents, part) in enumerate(zip(entries, parts)):
+        for i, j, w in ents:
+            A[k, i, j] = w / 2 if part == "H" else 1j * w / 2
+    S = check_sdp_operators(ops, A)
+    assert not S[3].any() and not S[:, 3].any()
+
+
+def check_sdp_operators(ops, A):
+    """apply, adjoint, schur, trace and sq_norms of ops against dense
+    einsums over the matrices A; returns the Schur complement."""
+    m, n = len(A), A.shape[1]
     rng = np.random.default_rng(5)
-    X, Zi = random_hermitian(asm.n, rng), random_hermitian(asm.n, rng)
-    y = rng.standard_normal(asm.m)
+    X, Zi = random_hermitian(n, rng), random_hermitian(n, rng)
+    y = rng.standard_normal(m)
     np.testing.assert_allclose(ops.apply(X),
                                np.einsum("kij,ji->k", A, X).real,
                                rtol=0, atol=1e-12)
@@ -740,13 +785,14 @@ def test_sdp_operators_match_dense_einsum(case):
                                np.einsum("k,kij->ij", y, A),
                                rtol=0, atol=1e-12)
     S = np.einsum("kij,lji->kl", X @ A @ Zi, A).real
-    np.testing.assert_allclose(ops.schur(X, Zi), (S + S.T) / 2,
-                               rtol=0, atol=1e-12)
+    got = ops.schur(X, Zi)
+    np.testing.assert_allclose(got, (S + S.T) / 2, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ops.trace, np.einsum("kii->k", A).real,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(ops.sq_norms,
                                np.einsum("kij,kij->k", A, A.conj()).real,
                                rtol=0, atol=1e-12)
+    return got
 
 
 def moment_of_values(asm, values):
@@ -758,6 +804,13 @@ def moment_of_values(asm, values):
             for row in products(asm)]
 
 
+def word_values_from_y(asm, y):
+    """The QC word values of rational coordinates y, through the integer
+    form a dual witness keeps."""
+    values, D = soscone._values_from_y(asm, *soscone._integral(y))
+    return {w: QC(F(re, D), F(im, D)) for w, (re, im) in values.items()}
+
+
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
 def test_moment_and_pairing_match_word_value_definitions(case):
     spec, basis, mode = SPARSE_CASES[case]
@@ -767,7 +820,7 @@ def test_moment_and_pairing_match_word_value_definitions(case):
         asm, {w: asm.ref_value(w) for w in asm.covered_words})
     for y in ([F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(asm.m)],
               ref):
-        phi = soscone._word_values_from_y(asm, y)
+        phi = word_values_from_y(asm, y)
         assert set(phi) == asm.covered_words
         R, I = asm.moment(y)                # twice the moment matrix
         M = [[QC(F(r, 2), F(i, 2)) for r, i in zip(rr, ir)]
@@ -789,7 +842,7 @@ def test_moment_and_pairing_match_word_value_definitions(case):
         if mode == "augmentation":
             b = b - unit(spec) * b.augmentation()
         y = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(asm.m)]
-        phi = soscone._word_values_from_y(asm, y)
+        phi = word_values_from_y(asm, y)
         expect = sum((cw * phi[w] for w, cw in b.terms.items()
                       if w in phi), QC(0))
         assert sum(bk * yk for bk, yk in zip(asm.beta(b), y)) == expect
@@ -916,6 +969,14 @@ def test_witness_json_roundtrip_is_stable():
     assert back.moment == wit.moment
     assert back.value_at_target == wit.value_at_target
     assert verify_witness(back)
+
+
+def test_integer_witness_dict_roundtrip_before_any_qc_view():
+    # the SDP path keeps a witness's values and moment as integers, and
+    # to_dict is the first reader of their QC views here
+    _, wit = refuted_witness()
+    data = wit.to_dict()
+    assert soscone.DualWitness.from_dict(data).to_dict() == data
 
 
 # ---------------------------------------------------------------------------
